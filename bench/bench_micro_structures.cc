@@ -16,6 +16,7 @@
 #include "src/container/score_heap.h"
 #include "src/core/cafe_cache.h"
 #include "src/core/chunk.h"
+#include "src/core/reference_cafe_cache.h"
 #include "src/core/xlru_cache.h"
 #include "src/util/rng.h"
 

@@ -1,32 +1,34 @@
 // Copyright (c) 2026 libvcdn authors. Apache-2.0 license.
 //
-// ChunkSetMap: video id -> set of chunk indices, the structure behind Cafe's
-// unseen-chunk estimate (Sec. 6's "largest IAT among the video's cached
-// chunks"). This was the last node-based piece of the Cafe hot path -- an
-// unordered_map of unordered_sets allocates a node per cached chunk and a
-// bucket array per video, which is where Cafe's residual ~0.15 allocations
-// per request came from.
+// ChunkSetMap: video id -> set of its cached chunks, the structure behind
+// Cafe's unseen-chunk estimate (Sec. 6's "largest IAT among the video's
+// cached chunks"). A chunk is named by a uint32_t member id: Cafe stores the
+// chunk's slot handle in its chunk table, so the estimate reads each cached
+// chunk's stat straight from the slab without a hash probe; the reference
+// Cafe stores chunk indices.
 //
-// FlatChunkSetMap stores the same relation as two slabs linked by indices:
+// FlatChunkSetMap stores the relation as two slabs linked by indices:
 //
 //   * entries_ -- one slot per video currently holding cached chunks: the
-//                 video id and the head of its chunk list;
-//   * nodes_   -- one slot per cached chunk: the chunk index and the next
+//                 video id and the head of its member list;
+//   * nodes_   -- one slot per cached chunk: the member id and the next
 //                 link of its video's singly-linked list;
 //   * index_   -- FlatIndex video -> entry handle (open addressing,
 //                 backshift deletion).
 //
 // Freed entries and nodes recycle through free lists, so a warm cache
 // performs zero heap allocations per request. A video's entry is dropped the
-// moment its last chunk is erased (matching the "erase the set when empty"
-// idiom of the node-based original).
+// moment its last member is erased (matching the "erase the set when empty"
+// idiom of the node-based original). Every operation takes the video's mixed
+// hash (HashOf), which Cafe computes once per request and shares with its
+// seen-video tracker.
 //
 // Iteration order within a video is unspecified (insertion-LIFO here,
 // unordered_set order in the reference); consumers must be order-independent
 // -- Cafe only folds a max() over the chunks' IATs.
 //
-// ReferenceChunkSetMap keeps the seed's node-based profile for the
-// differential tests and the reference cache instantiations.
+// ReferenceChunkSetMap keeps the seed's node-based profile for
+// ReferenceCafeCache.
 //
 // Not thread-safe; replay shards each own their instances.
 
@@ -58,9 +60,6 @@ class FlatChunkSetMap {
     index_.Reserve(chunks);
   }
 
-  // Number of videos currently holding at least one chunk.
-  size_t video_count() const { return index_.size(); }
-
   // Mixed 32-bit hash of `video`; matches FlatIndex::HashOf for the same key
   // and hasher, so callers sharing keys across containers hash once.
   uint32_t HashOf(uint64_t video) const { return index_.HashOf(video); }
@@ -68,31 +67,30 @@ class FlatChunkSetMap {
   // Prefetches the index bucket for `video`'s entry. Pure hint.
   void PrefetchVideo(uint32_t hash) const { index_.PrefetchBucket(hash); }
 
-  // Records `chunk` as cached for `video`. The chunk must not already be
-  // present (Cafe only inserts chunks that just transitioned to cached).
-  void Insert(uint64_t video, uint32_t chunk) { Insert(video, chunk, index_.HashOf(video)); }
-  void Insert(uint64_t video, uint32_t chunk, uint32_t hash) {
+  // Adds `member` to `video`'s set. It must not already be present (Cafe
+  // only inserts chunks that just transitioned to cached). `hash` must equal
+  // HashOf(video), here and below.
+  void Insert(uint64_t video, uint32_t member, uint32_t hash) {
     VCDN_DCHECK(hash == index_.HashOf(video));
-    VCDN_DCHECK(!Contains(video, chunk));
+    VCDN_DCHECK(!Contains(video, member, hash));
     uint32_t e = index_.Find(hash, video, VideoAt());
     if (e == kNil) {
       e = AllocEntry(video);
       index_.Insert(hash, e);
     }
-    uint32_t n = AllocNode(chunk);
+    uint32_t n = AllocNode(member);
     nodes_[n].next = entries_[e].head;
     entries_[e].head = n;
   }
 
-  // Removes `chunk` from `video`'s set; the video's entry is dropped when its
-  // last chunk goes. The pair must be present.
-  void Erase(uint64_t video, uint32_t chunk) { Erase(video, chunk, index_.HashOf(video)); }
-  void Erase(uint64_t video, uint32_t chunk, uint32_t hash) {
+  // Removes `member` from `video`'s set; the video's entry is dropped when
+  // its last member goes. The pair must be present.
+  void Erase(uint64_t video, uint32_t member, uint32_t hash) {
     VCDN_DCHECK(hash == index_.HashOf(video));
     uint32_t e = index_.Find(hash, video, VideoAt());
     VCDN_DCHECK(e != kNil);
     uint32_t* link = &entries_[e].head;
-    while (nodes_[*link].chunk != chunk) {
+    while (nodes_[*link].member != member) {
       link = &nodes_[*link].next;
       VCDN_DCHECK(*link != kNil);
     }
@@ -105,12 +103,8 @@ class FlatChunkSetMap {
     }
   }
 
-  // Visits every chunk index cached for `video` (possibly none), in
-  // unspecified order.
-  template <typename Fn>
-  void ForEach(uint64_t video, Fn&& fn) const {
-    ForEach(video, index_.HashOf(video), fn);
-  }
+  // Visits every member of `video`'s set (possibly none), in unspecified
+  // order.
   template <typename Fn>
   void ForEach(uint64_t video, uint32_t hash, Fn&& fn) const {
     VCDN_DCHECK(hash == index_.HashOf(video));
@@ -119,37 +113,27 @@ class FlatChunkSetMap {
       return;
     }
     for (uint32_t n = entries_[e].head; n != kNil; n = nodes_[n].next) {
-      fn(nodes_[n].chunk);
+      fn(nodes_[n].member);
     }
   }
 
-  bool Contains(uint64_t video, uint32_t chunk) const {
+  bool Contains(uint64_t video, uint32_t member, uint32_t hash) const {
     bool found = false;
-    ForEach(video, [&](uint32_t c) { found = found || c == chunk; });
+    ForEach(video, hash, [&](uint32_t m) { found = found || m == member; });
     return found;
   }
 
-  size_t ChunkCount(uint64_t video) const {
-    size_t count = 0;
-    ForEach(video, [&](uint32_t) { ++count; });
-    return count;
-  }
-
-  // Allocated slab sizes (for tests: steady state must stop growing).
-  size_t entry_slab_size() const { return entries_.size(); }
-  size_t node_slab_size() const { return nodes_.size(); }
-
  private:
-  // `head` points at the first chunk node while live and doubles as the
+  // `head` points at the first member node while live and doubles as the
   // next-free link while freed.
   struct Entry {
     uint64_t video = 0;
     uint32_t head = kNil;
   };
-  // `next` links the video's chunk list while live and the free list while
+  // `next` links the video's member list while live and the free list while
   // freed.
   struct Node {
-    uint32_t chunk = 0;
+    uint32_t member = 0;
     uint32_t next = kNil;
   };
 
@@ -176,15 +160,15 @@ class FlatChunkSetMap {
     entry_free_ = e;
   }
 
-  uint32_t AllocNode(uint32_t chunk) {
+  uint32_t AllocNode(uint32_t member) {
     if (node_free_ != kNil) {
       uint32_t n = node_free_;
       node_free_ = nodes_[n].next;
-      nodes_[n].chunk = chunk;
+      nodes_[n].member = member;
       return n;
     }
     VCDN_CHECK_MSG(nodes_.size() < kNil, "FlatChunkSetMap node slab limit exceeded");
-    nodes_.push_back(Node{chunk, kNil});
+    nodes_.push_back(Node{member, kNil});
     return static_cast<uint32_t>(nodes_.size() - 1);
   }
 
@@ -200,23 +184,11 @@ class FlatChunkSetMap {
   uint32_t node_free_ = kNil;
 };
 
-// The seed's node-based shape (unordered_map of unordered_sets), presented
-// through the FlatChunkSetMap API for the reference cache instantiations and
-// the differential tests. Hash parameters are ignored (parity overloads).
+// The seed's node-based shape (unordered_map of unordered_sets) for
+// ReferenceCafeCache, which keys its members by chunk index.
 class ReferenceChunkSetMap {
  public:
-  void Reserve(size_t chunks) { (void)chunks; }
-
-  size_t video_count() const { return map_.size(); }
-
-  uint32_t HashOf(uint64_t video) const { return static_cast<uint32_t>(MixU64(video)); }
-  void PrefetchVideo(uint32_t hash) const { (void)hash; }
-
   void Insert(uint64_t video, uint32_t chunk) { map_[video].insert(chunk); }
-  void Insert(uint64_t video, uint32_t chunk, uint32_t hash) {
-    (void)hash;
-    Insert(video, chunk);
-  }
 
   void Erase(uint64_t video, uint32_t chunk) {
     auto it = map_.find(video);
@@ -225,10 +197,6 @@ class ReferenceChunkSetMap {
     if (it->second.empty()) {
       map_.erase(it);
     }
-  }
-  void Erase(uint64_t video, uint32_t chunk, uint32_t hash) {
-    (void)hash;
-    Erase(video, chunk);
   }
 
   template <typename Fn>
@@ -240,21 +208,6 @@ class ReferenceChunkSetMap {
     for (uint32_t chunk : it->second) {
       fn(chunk);
     }
-  }
-  template <typename Fn>
-  void ForEach(uint64_t video, uint32_t hash, Fn&& fn) const {
-    (void)hash;
-    ForEach(video, fn);
-  }
-
-  bool Contains(uint64_t video, uint32_t chunk) const {
-    auto it = map_.find(video);
-    return it != map_.end() && it->second.count(chunk) > 0;
-  }
-
-  size_t ChunkCount(uint64_t video) const {
-    auto it = map_.find(video);
-    return it == map_.end() ? 0 : it->second.size();
   }
 
  private:

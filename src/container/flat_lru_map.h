@@ -75,14 +75,13 @@ class FlatLruMap {
 
   // Mixed 32-bit hash of `key` -- identical across every FlatIndex-backed
   // container instantiated with the same Key/Hash, so a caller touching the
-  // same key in several structures can hash once and pass the value to the
-  // hash-taking overloads below.
+  // same key in several structures can hash once and pass the value to
+  // PrefetchSlot and the hash-taking InsertOrTouch below.
   uint32_t HashOf(const Key& key) const { return index_.HashOf(key); }
 
   // Prefetches the index bucket a subsequent operation on this key/hash will
   // probe first. Pure hint (see prefetch.h).
   void PrefetchSlot(uint32_t hash) const { index_.PrefetchBucket(hash); }
-  void PrefetchSlot(const Key& key) const { index_.PrefetchBucket(index_.HashOf(key)); }
 
   // Prefetches the least-recently-used slot (what Oldest/PopOldest read
   // next). The LRU tail is cold by definition, so cleanup scans that poll it
@@ -141,23 +140,9 @@ class FlatLruMap {
     return s == kNil ? nullptr : &slots_[s].value;
   }
 
-  // Hash-taking overload: `hash` must equal HashOf(key).
-  const Value* Peek(const Key& key, uint32_t hash) const {
-    VCDN_DCHECK(hash == index_.HashOf(key));
-    uint32_t s = index_.Find(hash, key, KeyAt());
-    return s == kNil ? nullptr : &slots_[s].value;
-  }
-
   // Mutable Peek: in-place value update without a recency change.
   Value* PeekMut(const Key& key) {
     uint32_t s = FindSlot(key);
-    return s == kNil ? nullptr : &slots_[s].value;
-  }
-
-  // Hash-taking overload: `hash` must equal HashOf(key).
-  Value* PeekMut(const Key& key, uint32_t hash) {
-    VCDN_DCHECK(hash == index_.HashOf(key));
-    uint32_t s = index_.Find(hash, key, KeyAt());
     return s == kNil ? nullptr : &slots_[s].value;
   }
 
@@ -199,12 +184,8 @@ class FlatLruMap {
   }
 
   // Removes a specific key. Returns true if it was present.
-  bool Erase(const Key& key) { return Erase(key, index_.HashOf(key)); }
-
-  // Hash-taking overload: `hash` must equal HashOf(key).
-  bool Erase(const Key& key, uint32_t hash) {
-    VCDN_DCHECK(hash == index_.HashOf(key));
-    uint32_t s = index_.Erase(hash, key, KeyAt());
+  bool Erase(const Key& key) {
+    uint32_t s = index_.Erase(index_.HashOf(key), key, KeyAt());
     if (s == kNil) {
       return false;
     }

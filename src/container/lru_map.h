@@ -29,7 +29,6 @@
 #include <unordered_map>
 #include <utility>
 
-#include "src/container/fast_hash.h"
 #include "src/util/check.h"
 
 namespace vcdn::container {
@@ -48,18 +47,6 @@ class LruMap {
   // entries, so only the index benefits.
   void Reserve(size_t capacity) { index_.reserve(capacity); }
 
-  // API parity with FlatLruMap's hash-reuse surface: HashOf computes the same
-  // mixed value the flat containers use (so differential drivers can hash
-  // once for both policies), the prefetches are no-ops, and the hash-taking
-  // overloads ignore the hash -- the chained map rehashes internally either
-  // way, and reference-policy performance is not tracked.
-  uint32_t HashOf(const Key& key) const {
-    return static_cast<uint32_t>(MixU64(static_cast<uint64_t>(Hash{}(key))));
-  }
-  void PrefetchSlot(uint32_t hash) const { (void)hash; }
-  void PrefetchSlot(const Key& key) const { (void)key; }
-  void PrefetchOldest() const {}
-
   size_t size() const { return index_.size(); }
   bool empty() const { return index_.empty(); }
 
@@ -77,12 +64,6 @@ class LruMap {
     order_.push_front(Entry{key, std::move(value)});
     index_.emplace(key, order_.begin());
     return true;
-  }
-
-  // Hash-ignoring parity overload (see HashOf above).
-  bool InsertOrTouch(const Key& key, Value value, uint32_t hash) {
-    (void)hash;
-    return InsertOrTouch(key, std::move(value));
   }
 
   // Overload that avoids constructing a Value when the key is already
@@ -109,12 +90,6 @@ class LruMap {
     return &it->second->value;
   }
 
-  // Hash-ignoring parity overload.
-  const Value* Peek(const Key& key, uint32_t hash) const {
-    (void)hash;
-    return Peek(key);
-  }
-
   // Mutable Peek: in-place value update without a recency change.
   Value* PeekMut(const Key& key) {
     auto it = index_.find(key);
@@ -122,12 +97,6 @@ class LruMap {
       return nullptr;
     }
     return &it->second->value;
-  }
-
-  // Hash-ignoring parity overload.
-  Value* PeekMut(const Key& key, uint32_t hash) {
-    (void)hash;
-    return PeekMut(key);
   }
 
   // Returns the value and makes the entry most-recent, or nullptr if absent.
@@ -170,12 +139,6 @@ class LruMap {
     order_.erase(it->second);
     index_.erase(it);
     return true;
-  }
-
-  // Hash-ignoring parity overload.
-  bool Erase(const Key& key, uint32_t hash) {
-    (void)hash;
-    return Erase(key);
   }
 
   void Clear() {

@@ -14,9 +14,9 @@
 //
 // This is the REFERENCE implementation: the hot paths run on ScoreHeap
 // (score_heap.h). RefScoreHeap below adapts this set to the ScoreHeap API so
-// the differential test and the reference cache instantiations
-// (container::ReferenceContainers) can drive both through identical
-// operation sequences.
+// the differential test, the reference xLRU instantiation
+// (container::ReferenceContainers) and ReferenceCafeCache can drive both
+// through identical operation sequences.
 
 #ifndef VCDN_SRC_CONTAINER_ORDERED_KEY_SET_H_
 #define VCDN_SRC_CONTAINER_ORDERED_KEY_SET_H_
@@ -27,7 +27,6 @@
 #include <unordered_map>
 #include <utility>
 
-#include "src/container/fast_hash.h"
 #include "src/util/check.h"
 
 namespace vcdn::container {
@@ -140,34 +139,6 @@ class RefScoreHeap {
   bool InsertOrUpdate(const Id& id, const Score& score) { return set_.InsertOrUpdate(id, score); }
   bool Erase(const Id& id) { return set_.Erase(id); }
   void Clear() { set_.Clear(); }
-
-  // API parity with ScoreHeap's hash-reuse surface: HashOf matches the flat
-  // containers' mixed value, prefetches are no-ops, and the hash-taking
-  // overloads ignore the hash (see lru_map.h for the rationale).
-  uint32_t HashOf(const Id& id) const {
-    return static_cast<uint32_t>(MixU64(static_cast<uint64_t>(Hash{}(id))));
-  }
-  void PrefetchEntry(uint32_t hash) const { (void)hash; }
-  void PrefetchEntry(const Id& id) const { (void)id; }
-  void PrefetchTop() const {}
-  bool Contains(const Id& id, uint32_t hash) const {
-    (void)hash;
-    return set_.Contains(id);
-  }
-  bool InsertOrUpdate(const Id& id, const Score& score, uint32_t hash) {
-    (void)hash;
-    return set_.InsertOrUpdate(id, score);
-  }
-  bool Erase(const Id& id, uint32_t hash) {
-    (void)hash;
-    return set_.Erase(id);
-  }
-  void ContainsMany(const Id* ids, const uint32_t* hashes, size_t count, uint8_t* out) const {
-    (void)hashes;
-    for (size_t i = 0; i < count; ++i) {
-      out[i] = set_.Contains(ids[i]) ? 1 : 0;
-    }
-  }
 
   const Item& Top() const { return kMaxFirst ? set_.Max() : set_.Min(); }
   Item PopTop() { return kMaxFirst ? set_.PopMax() : set_.PopMin(); }

@@ -96,7 +96,7 @@ class CacheAlgorithm {
   // dispatch. Observably identical to calling HandleRequest on each request
   // in order -- batching is a scheduling change, never a semantics change --
   // but lets an algorithm overlap independent memory accesses across the
-  // batch (see CafeCacheT's software-pipelined override). `outcomes` must
+  // batch (see CafeCache's software-pipelined override). `outcomes` must
   // hold at least `count` entries.
   void HandleRequestBatch(const trace::Request* requests, size_t count,
                           RequestOutcome* outcomes) {

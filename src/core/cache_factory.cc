@@ -5,6 +5,7 @@
 #include "src/core/baseline_caches.h"
 #include "src/core/cafe_cache.h"
 #include "src/core/psychic_cache.h"
+#include "src/core/reference_cafe_cache.h"
 #include "src/core/xlru_cache.h"
 #include "src/util/check.h"
 

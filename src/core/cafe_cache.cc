@@ -6,6 +6,8 @@
 #include <cmath>
 #include <limits>
 
+#include "src/container/prefetch.h"
+
 namespace vcdn::core {
 
 namespace {
@@ -15,80 +17,57 @@ constexpr double kInfinity = std::numeric_limits<double>::infinity();
 constexpr double kMinIat = 1e-6;
 }  // namespace
 
-template <typename C>
-CafeCacheT<C>::CafeCacheT(const CacheConfig& config, const CafeOptions& options)
+CafeCache::CafeCache(const CacheConfig& config, const CafeOptions& options)
     : CacheAlgorithm(config), options_(options) {
   VCDN_CHECK(options_.gamma > 0.0 && options_.gamma <= 1.0);
   VCDN_CHECK(options_.history_retention_factor > 0.0);
   const auto capacity = static_cast<size_t>(config.disk_capacity_chunks);
+  // The table holds the cached chunks plus the history, which tracks
+  // roughly as many uncached ones (the cleanup horizon scales with cache
+  // age).
+  slots_.reserve(2 * capacity);
+  index_.Reserve(2 * capacity);
   cached_.Reserve(capacity);
-  cached_stats_.Reserve(capacity);
-  // History holds roughly as many tracked-but-uncached chunks as the disk
-  // holds cached ones (the cleanup horizon scales with cache age).
-  history_.Reserve(capacity);
   if (options_.proactive) {
-    // The by-key candidate pool is only maintained when proactive filling can
-    // read it; otherwise it stays empty and unreserved.
-    history_by_key_.Reserve(capacity);
+    // The candidate heap is only maintained when proactive filling can read
+    // it; otherwise it stays empty and unreserved.
+    candidates_.Reserve(capacity);
   }
   video_seen_.Reserve(capacity);
   video_chunks_.Reserve(capacity);
 }
 
-template <typename C>
-double CafeCacheT<C>::IatOf(const ChunkStat& stat, double now) const {
+double CafeCache::IatOf(const ChunkStat& stat, double now) const {
   // Eq. (8).
   return options_.gamma * (now - stat.t_last) + (1.0 - options_.gamma) * stat.dt;
 }
 
-template <typename C>
-double CafeCacheT<C>::VirtualKey(const ChunkStat& stat) const {
-  // Theorem 1 with T0 = 0: key = T0 - IAT(T0) = gamma*t_last - (1-gamma)*dt.
-  return options_.gamma * stat.t_last - (1.0 - options_.gamma) * stat.dt;
-}
-
-template <typename C>
-void CafeCacheT<C>::UpdateStat(ChunkStat& stat, double now) const {
+void CafeCache::UpdateStat(ChunkStat& stat, double now) const {
   stat.dt = options_.gamma * (now - stat.t_last) + (1.0 - options_.gamma) * stat.dt;
   stat.t_last = now;
 }
 
-template <typename C>
-double CafeCacheT<C>::CacheAge(double now) const {
+bool CafeCache::ContainsChunk(const ChunkId& chunk) const {
+  const uint32_t h = index_.Find(index_.HashOf(chunk), chunk, IdAt());
+  return h != kNil && IsCached(h);
+}
+
+double CafeCache::CacheAge(double now) const {
   if (cached_.empty()) {
     return 0.0;
   }
-  const ChunkId& least_popular = cached_.Top().second;
-  const ChunkStat* stat = cached_stats_.Peek(least_popular);
-  VCDN_DCHECK(stat != nullptr);
-  return std::max(0.0, IatOf(*stat, now));
+  return std::max(0.0, IatOf(slots_[cached_.top()].stat, now));
 }
 
-template <typename C>
-double CafeCacheT<C>::EstimateIat(const ChunkId& chunk, double now) const {
-  if (const ChunkStat* cached_stat = cached_stats_.Peek(chunk)) {
-    return std::max(kMinIat, IatOf(*cached_stat, now));
-  }
-  if (const ChunkStat* stat = history_.Peek(chunk)) {
-    return std::max(kMinIat, IatOf(*stat, now));
+double CafeCache::EstimateIat(const ChunkId& chunk, double now) const {
+  const uint32_t h = index_.Find(index_.HashOf(chunk), chunk, IdAt());
+  if (h != kNil) {
+    return std::max(kMinIat, IatOf(slots_[h].stat, now));
   }
   return EstimateIatFromVideo(chunk.video, video_chunks_.HashOf(chunk.video), now);
 }
 
-template <typename C>
-double CafeCacheT<C>::EstimateIatUncached(const ChunkId& chunk, uint32_t chunk_hash,
-                                          uint32_t video_hash, double now) const {
-  // cached_ and cached_stats_ always hold the same key set, so a chunk known
-  // missing from cached_ cannot be in cached_stats_ -- skip that probe.
-  VCDN_DCHECK(cached_stats_.Peek(chunk) == nullptr);
-  if (const ChunkStat* stat = history_.Peek(chunk, chunk_hash)) {
-    return std::max(kMinIat, IatOf(*stat, now));
-  }
-  return EstimateIatFromVideo(chunk.video, video_hash, now);
-}
-
-template <typename C>
-double CafeCacheT<C>::EstimateIatFromVideo(VideoId video, uint32_t video_hash, double now) const {
+double CafeCache::EstimateIatFromVideo(VideoId video, uint32_t video_hash, double now) const {
   if (!options_.estimate_unseen_from_video) {
     return kInfinity;
   }
@@ -97,84 +76,143 @@ double CafeCacheT<C>::EstimateIatFromVideo(VideoId video, uint32_t video_hash, d
   // max() is order-independent, so the set's iteration order is immaterial.
   bool any = false;
   double worst = 0.0;
-  video_chunks_.ForEach(video, video_hash, [&](uint32_t index) {
-    const ChunkStat* stat = cached_stats_.Peek(ChunkId{video, index});
-    VCDN_DCHECK(stat != nullptr);
+  video_chunks_.ForEach(video, video_hash, [&](uint32_t h) {
+    VCDN_DCHECK(IsCached(h));
     any = true;
-    worst = std::max(worst, IatOf(*stat, now));
+    worst = std::max(worst, IatOf(slots_[h].stat, now));
   });
   return any ? std::max(kMinIat, worst) : kInfinity;
 }
 
-template <typename C>
-void CafeCacheT<C>::CleanupHistory(double now) {
+CafeCache::ChunkStat CafeCache::FreshStat(VideoId video, uint32_t video_hash, double now) const {
+  ChunkStat stat;
+  double estimate = EstimateIatFromVideo(video, video_hash, now);
+  stat.dt = std::isfinite(estimate) ? estimate : std::max(CacheAge(now), kMinIat);
+  stat.t_last = now;
+  return stat;
+}
+
+uint32_t CafeCache::NewSlot(const ChunkId& chunk, uint32_t chunk_hash, const ChunkStat& stat) {
+  uint32_t h = free_;
+  if (h != kNil) {
+    free_ = slots_[h].next;
+  } else {
+    VCDN_CHECK_MSG(slots_.size() < kCachedMark, "Cafe chunk table slot limit exceeded");
+    h = static_cast<uint32_t>(slots_.size());
+    slots_.emplace_back();
+  }
+  Slot& slot = slots_[h];
+  slot.video = chunk.video;
+  slot.index = chunk.index;
+  slot.stat = stat;
+  slot.prev = kNil;
+  slot.next = kNil;
+  index_.Insert(chunk_hash, h);
+  return h;
+}
+
+void CafeCache::FreeSlot(uint32_t h) {
+  const ChunkId chunk = slots_[h].id();
+  index_.Erase(index_.HashOf(chunk), chunk, IdAt());
+  slots_[h].next = free_;
+  free_ = h;
+}
+
+void CafeCache::CacheSlot(uint32_t h, uint32_t video_hash) {
+  slots_[h].prev = kCachedMark;
+  cached_.Push(h, CachedOps());
+  video_chunks_.Insert(slots_[h].video, h, video_hash);
+}
+
+void CafeCache::EvictSlot(uint32_t h) {
+  VCDN_DCHECK(IsCached(h));
+  // Leave the cached heap first: history reuses heap_pos for candidates_.
+  cached_.Remove(slots_[h].heap_pos, CachedOps());
+  const VideoId video = slots_[h].video;
+  video_chunks_.Erase(video, h, video_chunks_.HashOf(video));
+  HistoryPush(h);
+}
+
+void CafeCache::LinkFront(uint32_t h) {
+  slots_[h].prev = kNil;
+  slots_[h].next = history_head_;
+  if (history_head_ != kNil) {
+    slots_[history_head_].prev = h;
+  } else {
+    history_tail_ = h;
+  }
+  history_head_ = h;
+}
+
+void CafeCache::Unlink(uint32_t h) {
+  const uint32_t prev = slots_[h].prev;
+  const uint32_t next = slots_[h].next;
+  if (prev != kNil) {
+    slots_[prev].next = next;
+  } else {
+    history_head_ = next;
+  }
+  if (next != kNil) {
+    slots_[next].prev = prev;
+  } else {
+    history_tail_ = prev;
+  }
+}
+
+void CafeCache::HistoryPush(uint32_t h) {
+  LinkFront(h);
+  ++history_size_;
+  if (options_.proactive) {
+    candidates_.Push(h, CandidateOps());
+  }
+}
+
+void CafeCache::HistoryRemove(uint32_t h) {
+  VCDN_DCHECK(!IsCached(h));
+  Unlink(h);
+  --history_size_;
+  if (options_.proactive) {
+    candidates_.Remove(slots_[h].heap_pos, CandidateOps());
+  }
+}
+
+void CafeCache::HistoryTouch(uint32_t h) {
+  VCDN_DCHECK(!IsCached(h));
+  if (history_head_ != h) {
+    Unlink(h);
+    LinkFront(h);
+  }
+  if (options_.proactive) {
+    candidates_.Fix(slots_[h].heap_pos, CandidateOps());
+  }
+}
+
+void CafeCache::CleanupHistory(double now) {
   double age = CacheAge(now);
   if (age <= 0.0) {
     return;
   }
   double horizon = age * options_.history_retention_factor / std::min(1.0, config_.alpha_f2r);
-  while (!history_.empty() && now - history_.Oldest().value.t_last > horizon) {
-    if (options_.proactive) {
-      history_by_key_.Erase(history_.Oldest().key);
-    }
-    history_.PopOldest();
+  while (history_tail_ != kNil && now - slots_[history_tail_].stat.t_last > horizon) {
+    const uint32_t h = history_tail_;
+    HistoryRemove(h);
+    FreeSlot(h);
   }
   while (!video_seen_.empty() && now - video_seen_.Oldest().value > horizon) {
     video_seen_.PopOldest();
   }
 }
 
-template <typename C>
-void CafeCacheT<C>::HistoryPut(const ChunkId& chunk, const ChunkStat& stat, uint32_t chunk_hash) {
-  history_.InsertOrTouch(chunk, stat, chunk_hash);
-  if (options_.proactive) {
-    history_by_key_.InsertOrUpdate(chunk, VirtualKey(stat), chunk_hash);
-  }
-}
-
-template <typename C>
-void CafeCacheT<C>::HistoryErase(const ChunkId& chunk, uint32_t chunk_hash) {
-  history_.Erase(chunk, chunk_hash);
-  if (options_.proactive) {
-    history_by_key_.Erase(chunk, chunk_hash);
-  }
-}
-
-template <typename C>
-void CafeCacheT<C>::CacheInsert(const ChunkId& chunk, const ChunkStat& stat, uint32_t chunk_hash,
-                                uint32_t video_hash) {
-  cached_stats_.InsertOrTouch(chunk, stat, chunk_hash);
-  cached_.InsertOrUpdate(chunk, VirtualKey(stat), chunk_hash);
-  video_chunks_.Insert(chunk.video, chunk.index, video_hash);
-}
-
-template <typename C>
-void CafeCacheT<C>::CacheEvict(const ChunkId& chunk) {
-  // Victims are arbitrary chunks (not the request's), so their hashes are not
-  // pre-computed; hash once here and reuse across the five probes.
-  const uint32_t chunk_hash = cached_stats_.HashOf(chunk);
-  const uint32_t video_hash = video_chunks_.HashOf(chunk.video);
-  const ChunkStat* stat = cached_stats_.Peek(chunk, chunk_hash);
-  VCDN_DCHECK(stat != nullptr);
-  HistoryPut(chunk, *stat, chunk_hash);
-  cached_stats_.Erase(chunk, chunk_hash);
-  cached_.Erase(chunk, chunk_hash);
-  video_chunks_.Erase(chunk.video, chunk.index, video_hash);
-}
-
-template <typename C>
-uint64_t CafeCacheT<C>::EvictDownTo(uint64_t max_chunks) {
+uint64_t CafeCache::EvictDownTo(uint64_t max_chunks) {
   uint64_t evicted = 0;
   while (cached_.size() > max_chunks) {
-    ChunkId victim = cached_.Top().second;  // copy: eviction invalidates refs
-    CacheEvict(victim);
+    EvictSlot(cached_.top());
     ++evicted;
   }
   return evicted;
 }
 
-template <typename C>
-uint32_t CafeCacheT<C>::ProactiveFill(double now) {
+uint32_t CafeCache::ProactiveFill(double now) {
   // Off-peak only: the smoothed request rate must sit well below the peak.
   if (rate_estimate_ <= 0.0 || peak_rate_ <= 0.0 ||
       rate_estimate_ > options_.proactive_rate_threshold * peak_rate_) {
@@ -183,44 +221,39 @@ uint32_t CafeCacheT<C>::ProactiveFill(double now) {
   const double window = CacheAge(now);
   const double min_cost = cost_.min_cost();
   uint32_t filled = 0;
-  while (filled < options_.proactive_fills_per_request && !history_by_key_.empty()) {
-    auto [key, chunk] = history_by_key_.Top();  // most popular uncached chunk
-    const ChunkStat* stat = history_.Peek(chunk);
-    VCDN_DCHECK(stat != nullptr);
+  while (filled < options_.proactive_fills_per_request && !candidates_.empty()) {
+    const uint32_t h = candidates_.top();  // most popular uncached chunk
 
     // Prefetch only when it pays under Cafe's own cost model (Eqs. 6-7):
     // the expected future redirects/fills avoided must exceed the fill cost
     // plus, if the disk is full, the victim's own expected future value.
-    double gain = window / std::max(kMinIat, IatOf(*stat, now)) * min_cost;
-    bool disk_full = cached_.size() >= config_.disk_capacity_chunks;
+    double gain = window / std::max(kMinIat, IatOf(slots_[h].stat, now)) * min_cost;
+    const bool disk_full = cached_.size() >= config_.disk_capacity_chunks;
     if (disk_full) {
-      if (cached_.empty() || key <= cached_.Top().first) {
+      // A full disk is non-empty (capacity is always positive).
+      const uint32_t victim = cached_.top();
+      if (VirtualKeyOf(slots_[h].stat, options_.gamma) <=
+          VirtualKeyOf(slots_[victim].stat, options_.gamma)) {
         break;
       }
-      const ChunkStat* victim_stat = cached_stats_.Peek(cached_.Top().second);
-      VCDN_DCHECK(victim_stat != nullptr);
-      gain -= window / std::max(kMinIat, IatOf(*victim_stat, now)) * min_cost;
+      gain -= window / std::max(kMinIat, IatOf(slots_[victim].stat, now)) * min_cost;
     }
     if (gain <= cost_.fill_cost() * options_.proactive_cost_discount) {
       // Candidates are popularity-ordered; nothing further down can pay.
       break;
     }
 
-    ChunkStat moved = *stat;
-    const uint32_t chunk_hash = history_.HashOf(chunk);
-    HistoryErase(chunk, chunk_hash);
+    HistoryRemove(h);
     if (disk_full) {
-      ChunkId victim = cached_.Top().second;  // copy: eviction invalidates refs
-      CacheEvict(victim);
+      EvictSlot(cached_.top());
     }
-    CacheInsert(chunk, moved, chunk_hash, video_chunks_.HashOf(chunk.video));
+    CacheSlot(h, video_chunks_.HashOf(slots_[h].video));
     ++filled;
   }
   return filled;
 }
 
-template <typename C>
-void CafeCacheT<C>::OnAttachMetrics(obs::MetricsRegistry& registry, const std::string& prefix) {
+void CafeCache::OnAttachMetrics(obs::MetricsRegistry& registry, const std::string& prefix) {
   admit_serve_total_ = registry.GetCounter(prefix + "admit_serve_total");
   admit_redirect_cost_total_ = registry.GetCounter(prefix + "admit_redirect_cost_total");
   admit_redirect_unseen_total_ = registry.GetCounter(prefix + "admit_redirect_unseen_total");
@@ -232,52 +265,50 @@ void CafeCacheT<C>::OnAttachMetrics(obs::MetricsRegistry& registry, const std::s
   request_rate_gauge_ = registry.GetGauge(prefix + "request_rate_per_sec");
 }
 
-template <typename C>
-void CafeCacheT<C>::OnOutcomeRecorded() {
-  history_chunks_gauge_.Set(static_cast<double>(history_.size()));
+void CafeCache::OnOutcomeRecorded() {
+  history_chunks_gauge_.Set(static_cast<double>(history_size_));
   tracked_videos_gauge_.Set(static_cast<double>(video_seen_.size()));
   cache_age_gauge_.Set(CacheAge(last_arrival_));
   request_rate_gauge_.Set(rate_estimate_);
 }
 
-template <typename C>
-void CafeCacheT<C>::ComputeHashes(const trace::Request& request, RequestHashes& out) const {
-  // video_seen_ and video_chunks_ share their hash (same Key/Hash pair), as
-  // do cached_, cached_stats_, history_ and history_by_key_ (ChunkIdHash).
+void CafeCache::ComputeHashes(const trace::Request& request, RequestHashes& out) const {
+  // video_seen_ and video_chunks_ share their hash (same key type and
+  // hasher).
   out.video_hash = video_seen_.HashOf(request.video);
   ChunkRange range = ToChunkRange(request, config_.chunk_bytes);
   out.chunk_hashes.clear();
   out.chunk_hashes.reserve(range.count());
   for (uint32_t c = range.first; c <= range.last; ++c) {
-    out.chunk_hashes.push_back(cached_.HashOf(ChunkId{request.video, c}));
+    out.chunk_hashes.push_back(index_.HashOf(ChunkId{request.video, c}));
   }
 }
 
-template <typename C>
-void CafeCacheT<C>::PrefetchFor(const RequestHashes& hashes) const {
+void CafeCache::PrefetchFor(const RequestHashes& hashes) const {
   for (uint32_t h : hashes.chunk_hashes) {
-    cached_.PrefetchEntry(h);
-    cached_stats_.PrefetchSlot(h);
-    history_.PrefetchSlot(h);
+    index_.PrefetchBucket(h);
   }
   video_seen_.PrefetchSlot(hashes.video_hash);
   video_chunks_.PrefetchVideo(hashes.video_hash);
-  // Per-request fixtures: victim selection and CacheAge start at the heap
-  // top; CleanupHistory polls the history/video LRU tails every request.
-  cached_.PrefetchTop();
-  history_.PrefetchOldest();
+  // Per-request fixtures: the victim scan and CacheAge start at the cached
+  // heap's top; CleanupHistory polls the history and video-tracker tails
+  // every request.
+  if (!cached_.empty()) {
+    container::PrefetchForRead(&slots_[cached_.top()]);
+  }
+  if (history_tail_ != kNil) {
+    container::PrefetchForRead(&slots_[history_tail_]);
+  }
   video_seen_.PrefetchOldest();
 }
 
-template <typename C>
-RequestOutcome CafeCacheT<C>::HandleRequestImpl(const trace::Request& request) {
+RequestOutcome CafeCache::HandleRequestImpl(const trace::Request& request) {
   ComputeHashes(request, own_hashes_);
   return HandleOne(request, own_hashes_);
 }
 
-template <typename C>
-void CafeCacheT<C>::HandleRequestBatchImpl(const trace::Request* requests, size_t count,
-                                           RequestOutcome* outcomes) {
+void CafeCache::HandleRequestBatchImpl(const trace::Request* requests, size_t count,
+                                       RequestOutcome* outcomes) {
   // Software pipeline: hash and prefetch request i + kPrefetchDistance, then
   // handle request i, so the probe lines for upcoming requests stream in
   // while the current request runs the cost model. Hashes are pure functions
@@ -300,40 +331,34 @@ void CafeCacheT<C>::HandleRequestBatchImpl(const trace::Request* requests, size_
   }
 }
 
-template <typename C>
-RequestOutcome CafeCacheT<C>::HandleOne(const trace::Request& request,
-                                        const RequestHashes& hashes) {
+RequestOutcome CafeCache::HandleOne(const trace::Request& request, const RequestHashes& hashes) {
   const double now = request.arrival_time;
   if (first_request_time_ < 0.0) {
     first_request_time_ = now;
   }
   RequestOutcome outcome = MakeOutcome(request);
-  ChunkRange range = ToChunkRange(request, config_.chunk_bytes);
+  const ChunkRange range = ToChunkRange(request, config_.chunk_bytes);
   const size_t chunk_count = range.count();
   VCDN_DCHECK(hashes.chunk_hashes.size() == chunk_count);
 
-  // Classify the requested chunks (S) into present and missing (S'), with
-  // the membership probes interleaved so their index misses overlap.
-  std::vector<ChunkId>& all_chunks = all_chunks_scratch_;
-  std::vector<ChunkId>& missing = missing_scratch_;
-  std::vector<uint32_t>& missing_hashes = missing_hash_scratch_;
-  all_chunks.clear();
-  missing.clear();
-  missing_hashes.clear();
-  all_chunks.reserve(chunk_count);
+  // Classify the requested chunks (S): the one index probe per chunk, with
+  // the probes interleaved so their misses overlap. handles[i] is chunk i's
+  // slot, or kNil if it is untracked; S' is every chunk not cached.
+  std::vector<ChunkId>& chunks = chunks_scratch_;
+  std::vector<uint32_t>& handles = handles_scratch_;
+  chunks.clear();
   for (uint32_t c = range.first; c <= range.last; ++c) {
-    all_chunks.push_back(ChunkId{request.video, c});
+    chunks.push_back(ChunkId{request.video, c});
   }
-  contains_scratch_.resize(chunk_count);
-  cached_.ContainsMany(all_chunks.data(), hashes.chunk_hashes.data(), chunk_count,
-                       contains_scratch_.data());
-  for (size_t i = 0; i < chunk_count; ++i) {
-    if (!contains_scratch_[i]) {
-      missing.push_back(all_chunks[i]);
-      missing_hashes.push_back(hashes.chunk_hashes[i]);
+  handles.resize(chunk_count);
+  index_.FindMany(hashes.chunk_hashes.data(), chunks.data(), chunk_count, handles.data(), IdAt());
+  size_t missing = 0;
+  for (uint32_t h : handles) {
+    if (h == kNil || !IsCached(h)) {
+      ++missing;
     }
   }
-  outcome.hit_chunks = static_cast<uint32_t>(chunk_count - missing.size());
+  outcome.hit_chunks = static_cast<uint32_t>(chunk_count - missing);
 
   // First-ever request for this video: no popularity signal at all; redirect
   // (the same rule as xLRU's "t == NULL" -- Sec. 9.2 confirms Cafe
@@ -342,87 +367,94 @@ RequestOutcome CafeCacheT<C>::HandleOne(const trace::Request& request,
   const bool video_seen = !video_seen_.InsertOrTouch(request.video, now, hashes.video_hash);
 
   bool admit = false;
-  std::vector<std::pair<ChunkId, double>>& victims = victims_scratch_;  // (chunk, IAT at now)
+  std::vector<uint32_t>& victims = victims_scratch_;
   victims.clear();
   if (video_seen && chunk_count <= config_.disk_capacity_chunks) {
-    // Select eviction victims S'': the least popular cached chunks, skipping
-    // requested ones. Only as many as the fill would overflow the disk.
-    uint64_t needed = cached_.size() + missing.size();
-    uint64_t evictions = needed > config_.disk_capacity_chunks
-                             ? needed - config_.disk_capacity_chunks
-                             : 0;
-    if (evictions > 0) {
-      cached_.ScanInOrder([&](const auto& item) {
-        const ChunkId& chunk = item.second;
-        if (victims.size() >= evictions) {
-          return false;
-        }
-        if (chunk.video == request.video && chunk.index >= range.first &&
-            chunk.index <= range.last) {
-          return true;  // never evict a chunk this request needs
-        }
-        const ChunkStat* stat = cached_stats_.Peek(chunk);
-        VCDN_DCHECK(stat != nullptr);
-        victims.emplace_back(chunk, std::max(kMinIat, IatOf(*stat, now)));
-        return victims.size() < evictions;
-      });
-      VCDN_CHECK(victims.size() == evictions);
-    }
-
     // Lookahead window T: the cache age; while the disk is still filling the
     // natural churn horizon is the cache's lifetime so far.
     double window = CacheAge(now);
     if (cached_.size() < config_.disk_capacity_chunks) {
       window = std::max(window, now - first_request_time_);
     }
+    const double min_cost = cost_.min_cost();
 
-    // Eqs. (6) and (7).
-    double min_cost = cost_.min_cost();
-    double cost_serve = static_cast<double>(missing.size()) * cost_.fill_cost();
-    for (const auto& [chunk, iat] : victims) {
-      cost_serve += window / iat * min_cost;
-    }
-    double cost_redirect = static_cast<double>(all_chunks.size()) * cost_.redirect_cost();
-    for (size_t i = 0; i < missing.size(); ++i) {
-      double iat = EstimateIatUncached(missing[i], missing_hashes[i], hashes.video_hash, now);
+    // Eq. (7). Nothing changes state while costing, so every untracked chunk
+    // gets the same per-video estimate; it is computed once, on first need.
+    double cost_redirect = static_cast<double>(chunk_count) * cost_.redirect_cost();
+    bool have_unseen_iat = false;
+    double unseen_iat = 0.0;
+    for (uint32_t h : handles) {
+      double iat;
+      if (h == kNil) {
+        if (!have_unseen_iat) {
+          unseen_iat = EstimateIatFromVideo(request.video, hashes.video_hash, now);
+          have_unseen_iat = true;
+        }
+        iat = unseen_iat;
+      } else if (!IsCached(h)) {
+        iat = std::max(kMinIat, IatOf(slots_[h].stat, now));
+      } else {
+        continue;
+      }
       if (std::isfinite(iat)) {
         cost_redirect += window / iat * min_cost;
       }
     }
-    admit = cost_serve <= cost_redirect;
+
+    // Eq. (6), with the eviction victims S'' selected in the same pass: the
+    // least popular cached chunks, skipping requested ones, as many as the
+    // fill would overflow the disk. The scan stops as soon as serving costs
+    // more than redirecting (see the header for why that is exact).
+    double cost_serve = static_cast<double>(missing) * cost_.fill_cost();
+    bool too_costly = cost_serve > cost_redirect;
+    const uint64_t needed = cached_.size() + missing;
+    const uint64_t evictions = needed > config_.disk_capacity_chunks
+                                   ? needed - config_.disk_capacity_chunks
+                                   : 0;
+    if (!too_costly && evictions > 0) {
+      cached_.ScanInOrder(CachedOps(), [&](uint32_t h) {
+        const Slot& slot = slots_[h];
+        if (slot.video == request.video && slot.index >= range.first &&
+            slot.index <= range.last) {
+          return true;  // never evict a chunk this request needs
+        }
+        cost_serve += window / std::max(kMinIat, IatOf(slot.stat, now)) * min_cost;
+        victims.push_back(h);
+        if (cost_serve > cost_redirect) {
+          too_costly = true;
+          return false;
+        }
+        return victims.size() < evictions;
+      });
+      VCDN_CHECK(too_costly || victims.size() == evictions);
+    }
+    admit = !too_costly;
   }
 
   if (admit) {
     admit_serve_total_.Increment();
     // Evict S'' (stats move to history), fill S', touch all of S.
-    for (const auto& [chunk, iat] : victims) {
-      (void)iat;
-      CacheEvict(chunk);
+    for (uint32_t h : victims) {
+      EvictSlot(h);
       ++outcome.evicted_chunks;
     }
     for (size_t i = 0; i < chunk_count; ++i) {
-      const ChunkId& chunk = all_chunks[i];
-      const uint32_t chunk_hash = hashes.chunk_hashes[i];
-      if (ChunkStat* stat = cached_stats_.PeekMut(chunk, chunk_hash)) {
+      uint32_t h = handles[i];
+      if (h != kNil && IsCached(h)) {
         // Hit: EWMA update and re-key.
-        UpdateStat(*stat, now);
-        cached_.InsertOrUpdate(chunk, VirtualKey(*stat), chunk_hash);
+        UpdateStat(slots_[h].stat, now);
+        cached_.Fix(slots_[h].heap_pos, CachedOps());
         continue;
       }
-      // Fill: seed the stat from history, or initialize a fresh one. The
-      // chunk is uncached and (in the else branch) untracked, so the IAT
-      // estimate goes straight to the per-video fallback.
-      ChunkStat stat;
-      if (const ChunkStat* h = history_.Peek(chunk, chunk_hash)) {
-        stat = *h;
-        HistoryErase(chunk, chunk_hash);
-        UpdateStat(stat, now);
+      // Fill: the stat comes from history, or is initialized fresh.
+      if (h != kNil) {
+        HistoryRemove(h);
+        UpdateStat(slots_[h].stat, now);
       } else {
-        double estimate = EstimateIatFromVideo(request.video, hashes.video_hash, now);
-        stat.dt = std::isfinite(estimate) ? estimate : std::max(CacheAge(now), kMinIat);
-        stat.t_last = now;
+        h = NewSlot(chunks[i], hashes.chunk_hashes[i],
+                    FreshStat(request.video, hashes.video_hash, now));
       }
-      CacheInsert(chunk, stat, chunk_hash, hashes.video_hash);
+      CacheSlot(h, hashes.video_hash);
       ++outcome.filled_chunks;
     }
     outcome.decision = Decision::kServe;
@@ -435,26 +467,21 @@ RequestOutcome CafeCacheT<C>::HandleOne(const trace::Request& request,
       admit_redirect_cost_total_.Increment();
     }
     // Redirect. The request still signals popularity: update every requested
-    // chunk's stat (cached chunks get re-keyed, uncached ones tracked in
-    // history).
+    // chunk's stat (cached chunks get re-keyed, uncached ones become the
+    // newest history).
     for (size_t i = 0; i < chunk_count; ++i) {
-      const ChunkId& chunk = all_chunks[i];
-      const uint32_t chunk_hash = hashes.chunk_hashes[i];
-      if (ChunkStat* cached_stat = cached_stats_.PeekMut(chunk, chunk_hash)) {
-        UpdateStat(*cached_stat, now);
-        cached_.InsertOrUpdate(chunk, VirtualKey(*cached_stat), chunk_hash);
+      const uint32_t h = handles[i];
+      if (h == kNil) {
+        HistoryPush(NewSlot(chunks[i], hashes.chunk_hashes[i],
+                            FreshStat(request.video, hashes.video_hash, now)));
         continue;
       }
-      ChunkStat stat;
-      if (const ChunkStat* h = history_.Peek(chunk, chunk_hash)) {
-        stat = *h;
-        UpdateStat(stat, now);
+      UpdateStat(slots_[h].stat, now);
+      if (IsCached(h)) {
+        cached_.Fix(slots_[h].heap_pos, CachedOps());
       } else {
-        double estimate = EstimateIatFromVideo(request.video, hashes.video_hash, now);
-        stat.dt = std::isfinite(estimate) ? estimate : std::max(CacheAge(now), kMinIat);
-        stat.t_last = now;
+        HistoryTouch(h);
       }
-      HistoryPut(chunk, stat, chunk_hash);
     }
     outcome.decision = Decision::kRedirect;
   }
@@ -479,8 +506,5 @@ RequestOutcome CafeCacheT<C>::HandleOne(const trace::Request& request,
   CleanupHistory(now);
   return outcome;
 }
-
-template class CafeCacheT<container::FlatContainers>;
-template class CafeCacheT<container::ReferenceContainers>;
 
 }  // namespace vcdn::core

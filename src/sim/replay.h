@@ -65,7 +65,7 @@ struct ReplayOptions {
   // observable -- outcomes, collector totals, series, metrics snapshots,
   // on_outcome order, fleet digests -- is bit-identical at any batch size;
   // larger batches only let the cache overlap independent memory accesses
-  // (see CafeCacheT::HandleRequestBatchImpl).
+  // (see CafeCache::HandleRequestBatchImpl).
   size_t batch_size = 16;
 
   // --- observability (all optional) ---

@@ -3,11 +3,13 @@
 // Differential tests for the flat hot-path containers: FlatLruMap vs LruMap
 // and ScoreHeap vs RefScoreHeap (OrderedKeySet) are driven through ~1M mixed
 // seeded operations asserting identical observable state after every step,
-// then the templated caches (XlruCacheT, CafeCacheT) are replayed flat vs
-// reference with interleaved Resize/DropContents. Finally, the counting
-// allocator (vcdn_alloc_hook, linked into this test) asserts the flat
-// containers and the xLRU request path perform zero heap allocations in
-// steady state.
+// then the caches are replayed against their oracles -- XlruCache vs
+// ReferenceXlruCache, and CafeCache (chunk table) vs ReferenceCafeCache
+// under the default, proactive and no-unseen-estimate options -- with
+// interleaved Resize/DropContents. Finally, the counting allocator
+// (vcdn_alloc_hook, linked into this test) asserts the flat containers and
+// the xLRU and Cafe request paths perform zero heap allocations in steady
+// state.
 
 #include <gtest/gtest.h>
 
@@ -22,6 +24,7 @@
 #include "src/container/score_heap.h"
 #include "src/core/cafe_cache.h"
 #include "src/core/chunk.h"
+#include "src/core/reference_cafe_cache.h"
 #include "src/core/xlru_cache.h"
 #include "src/util/alloc_hook.h"
 #include "src/util/rng.h"
@@ -218,6 +221,11 @@ trace::Request SkewedRequest(util::Pcg32& rng, uint64_t videos, double time) {
   return r;
 }
 
+// Arrival gap of request i: busy and quiet phases alternate every 4000
+// requests, so a proactive Cafe sees off-peak windows to prefetch in (its
+// smoothed rate drops well below the decaying peak).
+double ArrivalGap(size_t i) { return (i / 4000) % 2 == 0 ? 0.05 : 0.25; }
+
 core::CacheConfig DifferentialConfig() {
   core::CacheConfig config;
   config.chunk_bytes = core::kDefaultChunkBytes;
@@ -226,14 +234,18 @@ core::CacheConfig DifferentialConfig() {
   return config;
 }
 
+// Replays one seeded stream through both caches, asserting equal outcomes
+// per request; adds the proactively filled chunks (equal on both sides) to
+// *proactive_filled when given.
 template <typename FlatCache, typename RefCache>
-void RunCacheDifferential(FlatCache& flat, RefCache& ref, uint32_t seed) {
+void RunCacheDifferential(FlatCache& flat, RefCache& ref, uint32_t seed,
+                          uint64_t* proactive_filled = nullptr) {
   util::Pcg32 rng(seed);
   constexpr size_t kRequests = 60'000;
   const uint64_t capacity = flat.config().disk_capacity_chunks;
   double t = 0.0;
   for (size_t i = 1; i <= kRequests; ++i) {
-    t += 0.05;
+    t += ArrivalGap(i);
     trace::Request r = SkewedRequest(rng, 4000, t);
     core::RequestOutcome a = flat.HandleRequest(r);
     core::RequestOutcome b = ref.HandleRequest(r);
@@ -241,7 +253,11 @@ void RunCacheDifferential(FlatCache& flat, RefCache& ref, uint32_t seed) {
     ASSERT_EQ(a.filled_chunks, b.filled_chunks) << "request " << i;
     ASSERT_EQ(a.evicted_chunks, b.evicted_chunks) << "request " << i;
     ASSERT_EQ(a.hit_chunks, b.hit_chunks) << "request " << i;
+    ASSERT_EQ(a.proactive_filled_chunks, b.proactive_filled_chunks) << "request " << i;
     ASSERT_EQ(flat.used_chunks(), ref.used_chunks()) << "request " << i;
+    if (proactive_filled != nullptr) {
+      *proactive_filled += a.proactive_filled_chunks;
+    }
     if (i % 997 == 0) {
       core::ChunkRange range = core::ToChunkRange(r, core::kDefaultChunkBytes);
       for (uint32_t c = range.first; c <= range.last; ++c) {
@@ -270,12 +286,40 @@ TEST(FlatDifferentialTest, XlruFlatMatchesReferenceReplay) {
   EXPECT_EQ(flat.tracked_videos(), ref.tracked_videos());
 }
 
+// Cafe option sets the chunk table must reproduce: the defaults, the
+// proactive candidate heap (Sec. 10), and the unseen-chunk estimate turned
+// off (never-seen chunks then cost nothing to redirect).
+struct CafeVariant {
+  const char* label;
+  core::CafeOptions options;
+};
+
+std::vector<CafeVariant> CafeVariants() {
+  core::CafeOptions proactive;
+  proactive.proactive = true;
+  core::CafeOptions no_unseen_estimate;
+  no_unseen_estimate.estimate_unseen_from_video = false;
+  return {{"defaults", core::CafeOptions{}},
+          {"proactive", proactive},
+          {"no unseen estimate", no_unseen_estimate}};
+}
+
 TEST(FlatDifferentialTest, CafeFlatMatchesReferenceReplay) {
-  core::CafeCache flat(DifferentialConfig());
-  core::ReferenceCafeCache ref(DifferentialConfig());
-  RunCacheDifferential(flat, ref, 22);
-  EXPECT_EQ(flat.tracked_history_chunks(), ref.tracked_history_chunks());
-  EXPECT_EQ(flat.CacheAge(5000.0), ref.CacheAge(5000.0));
+  for (const CafeVariant& variant : CafeVariants()) {
+    SCOPED_TRACE(variant.label);
+    core::CafeCache flat(DifferentialConfig(), variant.options);
+    core::ReferenceCafeCache ref(DifferentialConfig(), variant.options);
+    uint64_t proactive_filled = 0;
+    RunCacheDifferential(flat, ref, 22, &proactive_filled);
+    if (HasFatalFailure()) {
+      return;
+    }
+    EXPECT_EQ(flat.tracked_history_chunks(), ref.tracked_history_chunks());
+    EXPECT_EQ(flat.CacheAge(5000.0), ref.CacheAge(5000.0));
+    // The quiet phases must actually trigger prefetches, or the candidate
+    // heap would go untested.
+    EXPECT_EQ(proactive_filled > 0, variant.options.proactive);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -310,7 +354,7 @@ void RunBatchVsSingleDifferential(Cache& batched, Cache& single, uint32_t seed,
 }
 
 TEST(FlatDifferentialTest, CafeBatchedAdmissionMatchesSingleRequests) {
-  // The software-pipelined CafeCacheT::HandleRequestBatchImpl (hash + prefetch
+  // The software-pipelined CafeCache::HandleRequestBatchImpl (hash + prefetch
   // lookahead) must be outcome-identical to one-at-a-time admission.
   for (size_t batch_size : {size_t{3}, size_t{16}, size_t{33}}) {
     core::CafeCache batched(DifferentialConfig());
@@ -426,55 +470,81 @@ TEST(FlatAllocationTest, XlruRequestPathSteadyStateIsAllocationFree) {
   EXPECT_EQ(scope.Delta().allocations, 0u) << "xLRU steady state must not allocate per request";
 }
 
+// Allocation-test arrival gap: busy and quiet phases alternate every 20000
+// requests, so the proactive variant prefetches in the quiet ones.
+double AllocationTestGap(size_t i) { return (i / 20'000) % 2 == 0 ? 0.01 : 0.05; }
+
 TEST(FlatAllocationTest, CafeRequestPathSteadyStateIsAllocationFree) {
-  // The flat Cafe request path -- ContainsMany classification, EWMA updates,
-  // history transitions, victim scans, the flattened video->chunks map and
-  // periodic CleanupHistory -- must reach a fixed working set: after warm-up,
+  // The Cafe request path -- chunk-table classification, EWMA updates,
+  // history transitions, victim scans, the video->slots map, periodic
+  // CleanupHistory and, in the proactive variant, the candidate heap and
+  // off-peak fills -- must reach a fixed working set: after warm-up,
   // single-request admission performs zero heap allocations.
-  core::CacheConfig config = DifferentialConfig();
-  config.disk_capacity_chunks = 1 << 13;
-  core::CafeCache cache(config);
-  util::Pcg32 rng(34);
-  double t = 0.0;
-  // Warm-up: fill disk + history and grow every slab/scratch to its peak
-  // (CleanupHistory bounds the history, so the footprint converges).
-  for (size_t i = 0; i < 300'000; ++i) {
-    t += 0.01;
-    cache.HandleRequest(SkewedRequest(rng, 6000, t));
+  for (bool proactive : {false, true}) {
+    SCOPED_TRACE(proactive ? "proactive" : "defaults");
+    core::CacheConfig config = DifferentialConfig();
+    config.disk_capacity_chunks = 1 << 13;
+    core::CafeOptions options;
+    options.proactive = proactive;
+    core::CafeCache cache(config, options);
+    util::Pcg32 rng(34);
+    double t = 0.0;
+    size_t i = 0;
+    // Warm-up: fill disk + history and grow every slab/scratch to its peak
+    // (CleanupHistory bounds the history, so the footprint converges).
+    for (; i < 300'000; ++i) {
+      t += AllocationTestGap(i);
+      cache.HandleRequest(SkewedRequest(rng, 6000, t));
+    }
+    uint64_t proactive_filled = 0;
+    util::AllocScope scope;
+    for (; i < 400'000; ++i) {
+      t += AllocationTestGap(i);
+      proactive_filled += cache.HandleRequest(SkewedRequest(rng, 6000, t)).proactive_filled_chunks;
+    }
+    EXPECT_EQ(scope.Delta().allocations, 0u)
+        << "Cafe steady state must not allocate per request";
+    EXPECT_EQ(proactive_filled > 0, proactive);
   }
-  util::AllocScope scope;
-  for (size_t i = 0; i < 100'000; ++i) {
-    t += 0.01;
-    cache.HandleRequest(SkewedRequest(rng, 6000, t));
-  }
-  EXPECT_EQ(scope.Delta().allocations, 0u) << "Cafe steady state must not allocate per request";
 }
 
 TEST(FlatAllocationTest, CafeBatchedRequestPathSteadyStateIsAllocationFree) {
   // Same contract through the batched entry point: the hash ring, outcome
   // buffer and per-batch scratch are all reused across calls.
-  core::CacheConfig config = DifferentialConfig();
-  config.disk_capacity_chunks = 1 << 13;
-  core::CafeCache cache(config);
-  util::Pcg32 rng(35);
-  constexpr size_t kBatch = 16;
-  std::vector<trace::Request> window(kBatch);
-  std::vector<core::RequestOutcome> outcomes(kBatch);
-  double t = 0.0;
-  auto run = [&](size_t batches) {
-    for (size_t b = 0; b < batches; ++b) {
-      for (size_t i = 0; i < kBatch; ++i) {
-        t += 0.01;
-        window[i] = SkewedRequest(rng, 6000, t);
+  for (bool proactive : {false, true}) {
+    SCOPED_TRACE(proactive ? "proactive" : "defaults");
+    core::CacheConfig config = DifferentialConfig();
+    config.disk_capacity_chunks = 1 << 13;
+    core::CafeOptions options;
+    options.proactive = proactive;
+    core::CafeCache cache(config, options);
+    util::Pcg32 rng(35);
+    constexpr size_t kBatch = 16;
+    std::vector<trace::Request> window(kBatch);
+    std::vector<core::RequestOutcome> outcomes(kBatch);
+    double t = 0.0;
+    size_t request = 0;
+    uint64_t proactive_filled = 0;
+    auto run = [&](size_t batches) {
+      for (size_t b = 0; b < batches; ++b) {
+        for (size_t i = 0; i < kBatch; ++i) {
+          t += AllocationTestGap(request++);
+          window[i] = SkewedRequest(rng, 6000, t);
+        }
+        cache.HandleRequestBatch(window.data(), kBatch, outcomes.data());
+        for (size_t i = 0; i < kBatch; ++i) {
+          proactive_filled += outcomes[i].proactive_filled_chunks;
+        }
       }
-      cache.HandleRequestBatch(window.data(), kBatch, outcomes.data());
-    }
-  };
-  run(20'000);  // warm-up
-  util::AllocScope scope;
-  run(8'000);
-  EXPECT_EQ(scope.Delta().allocations, 0u)
-      << "batched Cafe steady state must not allocate per request";
+    };
+    run(20'000);  // warm-up
+    proactive_filled = 0;
+    util::AllocScope scope;
+    run(8'000);
+    EXPECT_EQ(scope.Delta().allocations, 0u)
+        << "batched Cafe steady state must not allocate per request";
+    EXPECT_EQ(proactive_filled > 0, proactive);
+  }
 }
 
 }  // namespace

@@ -3,16 +3,20 @@
 // Determinism contract of sim::RunFleet (docs/PARALLELISM.md): for any
 // thread count and any scheduling, the merged results -- per-server totals,
 // series, fleet sums, metrics registries, fleet trace lanes -- are identical
-// to the sequential threads=1 reference.
+// to the sequential threads=1 reference. A golden case pins the digests of
+// a reduced-scale Fig. 7 fleet to recorded constants.
 
 #include "src/sim/parallel_fleet.h"
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "src/core/cache_factory.h"
+#include "src/core/chunk.h"
 #include "src/trace/server_profile.h"
 #include "src/trace/workload_generator.h"
 #include "src/util/rng.h"
@@ -217,6 +221,58 @@ TEST_F(ParallelFleetTest, DigestIsSensitiveToResults) {
   uint64_t digest = FleetDigest(result);
   result.servers[0].totals.served_bytes ^= 1;
   EXPECT_NE(FleetDigest(result), digest);
+}
+
+// Golden digests: the Fig. 7 fleet (six paper server profiles x {xLRU, Cafe},
+// bench_scale_sweep's shard order) at a reduced workload scale, with the disk
+// scaled by the same factor. Every other digest test compares two
+// configurations of one build, so a decision change shared by both sides
+// would pass them; these constants pin the decisions themselves. They were
+// recorded before Cafe moved onto its single chunk table and must only change
+// together with a deliberate change of an algorithm's decisions.
+TEST(FleetGoldenDigestTest, ReducedFig7FleetMatchesPinnedDigests) {
+  constexpr double kScale = 0.1;
+  constexpr double kDays = 7.0;
+  constexpr double kChunksPerPaperTb = 4096.0 * kScale;
+  struct Golden {
+    double paper_tb;
+    uint64_t digest;
+  };
+  constexpr Golden kGolden[] = {{1.0, 0x892b768f39b0ece7ULL}, {0.25, 0x029592327d6bc42fULL}};
+
+  const std::vector<trace::ServerProfile> profiles = trace::PaperServerProfiles(kScale);
+  std::vector<trace::WorkloadConfig> workloads;
+  for (size_t s = 0; s < profiles.size(); ++s) {
+    trace::WorkloadConfig workload;
+    workload.profile = profiles[s];
+    workload.seed = util::SplitSeed(1, s);
+    workload.duration_seconds = kDays * 86400.0;
+    workloads.push_back(workload);
+  }
+  trace::ParallelGenerateOptions generate;
+  generate.threads = 2;
+  std::vector<trace::GeneratedWorkload> generated = trace::GenerateWorkloads(workloads, generate);
+
+  for (const Golden& golden : kGolden) {
+    core::CacheConfig config;
+    config.chunk_bytes = core::kDefaultChunkBytes;
+    config.disk_capacity_chunks = static_cast<uint64_t>(golden.paper_tb * kChunksPerPaperTb);
+    config.alpha_f2r = 2.0;
+    std::vector<FleetServer> fleet;
+    for (size_t s = 0; s < profiles.size(); ++s) {
+      for (core::CacheKind kind : {core::CacheKind::kXlru, core::CacheKind::kCafe}) {
+        fleet.push_back(FleetServer{profiles[s].name + "/" + std::string(core::CacheKindName(kind)),
+                                    kind, config, &generated[s].trace, {}});
+      }
+    }
+    for (size_t batch : {size_t{1}, size_t{16}}) {
+      FleetOptions options;
+      options.threads = 2;
+      options.replay.batch_size = batch;
+      EXPECT_EQ(FleetDigest(RunFleet(fleet, options)), golden.digest)
+          << "paper_tb " << golden.paper_tb << ", batch " << batch;
+    }
+  }
 }
 
 }  // namespace
