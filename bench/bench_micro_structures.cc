@@ -1,55 +1,23 @@
 // Copyright (c) 2026 libvcdn authors. Apache-2.0 license.
 //
 // Micro-benchmarks of the hot data structures and cache request paths: the
-// O(1) LRU map (Sec. 5's linked list + hash map) in both its node-based
-// reference and flat slab forms, the ordered structures (Sec. 6's binary
-// tree + hash map vs the indexed ScoreHeap), and end-to-end HandleRequest
-// throughput of each algorithm (flat and reference container policies).
-// These verify the complexity claims (O(1) / O(log n)) hold in practice at
-// cache-server scale; bench_replay_throughput is the tracked macro A/B.
+// O(1) LRU map (Sec. 5's linked list + hash map as one flat slab), the
+// indexed ScoreHeap that stands in for Sec. 6's binary tree + hash map, and
+// end-to-end HandleRequest throughput of xLRU and Cafe. These verify the
+// complexity claims (O(1) / O(log n)) hold in practice at cache-server
+// scale; bench_replay_throughput is the tracked macro baseline.
 
 #include <benchmark/benchmark.h>
 
 #include "src/container/flat_lru_map.h"
-#include "src/container/lru_map.h"
-#include "src/container/ordered_key_set.h"
 #include "src/container/score_heap.h"
 #include "src/core/cafe_cache.h"
 #include "src/core/chunk.h"
-#include "src/core/reference_cafe_cache.h"
 #include "src/core/xlru_cache.h"
 #include "src/util/rng.h"
 
 namespace vcdn {
 namespace {
-
-void BM_LruMapInsertTouch(benchmark::State& state) {
-  container::LruMap<uint64_t, double> map;
-  util::Pcg32 rng(1);
-  uint64_t range = static_cast<uint64_t>(state.range(0));
-  for (auto _ : state) {
-    map.InsertOrTouch(rng.Next64() % range, 1.0);
-    if (map.size() > range / 2) {
-      map.PopOldest();
-    }
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_LruMapInsertTouch)->Arg(1 << 10)->Arg(1 << 16)->Arg(1 << 20);
-
-void BM_OrderedKeySetInsertUpdate(benchmark::State& state) {
-  container::OrderedKeySet<uint64_t, double> set;
-  util::Pcg32 rng(2);
-  uint64_t range = static_cast<uint64_t>(state.range(0));
-  for (auto _ : state) {
-    set.InsertOrUpdate(rng.Next64() % range, rng.NextDouble());
-    if (set.size() > range / 2) {
-      set.PopMin();
-    }
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_OrderedKeySetInsertUpdate)->Arg(1 << 10)->Arg(1 << 16)->Arg(1 << 20);
 
 void BM_FlatLruMapInsertTouch(benchmark::State& state) {
   container::FlatLruMap<uint64_t, double> map;
@@ -162,34 +130,6 @@ void BM_CafeHandleRequest(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_CafeHandleRequest)->Arg(1 << 14)->Arg(1 << 17);
-
-void BM_XlruRefHandleRequest(benchmark::State& state) {
-  core::ReferenceXlruCache cache(MicroConfig(static_cast<uint64_t>(state.range(0))));
-  util::Pcg32 rng(3);
-  double t = 0.0;
-  for (auto _ : state) {
-    trace::Request r = RandomRequest(rng, 20000);
-    t += 0.01;
-    r.arrival_time = t;
-    benchmark::DoNotOptimize(cache.HandleRequest(r));
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_XlruRefHandleRequest)->Arg(1 << 14)->Arg(1 << 17);
-
-void BM_CafeRefHandleRequest(benchmark::State& state) {
-  core::ReferenceCafeCache cache(MicroConfig(static_cast<uint64_t>(state.range(0))));
-  util::Pcg32 rng(4);
-  double t = 0.0;
-  for (auto _ : state) {
-    trace::Request r = RandomRequest(rng, 20000);
-    t += 0.01;
-    r.arrival_time = t;
-    benchmark::DoNotOptimize(cache.HandleRequest(r));
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_CafeRefHandleRequest)->Arg(1 << 14)->Arg(1 << 17);
 
 }  // namespace
 }  // namespace vcdn

@@ -1,21 +1,18 @@
 // Copyright (c) 2026 libvcdn authors. Apache-2.0 license.
 //
-// Hot-path replay throughput: the tracked A/B baseline for the flat
-// containers (FlatLruMap / ScoreHeap) against the seed's node-based
-// reference containers (LruMap / OrderedKeySet), on the default Figure-7
-// six-server workload.
+// Hot-path replay throughput: the tracked baseline for xLRU and Cafe on the
+// flat containers (FlatLruMap / ScoreHeap / Cafe's chunk table), on the
+// default Figure-7 six-server workload.
 //
 // Measures, single-threaded per algorithm (xLRU, Cafe):
 //   * requests/sec over the full six-server replay,
 //   * ns/request p50 / p99 (timed in slices of 1024 requests),
 //   * heap allocations and bytes per request (global counting operator new;
 //     exact in this binary, which links vcdn_alloc_hook),
-// plus a batch-size sweep of the flat caches (requests per
-// HandleRequestBatch call -- the software-prefetch pipeline's knob, see
-// docs/PERFORMANCE.md) and, at --threads N, the fleet wall time for both
-// container policies. Every run CHECKs that the two policies produce the
-// same FleetDigest: the speedup is only meaningful while replay results
-// stay bit-identical.
+// plus a batch-size sweep (requests per HandleRequestBatch call -- the
+// software-prefetch pipeline's knob, see docs/PERFORMANCE.md) and, at
+// --threads N, one fleet replay of the six servers x {xLRU, Cafe}, which
+// carries the --obs-* instruments.
 //
 // Writes BENCH_hotpath.json (override with --out <path>). --repeat K runs
 // the single-thread measurement K times; the headline numbers are the
@@ -232,7 +229,7 @@ int main(int argc, char** argv) {
     }
   }
   bench::PrintHeader(
-      "Hot-path replay throughput: flat containers vs node-based reference",
+      "Hot-path replay throughput: xLRU and Cafe on the flat containers",
       "engineering baseline (no paper figure); batched admission + software "
       "prefetch target >= 2x the unbatched flat Cafe baseline at bit-identical results",
       scale);
@@ -251,25 +248,23 @@ int main(int argc, char** argv) {
   std::printf("Workload: %zu servers, %llu requests total, batch %zu\n\n", traces.size(),
               static_cast<unsigned long long>(total_requests), flags.batch);
 
-  // Single-thread A/B: per algorithm, median of --repeat runs.
-  struct Pair {
+  // Single-thread replay: per algorithm, median of --repeat runs.
+  struct Algorithm {
     const char* label;
-    core::CacheKind flat;
-    core::CacheKind reference;
+    core::CacheKind kind;
   };
-  const Pair pairs[] = {
-      {"xLRU", core::CacheKind::kXlru, core::CacheKind::kXlruRef},
-      {"Cafe", core::CacheKind::kCafe, core::CacheKind::kCafeRef},
+  const Algorithm algorithms[] = {
+      {"xLRU", core::CacheKind::kXlru},
+      {"Cafe", core::CacheKind::kCafe},
   };
-  std::vector<std::vector<SingleThreadRun>> runs_flat(2);
-  std::vector<std::vector<SingleThreadRun>> runs_ref(2);
+  std::vector<std::vector<SingleThreadRun>> runs(2);
   // With any obs flag set, only the LAST repeat carries the instruments --
   // the same "only the last repeat records" rule as RunCacheJobs
   // (bench_common.h). At --repeat >= 3 the instrumented repeat is the
   // slowest and never the median, so the tracked headline stays the
   // uninstrumented hot path (acceptance bound: obs-enabled medians within
   // 5% of the committed baseline); the gap it leaves in
-  // repeat_requests_per_sec_* IS the visible hot-path telemetry cost. At
+  // repeat_requests_per_sec_flat IS the visible hot-path telemetry cost. At
   // --repeat 1 the single run is both instrumented and the headline.
   for (size_t k = 0; k < flags.repeat; ++k) {
     const bool last_repeat = (k + 1 == flags.repeat);
@@ -277,41 +272,27 @@ int main(int argc, char** argv) {
         last_repeat && obs.any_enabled() ? obs.metrics() : nullptr;
     obs::FlightRecorder* st_flight = last_repeat ? obs.flight() : nullptr;
     for (size_t p = 0; p < 2; ++p) {
-      runs_flat[p].push_back(
-          ReplaySingleThread(pairs[p].flat, traces, config, flags.batch, st_metrics, st_flight));
-      runs_ref[p].push_back(ReplaySingleThread(pairs[p].reference, traces, config, flags.batch,
-                                               st_metrics, st_flight));
+      runs[p].push_back(ReplaySingleThread(algorithms[p].kind, traces, config, flags.batch,
+                                           st_metrics, st_flight));
     }
   }
-  double combined_flat = 0.0;
-  double combined_ref = 0.0;
   std::printf("Single-thread replay (median of %zu repeat%s):\n", flags.repeat,
               flags.repeat == 1 ? "" : "s");
-  std::vector<const SingleThreadRun*> median_flat(2);
-  std::vector<const SingleThreadRun*> median_ref(2);
+  std::vector<const SingleThreadRun*> median(2);
   for (size_t p = 0; p < 2; ++p) {
-    median_flat[p] = &MedianRun(runs_flat[p]);
-    median_ref[p] = &MedianRun(runs_ref[p]);
-    std::printf("%s:\n", pairs[p].label);
-    PrintRun("flat", *median_flat[p]);
-    PrintRun("reference", *median_ref[p]);
-    std::printf("  speedup %.2fx\n",
-                median_flat[p]->requests_per_sec / median_ref[p]->requests_per_sec);
-    combined_flat += median_flat[p]->wall_seconds;
-    combined_ref += median_ref[p]->wall_seconds;
+    median[p] = &MedianRun(runs[p]);
+    PrintRun(algorithms[p].label, *median[p]);
   }
-  double combined_speedup = combined_ref / combined_flat;
-  std::printf("Combined wall: flat %.2fs vs reference %.2fs -> %.2fx\n\n", combined_flat,
-              combined_ref, combined_speedup);
+  std::printf("\n");
 
-  // Batch-size sweep of the flat caches: how much of the throughput comes
-  // from the software-prefetch pipeline (batch 1 = no lookahead).
+  // Batch-size sweep: how much of the throughput comes from the
+  // software-prefetch pipeline (batch 1 = no lookahead).
   std::vector<std::vector<SingleThreadRun>> sweep(2);
-  std::printf("Flat batch-size sweep (1 run each):\n");
+  std::printf("Batch-size sweep (1 run each):\n");
   for (size_t p = 0; p < 2; ++p) {
-    std::printf("%s:\n", pairs[p].label);
+    std::printf("%s:\n", algorithms[p].label);
     for (size_t batch : kSweepBatches) {
-      sweep[p].push_back(ReplaySingleThread(pairs[p].flat, traces, config, batch));
+      sweep[p].push_back(ReplaySingleThread(algorithms[p].kind, traces, config, batch));
       char label[32];
       std::snprintf(label, sizeof(label), "batch %zu", batch);
       PrintRun(label, sweep[p].back());
@@ -319,32 +300,15 @@ int main(int argc, char** argv) {
   }
   std::printf("\n");
 
-  // Fleet comparison at --threads: 6 servers x {xLRU, Cafe} per policy. The
-  // digests must match -- the whole point of the flat containers is identical
-  // results, faster.
-  std::vector<bench::CacheJob> flat_jobs;
-  std::vector<bench::CacheJob> ref_jobs;
+  // Fleet at --threads: 6 servers x {xLRU, Cafe}, with the obs instruments
+  // attached.
+  std::vector<bench::CacheJob> jobs;
   for (size_t s = 0; s < profiles.size(); ++s) {
-    for (const Pair& pair : pairs) {
-      flat_jobs.push_back(bench::CacheJob{profiles[s].name, pair.flat, config, &traces[s]});
-      ref_jobs.push_back(bench::CacheJob{profiles[s].name, pair.reference, config, &traces[s]});
+    for (const Algorithm& algorithm : algorithms) {
+      jobs.push_back(bench::CacheJob{profiles[s].name, algorithm.kind, config, &traces[s]});
     }
   }
-  // The obs instruments ride the flat fleet only (the tracked baseline);
-  // attaching to both fleets would interleave two replays of the same
-  // timeline in one series.
-  std::printf("Fleet (flat):      ");
-  std::vector<sim::ReplayResult> flat_results = bench::RunCacheJobs(flat_jobs, flags, &obs);
-  std::printf("Fleet (reference): ");
-  std::vector<sim::ReplayResult> ref_results = bench::RunCacheJobs(ref_jobs, flags);
-  VCDN_CHECK(flat_results.size() == ref_results.size());
-  for (size_t i = 0; i < flat_results.size(); ++i) {
-    VCDN_CHECK_MSG(flat_results[i].totals.served_requests == ref_results[i].totals.served_requests &&
-                       flat_results[i].totals.filled_chunks == ref_results[i].totals.filled_chunks &&
-                       flat_results[i].totals.evicted_chunks == ref_results[i].totals.evicted_chunks,
-                   "flat and reference containers diverged -- replay is no longer bit-identical");
-  }
-  std::printf("Flat vs reference replay totals: identical across %zu jobs\n", flat_results.size());
+  bench::RunCacheJobs(jobs, flags, &obs);
 
   std::ofstream out(out_path);
   if (!out) {
@@ -376,29 +340,20 @@ int main(int argc, char** argv) {
       << "  \"alloc_hook_active\": true,\n"
       << "  \"single_thread\": {\n";
   for (size_t p = 0; p < 2; ++p) {
-    out << "    \"" << pairs[p].label << "\": {\n"
+    out << "    \"" << algorithms[p].label << "\": {\n"
         << "      \"flat\": {\n";
-    WriteRunJson(out, "        ", *median_flat[p]);
+    WriteRunJson(out, "        ", *median[p]);
     out << "      },\n"
-        << "      \"reference\": {\n";
-    WriteRunJson(out, "        ", *median_ref[p]);
-    out << "      },\n"
-        << "      \"speedup\": "
-        << median_flat[p]->requests_per_sec / median_ref[p]->requests_per_sec << ",\n"
         << "      \"repeat_requests_per_sec_flat\": [";
-    for (size_t k = 0; k < runs_flat[p].size(); ++k) {
-      out << (k > 0 ? ", " : "") << runs_flat[p][k].requests_per_sec;
-    }
-    out << "],\n      \"repeat_requests_per_sec_reference\": [";
-    for (size_t k = 0; k < runs_ref[p].size(); ++k) {
-      out << (k > 0 ? ", " : "") << runs_ref[p][k].requests_per_sec;
+    for (size_t k = 0; k < runs[p].size(); ++k) {
+      out << (k > 0 ? ", " : "") << runs[p][k].requests_per_sec;
     }
     out << "]\n    }" << (p == 0 ? "," : "") << "\n";
   }
   out << "  },\n"
       << "  \"batch_sweep\": {\n";
   for (size_t p = 0; p < 2; ++p) {
-    out << "    \"" << pairs[p].label << "\": [\n";
+    out << "    \"" << algorithms[p].label << "\": [\n";
     for (size_t b = 0; b < sweep[p].size(); ++b) {
       out << "      {\n"
           << "        \"batch\": " << kSweepBatches[b] << ",\n";
@@ -408,13 +363,10 @@ int main(int argc, char** argv) {
     out << "    ]" << (p == 0 ? "," : "") << "\n";
   }
   out << "  },\n"
-      << "  \"combined_single_thread_speedup\": " << combined_speedup << ",\n"
       << "  \"fleet\": {\n"
-      << "    \"jobs\": " << flat_jobs.size() << ",\n"
-      << "    \"digest_match\": true\n"
+      << "    \"jobs\": " << jobs.size() << "\n"
       << "  }\n"
       << "}\n";
-  std::printf("Wrote %s (combined single-thread speedup %.2fx)\n", out_path.c_str(),
-              combined_speedup);
+  std::printf("Wrote %s\n", out_path.c_str());
   return obs.WriteIfRequested().ok() ? 0 : 1;
 }

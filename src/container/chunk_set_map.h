@@ -4,8 +4,7 @@
 // Cafe's unseen-chunk estimate (Sec. 6's "largest IAT among the video's
 // cached chunks"). A chunk is named by a uint32_t member id: Cafe stores the
 // chunk's slot handle in its chunk table, so the estimate reads each cached
-// chunk's stat straight from the slab without a hash probe; the reference
-// Cafe stores chunk indices.
+// chunk's stat straight from the slab without a hash probe.
 //
 // FlatChunkSetMap stores the relation as two slabs linked by indices:
 //
@@ -24,11 +23,9 @@
 // seen-video tracker.
 //
 // Iteration order within a video is unspecified (insertion-LIFO here,
-// unordered_set order in the reference); consumers must be order-independent
+// unordered_set order in the test oracle's ReferenceChunkSetMap,
+// tests/oracles/reference_cafe_cache.h); consumers must be order-independent
 // -- Cafe only folds a max() over the chunks' IATs.
-//
-// ReferenceChunkSetMap keeps the seed's node-based profile for
-// ReferenceCafeCache.
 //
 // Not thread-safe; replay shards each own their instances.
 
@@ -37,11 +34,8 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
-#include "src/container/fast_hash.h"
 #include "src/container/flat_index.h"
 #include "src/util/check.h"
 
@@ -182,36 +176,6 @@ class FlatChunkSetMap {
   FlatIndex<uint64_t> index_;  // std::hash: MixU64 finalizes identity keys
   uint32_t entry_free_ = kNil;
   uint32_t node_free_ = kNil;
-};
-
-// The seed's node-based shape (unordered_map of unordered_sets) for
-// ReferenceCafeCache, which keys its members by chunk index.
-class ReferenceChunkSetMap {
- public:
-  void Insert(uint64_t video, uint32_t chunk) { map_[video].insert(chunk); }
-
-  void Erase(uint64_t video, uint32_t chunk) {
-    auto it = map_.find(video);
-    VCDN_DCHECK(it != map_.end());
-    it->second.erase(chunk);
-    if (it->second.empty()) {
-      map_.erase(it);
-    }
-  }
-
-  template <typename Fn>
-  void ForEach(uint64_t video, Fn&& fn) const {
-    auto it = map_.find(video);
-    if (it == map_.end()) {
-      return;
-    }
-    for (uint32_t chunk : it->second) {
-      fn(chunk);
-    }
-  }
-
- private:
-  std::unordered_map<uint64_t, std::unordered_set<uint32_t>, U64Hash> map_;
 };
 
 }  // namespace vcdn::container

@@ -1,7 +1,7 @@
 // Copyright (c) 2026 libvcdn authors. Apache-2.0 license.
 //
-// FlatLruMap: the allocation-free successor of LruMap (which stays as the
-// reference implementation for the differential tests).
+// FlatLruMap: the allocation-free successor of the seed's node-based LruMap,
+// which now lives in tests/oracles/lru_map.h as its test oracle.
 //
 // Same structure as Section 5 of the paper -- a hash map plus a recency
 // list -- but realized as flat, index-linked storage instead of
@@ -20,8 +20,9 @@
 // Reserve() up front and the steady state never rehashes or grows the slab.
 //
 // Semantics are identical to LruMap (list order equals insertion/touch
-// order; the tail is least recently used); the differential test drives both
-// through ~1M mixed operations and asserts equal observable state.
+// order; the tail is least recently used); container_flat_differential_test
+// drives both through ~1M mixed operations and asserts equal observable
+// state.
 //
 // Not thread-safe; replay shards each own one instance (see
 // docs/PARALLELISM.md).
@@ -203,7 +204,7 @@ class FlatLruMap {
   }
 
   // Iteration from most-recent to least-recent (read-only). Dereferences to
-  // a Slot, whose .key/.value match LruMap's Entry fields.
+  // a Slot, whose .key/.value match the oracle LruMap's Entry fields.
   class const_iterator {
    public:
     const_iterator(const FlatLruMap* map, uint32_t pos) : map_(map), pos_(pos) {}

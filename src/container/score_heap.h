@@ -1,7 +1,7 @@
 // Copyright (c) 2026 libvcdn authors. Apache-2.0 license.
 //
-// ScoreHeap: the flat successor of OrderedKeySet (which stays as the
-// reference implementation; see RefScoreHeap in ordered_key_set.h).
+// ScoreHeap: the flat successor of the seed's ordered set, which now lives
+// in tests/oracles/ref_score_heap.h as its test oracle, RefScoreHeap.
 //
 // Section 6's "binary tree set plus hash map" kept Cafe's virtual timestamps
 // in a red-black std::set -- one node allocation and a pointer-chasing
@@ -17,8 +17,8 @@
 //   * index_   -- FlatIndex id -> handle (open addressing, backshift).
 //
 // Update/Erase are O(log n) sift operations on the handle array; Top is
-// O(1). Tie-breaking is deterministic and bit-identical to OrderedKeySet: the
-// min-first heap orders by (score, id) ascending (set begin()), the
+// O(1). Tie-breaking is deterministic and bit-identical to the ordered set:
+// the min-first heap orders by (score, id) ascending (set begin()), the
 // max-first heap by (score, id) descending (set rbegin()), so eviction
 // victim order -- and therefore every replay total -- is unchanged.
 //
@@ -42,8 +42,8 @@
 
 namespace vcdn::container {
 
-// kMaxFirst = false: Top() is the least (score, id)   -- OrderedKeySet::Min.
-// kMaxFirst = true:  Top() is the greatest (score, id) -- OrderedKeySet::Max.
+// kMaxFirst = false: Top() is the least (score, id)   -- the set's begin().
+// kMaxFirst = true:  Top() is the greatest (score, id) -- the set's rbegin().
 template <typename Id, typename Score, typename Hash = std::hash<Id>, bool kMaxFirst = false>
 class ScoreHeap {
  public:

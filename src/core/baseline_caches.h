@@ -13,9 +13,7 @@
 //     optimal *replacement* policy, which still lacks an admission/redirect
 //     decision; contrasted with Psychic/Optimal in tests and benches.
 //
-// All three run on the flat hot-path containers (FlatLruMap / ScoreHeap);
-// the node-based reference containers remain available through the policy
-// header for the A/B instantiations of xLRU and Cafe.
+// All three run on the flat hot-path containers (FlatLruMap / ScoreHeap).
 
 #ifndef VCDN_SRC_CORE_BASELINE_CACHES_H_
 #define VCDN_SRC_CORE_BASELINE_CACHES_H_

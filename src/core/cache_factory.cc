@@ -5,7 +5,6 @@
 #include "src/core/baseline_caches.h"
 #include "src/core/cafe_cache.h"
 #include "src/core/psychic_cache.h"
-#include "src/core/reference_cafe_cache.h"
 #include "src/core/xlru_cache.h"
 #include "src/util/check.h"
 
@@ -25,10 +24,6 @@ std::string_view CacheKindName(CacheKind kind) {
       return "FillLFU";
     case CacheKind::kBelady:
       return "Belady";
-    case CacheKind::kXlruRef:
-      return "xLRU-ref";
-    case CacheKind::kCafeRef:
-      return "Cafe-ref";
   }
   return "unknown";
 }
@@ -47,10 +42,6 @@ std::unique_ptr<CacheAlgorithm> MakeCache(CacheKind kind, const CacheConfig& con
       return std::make_unique<FillLfuCache>(config);
     case CacheKind::kBelady:
       return std::make_unique<BeladyCache>(config);
-    case CacheKind::kXlruRef:
-      return std::make_unique<ReferenceXlruCache>(config);
-    case CacheKind::kCafeRef:
-      return std::make_unique<ReferenceCafeCache>(config);
   }
   VCDN_CHECK_MSG(false, "unknown CacheKind");
   return nullptr;

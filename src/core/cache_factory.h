@@ -20,11 +20,6 @@ enum class CacheKind {
   kFillLru,  // classic always-fill LRU baseline
   kFillLfu,  // classic always-fill LFU baseline (aged frequencies)
   kBelady,   // offline Belady MIN replacement baseline
-  // Reference-container instantiations (node-based LruMap/OrderedKeySet).
-  // Identical replay behavior to kXlru/kCafe; kept for A/B benchmarking and
-  // differential verification of the flat hot-path containers.
-  kXlruRef,
-  kCafeRef,
 };
 
 // Human-readable name matching CacheAlgorithm::name().

@@ -53,9 +53,9 @@
 // never changes a decision. A request that is admitted always completes its
 // scan, and the check that enough victims were found guards it.
 //
-// ReferenceCafeCache (reference_cafe_cache.h) is the oracle: the same
-// algorithm on the seed's node-based containers. The two must produce
-// bit-identical replay results.
+// ReferenceCafeCache (tests/oracles/reference_cafe_cache.h) is the test
+// oracle: the same algorithm on the seed's node-based containers. The two
+// must produce bit-identical replay results.
 
 #ifndef VCDN_SRC_CORE_CAFE_CACHE_H_
 #define VCDN_SRC_CORE_CAFE_CACHE_H_

@@ -80,7 +80,7 @@ class PsychicCache : public CacheAlgorithm {
   std::unordered_map<ChunkId, FutureList, ChunkIdHash> futures_;
   // Cached chunks scored by next request time: Top() = farthest in the
   // future = first eviction victim (max-first heap, same (score, id) order
-  // as the reference OrderedKeySet's reverse iteration).
+  // as an ordered set's reverse iteration).
   container::ScoreHeap<ChunkId, double, ChunkIdHash, /*kMaxFirst=*/true> cached_;
   // Fill time of each cached chunk, for residence-time tracking (recency
   // order unused; the map is the flat slab store).

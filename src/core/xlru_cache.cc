@@ -14,24 +14,21 @@ namespace {
 constexpr double kTrackerRetentionSlack = 1.25;
 }  // namespace
 
-template <typename C>
-XlruCacheT<C>::XlruCacheT(const CacheConfig& config) : CacheAlgorithm(config) {
+XlruCache::XlruCache(const CacheConfig& config) : CacheAlgorithm(config) {
   disk_.Reserve(static_cast<size_t>(config.disk_capacity_chunks));
   // The cleanup horizon bounds the tracker to roughly the videos that could
   // still pass admission; disk capacity is a generous upper estimate.
   tracker_.Reserve(static_cast<size_t>(config.disk_capacity_chunks));
 }
 
-template <typename C>
-double XlruCacheT<C>::CacheAge(double now) const {
+double XlruCache::CacheAge(double now) const {
   if (disk_.empty()) {
     return 0.0;
   }
   return now - disk_.Oldest().value;
 }
 
-template <typename C>
-void XlruCacheT<C>::CleanupTracker(double now) {
+void XlruCache::CleanupTracker(double now) {
   double age = CacheAge(now);
   if (age <= 0.0) {
     return;
@@ -42,8 +39,7 @@ void XlruCacheT<C>::CleanupTracker(double now) {
   }
 }
 
-template <typename C>
-uint64_t XlruCacheT<C>::EvictDownTo(uint64_t max_chunks) {
+uint64_t XlruCache::EvictDownTo(uint64_t max_chunks) {
   uint64_t evicted = 0;
   while (disk_.size() > max_chunks) {
     disk_.PopOldest();
@@ -52,8 +48,7 @@ uint64_t XlruCacheT<C>::EvictDownTo(uint64_t max_chunks) {
   return evicted;
 }
 
-template <typename C>
-void XlruCacheT<C>::OnAttachMetrics(obs::MetricsRegistry& registry, const std::string& prefix) {
+void XlruCache::OnAttachMetrics(obs::MetricsRegistry& registry, const std::string& prefix) {
   redirect_unseen_total_ = registry.GetCounter(prefix + "redirect_unseen_total");
   redirect_age_total_ = registry.GetCounter(prefix + "redirect_age_total");
   redirect_too_wide_total_ = registry.GetCounter(prefix + "redirect_too_wide_total");
@@ -61,14 +56,12 @@ void XlruCacheT<C>::OnAttachMetrics(obs::MetricsRegistry& registry, const std::s
   cache_age_gauge_ = registry.GetGauge(prefix + "cache_age_seconds");
 }
 
-template <typename C>
-void XlruCacheT<C>::OnOutcomeRecorded() {
+void XlruCache::OnOutcomeRecorded() {
   tracker_videos_gauge_.Set(static_cast<double>(tracker_.size()));
   cache_age_gauge_.Set(CacheAge(last_request_time_));
 }
 
-template <typename C>
-RequestOutcome XlruCacheT<C>::HandleRequestImpl(const trace::Request& request) {
+RequestOutcome XlruCache::HandleRequestImpl(const trace::Request& request) {
   const double now = request.arrival_time;
   last_request_time_ = now;
   RequestOutcome outcome = MakeOutcome(request);
@@ -131,8 +124,5 @@ RequestOutcome XlruCacheT<C>::HandleRequestImpl(const trace::Request& request) {
   outcome.decision = Decision::kServe;
   return outcome;
 }
-
-template class XlruCacheT<container::FlatContainers>;
-template class XlruCacheT<container::ReferenceContainers>;
 
 }  // namespace vcdn::core

@@ -21,10 +21,8 @@
 // never-seen-before -> redirect rule still applies, which is what makes the
 // tracker meaningful from the first byte.
 //
-// The algorithm is templated on a container policy (containers.h): the
-// production XlruCache runs on the flat slab containers, ReferenceXlruCache
-// on the seed's node-based ones. Both are explicitly instantiated in
-// xlru_cache.cc and must produce bit-identical replay results.
+// Both the tracker and the disk are FlatLruMaps (src/container/flat_lru_map.h),
+// the paper's "linked list ... and a hash map" as one slab with index links.
 
 #ifndef VCDN_SRC_CORE_XLRU_CACHE_H_
 #define VCDN_SRC_CORE_XLRU_CACHE_H_
@@ -32,15 +30,14 @@
 #include <string_view>
 #include <vector>
 
-#include "src/container/containers.h"
+#include "src/container/flat_lru_map.h"
 #include "src/core/cache_algorithm.h"
 
 namespace vcdn::core {
 
-template <typename Containers>
-class XlruCacheT : public CacheAlgorithm {
+class XlruCache : public CacheAlgorithm {
  public:
-  explicit XlruCacheT(const CacheConfig& config);
+  explicit XlruCache(const CacheConfig& config);
 
   std::string_view name() const override { return "xLRU"; }
   uint64_t used_chunks() const override { return disk_.size(); }
@@ -64,9 +61,9 @@ class XlruCacheT : public CacheAlgorithm {
   void CleanupTracker(double now);
 
   // video -> last access time, in recency order for O(1) cleanup.
-  typename Containers::template LruMapT<VideoId, double> tracker_;
+  container::FlatLruMap<VideoId, double> tracker_;
   // {video, chunk} -> last access time, in recency order (LRU replacement).
-  typename Containers::template LruMapT<ChunkId, double, ChunkIdHash> disk_;
+  container::FlatLruMap<ChunkId, double, ChunkIdHash> disk_;
   double last_request_time_ = 0.0;
   // Reused across requests so the serve loop does not allocate in steady
   // state.
@@ -80,14 +77,6 @@ class XlruCacheT : public CacheAlgorithm {
   obs::Gauge tracker_videos_gauge_;
   obs::Gauge cache_age_gauge_;
 };
-
-extern template class XlruCacheT<container::FlatContainers>;
-extern template class XlruCacheT<container::ReferenceContainers>;
-
-// The production cache runs on the flat containers; the reference
-// instantiation exists for A/B benchmarking and differential tests.
-using XlruCache = XlruCacheT<container::FlatContainers>;
-using ReferenceXlruCache = XlruCacheT<container::ReferenceContainers>;
 
 }  // namespace vcdn::core
 

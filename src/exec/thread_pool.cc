@@ -6,6 +6,7 @@
 #include <string>
 
 #include "src/util/check.h"
+#include "src/util/fnv1a.h"
 
 namespace vcdn::exec {
 
@@ -23,13 +24,13 @@ thread_local WorkerContext current_worker;
 // FNV-1a over the label bytes: a stable, alloc-free key for the flight
 // lane's per-task record (null label hashes to the offset basis).
 uint64_t HashLabel(const char* label) {
-  uint64_t hash = 1469598103934665603ULL;
+  util::Fnv1a hash;
   if (label != nullptr) {
     for (const char* p = label; *p != '\0'; ++p) {
-      hash = (hash ^ static_cast<unsigned char>(*p)) * 1099511628211ULL;
+      hash.FoldByte(static_cast<unsigned char>(*p));
     }
   }
-  return hash;
+  return hash.value();
 }
 
 }  // namespace

@@ -103,9 +103,7 @@ class Gauge {
 };
 
 // The registry-owned backing store of one histogram instrument: uniform
-// buckets over [lo, hi) plus underflow/overflow, all counts relaxed atomics
-// (same layout rules as util::Histogram, which stays the single-threaded
-// analytics type).
+// buckets over [lo, hi) plus underflow/overflow, all counts relaxed atomics.
 class HistogramCell {
  public:
   HistogramCell(double lo, double hi, size_t num_buckets)

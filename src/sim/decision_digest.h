@@ -22,6 +22,7 @@
 #include "src/core/cache_algorithm.h"
 #include "src/core/cache_factory.h"
 #include "src/trace/request.h"
+#include "src/util/fnv1a.h"
 
 namespace vcdn::sim {
 
@@ -62,30 +63,20 @@ class OutcomeDigest {
   // The wire-side spelling: exactly the fields a net::ResponseFrame carries.
   void FoldFields(uint8_t decision, uint8_t tier, uint64_t requested_bytes, uint32_t hit_chunks,
                   uint32_t filled_chunks, uint32_t evicted_chunks) {
-    FoldByte(decision);
-    FoldByte(tier);
-    FoldU64(requested_bytes);
-    FoldU64(hit_chunks);
-    FoldU64(filled_chunks);
-    FoldU64(evicted_chunks);
+    hash_.FoldByte(decision);
+    hash_.FoldByte(tier);
+    hash_.FoldU64(requested_bytes);
+    hash_.FoldU64(hit_chunks);
+    hash_.FoldU64(filled_chunks);
+    hash_.FoldU64(evicted_chunks);
     ++count_;
   }
 
-  uint64_t value() const { return hash_; }
+  uint64_t value() const { return hash_.value(); }
   uint64_t count() const { return count_; }
 
  private:
-  static constexpr uint64_t kOffset = 1469598103934665603ULL;
-  static constexpr uint64_t kPrime = 1099511628211ULL;
-
-  void FoldByte(uint8_t byte) { hash_ = (hash_ ^ byte) * kPrime; }
-  void FoldU64(uint64_t value) {
-    for (int shift = 0; shift < 64; shift += 8) {
-      FoldByte(static_cast<uint8_t>((value >> shift) & 0xFF));
-    }
-  }
-
-  uint64_t hash_ = kOffset;
+  util::Fnv1a hash_;
   uint64_t count_ = 0;
 };
 

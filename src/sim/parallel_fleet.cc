@@ -8,6 +8,8 @@
 #include <string>
 #include <utility>
 
+#include "src/util/fnv1a.h"
+
 namespace vcdn::sim {
 
 namespace {
@@ -176,57 +178,48 @@ FleetResult RunFleet(const std::vector<FleetServer>& servers, const FleetOptions
 
 namespace {
 
-constexpr uint64_t kFnvOffset = 1469598103934665603ULL;
-constexpr uint64_t kFnvPrime = 1099511628211ULL;
+void FoldDouble(double value, util::Fnv1a& hash) { hash.FoldU64(std::bit_cast<uint64_t>(value)); }
 
-void HashU64(uint64_t value, uint64_t* hash) {
-  for (int shift = 0; shift < 64; shift += 8) {
-    *hash = (*hash ^ ((value >> shift) & 0xFF)) * kFnvPrime;
-  }
-}
-
-void HashDouble(double value, uint64_t* hash) { HashU64(std::bit_cast<uint64_t>(value), hash); }
-
-void HashTotals(const ReplayTotals& totals, uint64_t* hash) {
-  HashU64(totals.requests, hash);
-  HashU64(totals.served_requests, hash);
-  HashU64(totals.redirected_requests, hash);
-  HashU64(totals.requested_bytes, hash);
-  HashU64(totals.served_bytes, hash);
-  HashU64(totals.redirected_bytes, hash);
-  HashU64(totals.filled_bytes, hash);
-  HashU64(totals.evicted_chunks, hash);
-  HashU64(totals.requested_chunks, hash);
-  HashU64(totals.filled_chunks, hash);
-  HashU64(totals.redirected_chunks, hash);
-  HashU64(totals.proactive_filled_chunks, hash);
-  HashU64(totals.unavailable_requests, hash);
-  HashU64(totals.unavailable_bytes, hash);
-  HashU64(totals.unavailable_chunks, hash);
+void FoldTotals(const ReplayTotals& totals, util::Fnv1a& hash) {
+  hash.FoldU64(totals.requests);
+  hash.FoldU64(totals.served_requests);
+  hash.FoldU64(totals.redirected_requests);
+  hash.FoldU64(totals.requested_bytes);
+  hash.FoldU64(totals.served_bytes);
+  hash.FoldU64(totals.redirected_bytes);
+  hash.FoldU64(totals.filled_bytes);
+  hash.FoldU64(totals.evicted_chunks);
+  hash.FoldU64(totals.requested_chunks);
+  hash.FoldU64(totals.filled_chunks);
+  hash.FoldU64(totals.redirected_chunks);
+  hash.FoldU64(totals.proactive_filled_chunks);
+  hash.FoldU64(totals.unavailable_requests);
+  hash.FoldU64(totals.unavailable_bytes);
+  hash.FoldU64(totals.unavailable_chunks);
 }
 
 }  // namespace
 
 uint64_t FleetDigest(const FleetResult& result) {
-  uint64_t hash = kFnvOffset;
-  HashTotals(result.totals, &hash);
-  HashTotals(result.steady, &hash);
+  util::Fnv1a hash;
+  FoldTotals(result.totals, hash);
+  FoldTotals(result.steady, hash);
   for (const ReplayResult& server : result.servers) {
-    HashTotals(server.totals, &hash);
-    HashTotals(server.steady, &hash);
-    HashDouble(server.efficiency, &hash);
-    HashDouble(server.ingress_fraction, &hash);
-    HashDouble(server.redirect_fraction, &hash);
+    FoldTotals(server.totals, hash);
+    FoldTotals(server.steady, hash);
+    FoldDouble(server.efficiency, hash);
+    FoldDouble(server.ingress_fraction, hash);
+    FoldDouble(server.redirect_fraction, hash);
     for (const SeriesPoint& point : server.series) {
-      HashDouble(point.bucket_start, &hash);
-      HashU64(point.requested_bytes, &hash);
-      HashU64(point.served_bytes, &hash);
-      HashU64(point.redirected_bytes, &hash);
-      HashU64(point.filled_bytes, &hash);
-      HashU64(point.unavailable_bytes, &hash);
+      FoldDouble(point.bucket_start, hash);
+      hash.FoldU64(point.requested_bytes);
+      hash.FoldU64(point.served_bytes);
+      hash.FoldU64(point.redirected_bytes);
+      hash.FoldU64(point.filled_bytes);
+      hash.FoldU64(point.unavailable_bytes);
     }
   }
-  return hash;
+  return hash.value();
 }
 
 }  // namespace vcdn::sim

@@ -35,6 +35,7 @@
 
 #include "src/trace/request.h"
 #include "src/trace/request_stream.h"
+#include "src/util/fnv1a.h"
 #include "src/util/status.h"
 
 namespace vcdn::trace {
@@ -56,11 +57,7 @@ static_assert(sizeof(TraceServerInfo) == 48, "index entry layout drifted");
 class RequestDigest {
  public:
   void Fold(const Request& r) {
-    const unsigned char* bytes = reinterpret_cast<const unsigned char*>(&r);
-    for (size_t i = 0; i < sizeof(Request); ++i) {
-      hash_ ^= bytes[i];
-      hash_ *= 1099511628211ULL;
-    }
+    hash_.FoldBytes(&r, sizeof(Request));
     ++count_;
   }
   void Fold(const Request* records, size_t count) {
@@ -68,11 +65,11 @@ class RequestDigest {
       Fold(records[i]);
     }
   }
-  uint64_t value() const { return hash_; }
+  uint64_t value() const { return hash_.value(); }
   uint64_t count() const { return count_; }
 
  private:
-  uint64_t hash_ = 1469598103934665603ULL;
+  util::Fnv1a hash_;
   uint64_t count_ = 0;
 };
 

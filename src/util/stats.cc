@@ -34,54 +34,4 @@ void BucketedSeries::Add(double t, double value) {
   sums_[idx] += value;
 }
 
-Histogram::Histogram(double lo, double hi, size_t num_buckets)
-    : lo_(lo), hi_(hi), counts_(num_buckets, 0) {
-  VCDN_CHECK(hi > lo);
-  VCDN_CHECK(num_buckets > 0);
-}
-
-void Histogram::Add(double value) {
-  ++total_;
-  if (value < lo_) {
-    ++underflow_;
-    return;
-  }
-  if (value >= hi_) {
-    ++overflow_;
-    return;
-  }
-  auto idx = static_cast<size_t>((value - lo_) / (hi_ - lo_) * static_cast<double>(counts_.size()));
-  idx = std::min(idx, counts_.size() - 1);
-  ++counts_[idx];
-}
-
-double Histogram::Quantile(double q) const {
-  VCDN_CHECK(q >= 0.0 && q <= 1.0);
-  if (total_ == 0) {
-    return lo_;
-  }
-  double target = q * static_cast<double>(total_);
-  double cumulative = static_cast<double>(underflow_);
-  if (cumulative >= target) {
-    // The quantile falls in the underflow mass (or q == 0): clamp to the
-    // histogram's lower bound rather than interpolating into a bucket.
-    return lo_;
-  }
-  double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-  for (size_t i = 0; i < counts_.size(); ++i) {
-    if (counts_[i] == 0) {
-      continue;  // empty buckets carry no mass and must not interpolate
-    }
-    double next = cumulative + static_cast<double>(counts_[i]);
-    if (next >= target) {
-      double frac = (target - cumulative) / static_cast<double>(counts_[i]);
-      frac = std::min(std::max(frac, 0.0), 1.0);
-      return bucket_lo(i) + frac * width;
-    }
-    cumulative = next;
-  }
-  // Remaining mass is overflow (values >= hi_): clamp symmetrically to hi_.
-  return hi_;
-}
-
 }  // namespace vcdn::util

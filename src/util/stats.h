@@ -1,7 +1,7 @@
 // Copyright (c) 2026 libvcdn authors. Apache-2.0 license.
 //
 // Streaming statistics helpers used by the simulator and the benches:
-// accumulators, EWMA, bucketed time series, and a fixed-bucket histogram.
+// accumulators, EWMA, and bucketed time series.
 
 #ifndef VCDN_SRC_UTIL_STATS_H_
 #define VCDN_SRC_UTIL_STATS_H_
@@ -84,33 +84,6 @@ class BucketedSeries {
   double origin_;
   double bucket_width_;
   std::vector<double> sums_;
-};
-
-// Histogram over [lo, hi) with uniform buckets plus underflow/overflow.
-class Histogram {
- public:
-  Histogram(double lo, double hi, size_t num_buckets);
-
-  void Add(double value);
-
-  size_t total_count() const { return total_; }
-  uint64_t bucket_count(size_t i) const { return counts_[i]; }
-  uint64_t underflow() const { return underflow_; }
-  uint64_t overflow() const { return overflow_; }
-  size_t num_buckets() const { return counts_.size(); }
-  double bucket_lo(size_t i) const {
-    return lo_ + static_cast<double>(i) * (hi_ - lo_) / static_cast<double>(counts_.size());
-  }
-  // Linear-interpolated quantile in [0, 1] over the bucketed range.
-  double Quantile(double q) const;
-
- private:
-  double lo_;
-  double hi_;
-  std::vector<uint64_t> counts_;
-  uint64_t underflow_ = 0;
-  uint64_t overflow_ = 0;
-  size_t total_ = 0;
 };
 
 }  // namespace vcdn::util

@@ -1,15 +1,15 @@
 // Copyright (c) 2026 libvcdn authors. Apache-2.0 license.
 //
-// Differential tests for the flat hot-path containers: FlatLruMap vs LruMap
-// and ScoreHeap vs RefScoreHeap (OrderedKeySet) are driven through ~1M mixed
-// seeded operations asserting identical observable state after every step,
-// then the caches are replayed against their oracles -- XlruCache vs
-// ReferenceXlruCache, and CafeCache (chunk table) vs ReferenceCafeCache
-// under the default, proactive and no-unseen-estimate options -- with
-// interleaved Resize/DropContents. Finally, the counting allocator
-// (vcdn_alloc_hook, linked into this test) asserts the flat containers and
-// the xLRU and Cafe request paths perform zero heap allocations in steady
-// state.
+// Differential tests for the flat hot-path containers against the node-based
+// oracles in tests/oracles/: FlatLruMap vs LruMap and ScoreHeap vs
+// RefScoreHeap are driven through ~1M mixed seeded operations asserting
+// identical observable state after every step, then CafeCache (chunk table)
+// is replayed against ReferenceCafeCache under the default, proactive and
+// no-unseen-estimate options with interleaved Resize/DropContents. xLRU,
+// whose only implementation is XlruCache, replays the same kind of stream
+// against a golden digest. Finally, the counting allocator (vcdn_alloc_hook,
+// linked into this test) asserts the flat containers and the xLRU and Cafe
+// request paths perform zero heap allocations in steady state.
 
 #include <gtest/gtest.h>
 
@@ -19,15 +19,16 @@
 #include <vector>
 
 #include "src/container/flat_lru_map.h"
-#include "src/container/lru_map.h"
-#include "src/container/ordered_key_set.h"
 #include "src/container/score_heap.h"
 #include "src/core/cafe_cache.h"
 #include "src/core/chunk.h"
-#include "src/core/reference_cafe_cache.h"
 #include "src/core/xlru_cache.h"
+#include "src/sim/decision_digest.h"
 #include "src/util/alloc_hook.h"
 #include "src/util/rng.h"
+#include "tests/oracles/lru_map.h"
+#include "tests/oracles/ref_score_heap.h"
+#include "tests/oracles/reference_cafe_cache.h"
 
 namespace vcdn {
 namespace {
@@ -116,7 +117,7 @@ TEST(FlatDifferentialTest, LruMapMatchesReferenceThroughMixedOps) {
 }
 
 // ---------------------------------------------------------------------------
-// ScoreHeap vs RefScoreHeap (OrderedKeySet), both directions
+// ScoreHeap vs RefScoreHeap, both directions
 
 template <typename FlatHeap, typename RefHeap>
 void ExpectHeapOrderEqual(const FlatHeap& flat, const RefHeap& ref) {
@@ -199,16 +200,16 @@ void RunScoreHeapDifferential(uint32_t seed) {
   ExpectHeapOrderEqual(flat, ref);
 }
 
-TEST(FlatDifferentialTest, MinScoreHeapMatchesOrderedKeySet) {
+TEST(FlatDifferentialTest, MinScoreHeapMatchesRefScoreHeap) {
   RunScoreHeapDifferential<false>(11);
 }
 
-TEST(FlatDifferentialTest, MaxScoreHeapMatchesOrderedKeySet) {
+TEST(FlatDifferentialTest, MaxScoreHeapMatchesRefScoreHeap) {
   RunScoreHeapDifferential<true>(12);
 }
 
 // ---------------------------------------------------------------------------
-// Cache-level differential: flat vs reference container policies
+// Cache-level replays: Cafe against its oracle, xLRU against a golden digest
 
 trace::Request SkewedRequest(util::Pcg32& rng, uint64_t videos, double time) {
   trace::Request r;
@@ -234,17 +235,33 @@ core::CacheConfig DifferentialConfig() {
   return config;
 }
 
+constexpr size_t kReplayRequests = 60'000;
+
+// Structural events mid-replay, applied after request i: shrink (EvictDownTo
+// victim order matters), grow back, cold restart. Returns the chunks they
+// evicted (0 when no event is due).
+uint64_t StructuralEvent(core::CacheAlgorithm& cache, size_t i) {
+  const uint64_t capacity = DifferentialConfig().disk_capacity_chunks;
+  if (i == kReplayRequests / 4) {
+    return cache.Resize(capacity * 3 / 4);
+  }
+  if (i == kReplayRequests / 2) {
+    return cache.Resize(capacity);
+  }
+  if (i == kReplayRequests * 3 / 4) {
+    return cache.DropContents();
+  }
+  return 0;
+}
+
 // Replays one seeded stream through both caches, asserting equal outcomes
 // per request; adds the proactively filled chunks (equal on both sides) to
 // *proactive_filled when given.
-template <typename FlatCache, typename RefCache>
-void RunCacheDifferential(FlatCache& flat, RefCache& ref, uint32_t seed,
+void RunCacheDifferential(core::CafeCache& flat, core::ReferenceCafeCache& ref, uint32_t seed,
                           uint64_t* proactive_filled = nullptr) {
   util::Pcg32 rng(seed);
-  constexpr size_t kRequests = 60'000;
-  const uint64_t capacity = flat.config().disk_capacity_chunks;
   double t = 0.0;
-  for (size_t i = 1; i <= kRequests; ++i) {
+  for (size_t i = 1; i <= kReplayRequests; ++i) {
     t += ArrivalGap(i);
     trace::Request r = SkewedRequest(rng, 4000, t);
     core::RequestOutcome a = flat.HandleRequest(r);
@@ -254,7 +271,6 @@ void RunCacheDifferential(FlatCache& flat, RefCache& ref, uint32_t seed,
     ASSERT_EQ(a.evicted_chunks, b.evicted_chunks) << "request " << i;
     ASSERT_EQ(a.hit_chunks, b.hit_chunks) << "request " << i;
     ASSERT_EQ(a.proactive_filled_chunks, b.proactive_filled_chunks) << "request " << i;
-    ASSERT_EQ(flat.used_chunks(), ref.used_chunks()) << "request " << i;
     if (proactive_filled != nullptr) {
       *proactive_filled += a.proactive_filled_chunks;
     }
@@ -265,25 +281,33 @@ void RunCacheDifferential(FlatCache& flat, RefCache& ref, uint32_t seed,
         ASSERT_EQ(flat.ContainsChunk(chunk), ref.ContainsChunk(chunk)) << "request " << i;
       }
     }
-    // Structural events mid-replay: shrink (EvictDownTo victim order must
-    // agree), grow back, cold restart.
-    if (i == kRequests / 4) {
-      ASSERT_EQ(flat.Resize(capacity * 3 / 4), ref.Resize(capacity * 3 / 4));
-      ASSERT_EQ(flat.used_chunks(), ref.used_chunks());
-    } else if (i == kRequests / 2) {
-      ASSERT_EQ(flat.Resize(capacity), ref.Resize(capacity));
-    } else if (i == kRequests * 3 / 4) {
-      ASSERT_EQ(flat.DropContents(), ref.DropContents());
+    ASSERT_EQ(StructuralEvent(flat, i), StructuralEvent(ref, i)) << "request " << i;
+    ASSERT_EQ(flat.used_chunks(), ref.used_chunks()) << "request " << i;
+    if (i == kReplayRequests * 3 / 4) {
       ASSERT_EQ(flat.used_chunks(), 0u);
     }
   }
 }
 
-TEST(FlatDifferentialTest, XlruFlatMatchesReferenceReplay) {
-  core::XlruCache flat(DifferentialConfig());
-  core::ReferenceXlruCache ref(DifferentialConfig());
-  RunCacheDifferential(flat, ref, 21);
-  EXPECT_EQ(flat.tracked_videos(), ref.tracked_videos());
+// XlruCache is xLRU's only implementation, so its replay is pinned to
+// constants instead of an oracle: the seed-21 stream and structural events
+// that once ran it against an LruMap-based instantiation, recorded while
+// both instantiations existed and agreed. Each request folds its outcome,
+// then the cache's occupancy and any structural evictions (through the
+// wire-side spelling, decision and tier 0).
+TEST(FlatDifferentialTest, XlruReplayMatchesGoldenDigest) {
+  core::XlruCache cache(DifferentialConfig());
+  util::Pcg32 rng(21);
+  sim::OutcomeDigest digest;
+  double t = 0.0;
+  for (size_t i = 1; i <= kReplayRequests; ++i) {
+    t += ArrivalGap(i);
+    digest.Fold(cache.HandleRequest(SkewedRequest(rng, 4000, t)));
+    const uint64_t evicted = StructuralEvent(cache, i);
+    digest.FoldFields(0, 0, cache.used_chunks(), 0, 0, static_cast<uint32_t>(evicted));
+  }
+  EXPECT_EQ(digest.value(), 0xfb7850d59844ee60ULL);
+  EXPECT_EQ(cache.tracked_videos(), 2002u);
 }
 
 // Cafe option sets the chunk table must reproduce: the defaults, the

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -156,6 +157,28 @@ TEST(FlatLruMapTest, BackshiftDeletionKeepsProbesReachable) {
       EXPECT_EQ(*map.Peek(k), k);
     }
   }
+}
+
+// Property: after any interleaving of operations, PopOldest returns entries
+// in exactly the order of their last touch.
+TEST(FlatLruMapTest, PropertyEvictionMatchesTouchOrder) {
+  FlatLruMap<int, int> map;
+  std::vector<int> touch_order;
+  auto touch = [&](int k) {
+    map.InsertOrTouch(k, k);
+    touch_order.erase(std::remove(touch_order.begin(), touch_order.end(), k), touch_order.end());
+    touch_order.push_back(k);
+  };
+  for (int round = 0; round < 3; ++round) {
+    for (int k = 0; k < 20; ++k) {
+      touch((k * 7 + round * 3) % 13);
+    }
+  }
+  std::vector<int> evicted;
+  while (!map.empty()) {
+    evicted.push_back(map.PopOldest().key);
+  }
+  EXPECT_EQ(evicted, touch_order);
 }
 
 }  // namespace

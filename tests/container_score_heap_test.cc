@@ -4,9 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <utility>
 #include <vector>
+
+#include "src/util/rng.h"
 
 namespace vcdn::container {
 namespace {
@@ -155,6 +158,41 @@ TEST(ScoreHeapTest, ReserveBoundsSlabUnderChurn) {
   }
   EXPECT_LE(heap.slab_size(), 64u);
   EXPECT_EQ(heap.size(), 32u);
+}
+
+// Property: under random insert/update/erase churn, the min-first Top is
+// always the smallest live (score, id) pair and the max-first Top the
+// largest.
+TEST(ScoreHeapTest, PropertyTopMatchesBruteForce) {
+  MinHeap min_heap;
+  MaxHeap max_heap;
+  std::vector<std::pair<double, uint64_t>> mirror;  // (score, id)
+  util::Pcg32 rng(77);
+  for (int op = 0; op < 5000; ++op) {
+    uint64_t id = rng.NextBounded(100);
+    double score = static_cast<double>(rng.NextBounded(1000));
+    auto it = std::find_if(mirror.begin(), mirror.end(),
+                           [&](const auto& p) { return p.second == id; });
+    if (rng.NextBool(0.2) && it != mirror.end()) {
+      min_heap.Erase(id);
+      max_heap.Erase(id);
+      mirror.erase(it);
+    } else {
+      min_heap.InsertOrUpdate(id, score);
+      max_heap.InsertOrUpdate(id, score);
+      if (it != mirror.end()) {
+        it->first = score;
+      } else {
+        mirror.emplace_back(score, id);
+      }
+    }
+    ASSERT_EQ(min_heap.size(), mirror.size());
+    ASSERT_EQ(max_heap.size(), mirror.size());
+    if (!mirror.empty()) {
+      ASSERT_EQ(min_heap.Top(), *std::min_element(mirror.begin(), mirror.end()));
+      ASSERT_EQ(max_heap.Top(), *std::max_element(mirror.begin(), mirror.end()));
+    }
+  }
 }
 
 }  // namespace

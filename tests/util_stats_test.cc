@@ -80,85 +80,5 @@ TEST(BucketedSeriesTest, NonZeroOrigin) {
   EXPECT_DOUBLE_EQ(series.sum(1), 2.0);
 }
 
-TEST(HistogramTest, CountsAndOverflow) {
-  Histogram h(0.0, 10.0, 10);
-  for (int i = 0; i < 10; ++i) {
-    h.Add(static_cast<double>(i) + 0.5);
-  }
-  h.Add(-1.0);
-  h.Add(100.0);
-  EXPECT_EQ(h.total_count(), 12u);
-  EXPECT_EQ(h.underflow(), 1u);
-  EXPECT_EQ(h.overflow(), 1u);
-  for (size_t i = 0; i < 10; ++i) {
-    EXPECT_EQ(h.bucket_count(i), 1u);
-  }
-}
-
-TEST(HistogramTest, QuantileInterpolation) {
-  Histogram h(0.0, 100.0, 100);
-  for (int i = 0; i < 1000; ++i) {
-    h.Add(static_cast<double>(i % 100));
-  }
-  EXPECT_NEAR(h.Quantile(0.5), 50.0, 2.0);
-  EXPECT_NEAR(h.Quantile(0.9), 90.0, 2.0);
-  EXPECT_NEAR(h.Quantile(0.0), 0.0, 1.0);
-  EXPECT_NEAR(h.Quantile(1.0), 100.0, 1.0);
-}
-
-TEST(HistogramTest, EmptyQuantileIsLowerBound) {
-  Histogram h(5.0, 10.0, 4);
-  EXPECT_DOUBLE_EQ(h.Quantile(0.5), 5.0);
-}
-
-TEST(HistogramTest, QuantileZeroIsLowerBound) {
-  Histogram h(0.0, 10.0, 10);
-  h.Add(3.0);
-  h.Add(7.0);
-  EXPECT_DOUBLE_EQ(h.Quantile(0.0), 0.0);
-}
-
-TEST(HistogramTest, QuantileOneStaysWithinRange) {
-  Histogram h(0.0, 10.0, 10);
-  h.Add(3.0);
-  h.Add(7.0);
-  double q1 = h.Quantile(1.0);
-  EXPECT_GE(q1, 7.0);
-  EXPECT_LE(q1, 10.0);
-}
-
-TEST(HistogramTest, AllUnderflowQuantileIsLowerBound) {
-  Histogram h(10.0, 20.0, 5);
-  h.Add(-3.0);
-  h.Add(0.0);
-  h.Add(9.999);
-  for (double q : {0.0, 0.5, 1.0}) {
-    EXPECT_DOUBLE_EQ(h.Quantile(q), 10.0) << "q=" << q;
-  }
-}
-
-TEST(HistogramTest, AllOverflowQuantileClampsToUpperBound) {
-  Histogram h(10.0, 20.0, 5);
-  h.Add(20.0);  // hi_ itself counts as overflow (half-open buckets)
-  h.Add(1e9);
-  for (double q : {0.25, 0.5, 1.0}) {
-    EXPECT_DOUBLE_EQ(h.Quantile(q), 20.0) << "q=" << q;
-  }
-  // q == 0 clamps to the other side.
-  EXPECT_DOUBLE_EQ(h.Quantile(0.0), 10.0);
-}
-
-TEST(HistogramTest, QuantileSkipsEmptyBuckets) {
-  // Mass only in the first and last buckets; the quantile must never land in
-  // the empty middle.
-  Histogram h(0.0, 10.0, 10);
-  for (int i = 0; i < 5; ++i) {
-    h.Add(0.5);
-    h.Add(9.5);
-  }
-  EXPECT_LE(h.Quantile(0.4), 1.0);
-  EXPECT_GE(h.Quantile(0.9), 9.0);
-}
-
 }  // namespace
 }  // namespace vcdn::util
