@@ -316,7 +316,7 @@ std::vector<sim::ReplayResult> RunCacheJobs(const std::vector<CacheJob>& jobs,
   std::vector<sim::FleetServer> servers;
   servers.reserve(jobs.size());
   for (const CacheJob& job : jobs) {
-    servers.push_back(sim::FleetServer{job.name, job.kind, job.config, job.trace});
+    servers.push_back(sim::FleetServer{job.name, job.kind, job.config, job.trace, {}});
   }
 
   sim::FleetResult fleet;
@@ -347,19 +347,16 @@ std::vector<sim::ReplayResult> RunCacheJobs(const std::vector<CacheJob>& jobs,
   return std::move(fleet.servers);
 }
 
-MemoryUsage ReadMemoryUsage() {
-  MemoryUsage usage;
+double PeakRssMb() {
   std::ifstream in("/proc/self/status");
   std::string line;
   while (std::getline(in, line)) {
     double kb = 0.0;
-    if (std::sscanf(line.c_str(), "VmRSS: %lf kB", &kb) == 1) {
-      usage.rss_mb = kb / 1024.0;
-    } else if (std::sscanf(line.c_str(), "VmHWM: %lf kB", &kb) == 1) {
-      usage.peak_rss_mb = kb / 1024.0;
+    if (std::sscanf(line.c_str(), "VmHWM: %lf kB", &kb) == 1) {
+      return kb / 1024.0;
     }
   }
-  return usage;
+  return 0.0;
 }
 
 void RequireReleaseBuild() {

@@ -85,7 +85,7 @@ BenchScale ResolveScale(const BenchFlags& flags);
 // unparsable count, or a stray positional argument prints an error naming
 // the offender to stderr and exits with status 2. A typoed "--thread 8"
 // silently running the default configuration is how wrong bench numbers get
-// committed. Benches with their own value-taking flags (e.g. --out,
+// committed. Benches with their own value-taking flags (e.g. --connect,
 // --max-threads) declare them via `extra_value_flags`; their values are
 // validated for presence here and parsed by the bench. The BenchObs flags
 // (--obs-json, --obs-series, --flight, --post-mortem) are always accepted.
@@ -212,14 +212,9 @@ struct CacheJob {
 std::vector<sim::ReplayResult> RunCacheJobs(const std::vector<CacheJob>& jobs,
                                             const BenchFlags& flags, BenchObs* obs = nullptr);
 
-// Process memory readout from /proc/self/status, in MiB. peak_rss_mb
-// (VmHWM) is the high-water mark since process start -- the scale sweep's
-// evidence that streaming replay keeps RSS bounded.
-struct MemoryUsage {
-  double rss_mb = 0.0;
-  double peak_rss_mb = 0.0;
-};
-MemoryUsage ReadMemoryUsage();
+// The process's peak RSS (VmHWM from /proc/self/status) in MiB: the
+// high-water mark since process start, which bench_scale_sweep checks.
+double PeakRssMb();
 
 // Prints the experiment banner: figure id, what the paper reported, and the
 // scale in effect. Also enforces RequireReleaseBuild().
@@ -228,7 +223,7 @@ void PrintHeader(const std::string& experiment, const std::string& paper_claim,
 
 // Aborts with a clear message when the binary was built without NDEBUG
 // (Debug / unoptimized): bench numbers from such builds are meaningless and
-// must never land in EXPERIMENTS.md or BENCH_hotpath.json. Set
+// must never land in EXPERIMENTS.md or the docs. Set
 // VCDN_ALLOW_UNOPTIMIZED_BENCH=1 to override (CI smoke runs of Debug builds).
 void RequireReleaseBuild();
 

@@ -80,7 +80,7 @@ int main(int argc, char** argv) {
     for (core::CacheKind kind : kinds) {
       std::vector<sim::FleetServer> servers;
       for (size_t s = 0; s < traces.size(); ++s) {
-        servers.push_back(sim::FleetServer{profiles[s].name, kind, config, &traces[s]});
+        servers.push_back(sim::FleetServer{profiles[s].name, kind, config, &traces[s], {}});
       }
       auto run = [&](size_t threads) {
         sim::FleetOptions options;

@@ -5,7 +5,8 @@
 // indexed ScoreHeap that stands in for Sec. 6's binary tree + hash map, and
 // end-to-end HandleRequest throughput of xLRU and Cafe. These verify the
 // complexity claims (O(1) / O(log n)) hold in practice at cache-server
-// scale; bench_replay_throughput is the tracked macro baseline.
+// scale; end-to-end replay speed is measured by the repository benchmark
+// (perfbench/, BENCHMARK.json).
 
 #include <benchmark/benchmark.h>
 

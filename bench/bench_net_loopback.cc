@@ -1,323 +1,78 @@
 // Copyright (c) 2026 libvcdn authors. Apache-2.0 license.
 //
-// Net loopback bench: the closed-loop socket load generator (src/net)
-// against a live EdgeServer over 127.0.0.1 -- the tracked baseline for the
-// daemon's serve path, BENCH_net.json.
+// Net bridge against an external daemon: replays a seeded trace over one
+// connection to an edge-server process started elsewhere
+// (tools/edge_server.cc) and checks that the wire digest the client folds
+// equals the offline sim::ReplayOutcomeDigest of the same trace, i.e. that
+// the daemon served exactly the decisions the simulator would have
+// (docs/NETWORKING.md).
 //
-// Two phases:
+//   bench_net_loopback --connect HOST:PORT
 //
-//   1. Bridge: a seeded trace replayed over one connection against a
-//      one-shard daemon must produce a client-side wire digest AND a
-//      daemon-side shard digest bit-identical to the offline
-//      sim::ReplayOutcomeDigest of the same trace. The throughput numbers
-//      below are only meaningful while the daemon serves exactly the
-//      decisions the simulator would have (docs/NETWORKING.md).
+// --connect is required. The daemon must match the bridge config -- cafe,
+// --disk-chunks 4096, one shard, client time -- and be freshly started, or
+// the digests (correctly) differ. CI's net-smoke lane drives a real process
+// over an ephemeral port this way. The same bridge against an in-process
+// daemon is pinned in ctest (tests/net_edge_server_test.cc), and perfbench's
+// edge-openloop workload measures the daemon's throughput and latency.
 //
-//   2. Throughput: a larger trace over --connections C x --pipeline P
-//      against a --shards S daemon; --repeat K runs, headline = the MEDIAN
-//      requests/sec run (one noisy neighbor can't move the tracked
-//      baseline), with end-to-end latency quantiles from the median run's
-//      HdrHistogram. Each repeat serves from a fresh cache.
-//
-// --connect HOST:PORT points both phases at an externally started daemon
-// (tools/edge_server.cc) instead of an in-process one -- the CI "net
-// smoke" lane drives a real process over an ephemeral port this way. The
-// external daemon must match the bridge config (cafe, --disk-chunks 4096,
-// one shard, client time) and be freshly started, or the bridge digest
-// check will (correctly) fail. In connect mode no JSON is written unless
-// --out is given.
-//
-// Observability: --obs-json / --obs-series / --flight attach the net.*
-// instruments (server and client) on the LAST repeat only, the repo-wide
-// "only the last repeat records" rule; --flight N additionally gives the
-// in-process daemon per-shard decision rings of capacity N.
+// Exits 0 on a match, 1 on a mismatch or a failed replay, 2 on bad flags.
 
-#include <algorithm>
 #include <cstdio>
-#include <fstream>
 #include <string>
-#include <thread>
-#include <vector>
 
 #include "bench/bench_common.h"
-#include "src/net/edge_server.h"
 #include "src/net/load_gen.h"
-#include "src/obs/run_metadata.h"
-#include "src/obs/time_series.h"
 #include "src/sim/decision_digest.h"
 #include "src/trace/server_profile.h"
 #include "src/trace/workload_generator.h"
-#include "src/util/check.h"
 #include "src/util/str_util.h"
 
-namespace {
-
-using namespace vcdn;
-
-size_t ArgSize(int argc, char** argv, const char* name, size_t fallback) {
+int main(int argc, char** argv) {
+  using namespace vcdn;
+  const bench::BenchFlags flags = bench::FlagsFromArgs(argc, argv, {"--connect"});
+  const bench::BenchScale scale = bench::ResolveScale(flags);
+  std::string connect;
   for (int i = 1; i + 1 < argc; ++i) {
-    if (std::string(argv[i]) == name) {
-      uint64_t parsed = 0;
-      if (util::ParseUint64(argv[i + 1], &parsed) && parsed > 0) {
-        return static_cast<size_t>(parsed);
-      }
+    if (std::string(argv[i]) == "--connect") {
+      connect = argv[i + 1];
     }
   }
-  return fallback;
-}
-
-std::string ArgString(int argc, char** argv, const char* name, const std::string& fallback) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::string(argv[i]) == name) {
-      return argv[i + 1];
-    }
+  net::LoadGenOptions load;
+  load.connections = 1;
+  load.pipeline_depth = 64;
+  const size_t colon = connect.rfind(':');
+  uint64_t port = 0;
+  if (colon == std::string::npos || colon == 0 ||
+      !util::ParseUint64(connect.c_str() + colon + 1, &port) || port == 0 || port > 65535) {
+    std::fprintf(stderr, "error: --connect HOST:PORT is required (got '%s')\n", connect.c_str());
+    return 2;
   }
-  return fallback;
-}
+  load.host = connect.substr(0, colon);
+  load.port = static_cast<uint16_t>(port);
 
-// A trace with a pinned arrival rate: the scaled-down paper profiles
-// generate a handful of requests per hour, so the socket bench pins the
-// rate and sets the size via the duration.
-trace::Trace MakeNetTrace(double profile_scale, uint64_t seed, double rate_per_second,
-                          double duration_seconds) {
-  trace::WorkloadConfig config;
-  config.profile = trace::PaperServerProfiles(profile_scale)[0];
-  config.profile.base_request_rate = rate_per_second;
-  config.seed = seed;
-  config.duration_seconds = duration_seconds;
-  return trace::WorkloadGenerator(config).Generate().trace;
-}
-
-core::CacheConfig BridgeConfig() {
+  // Two hours of the first paper profile at a pinned 4 req/s (the scaled-down
+  // profile alone generates only a handful per hour).
+  trace::WorkloadConfig workload;
+  workload.profile = trace::PaperServerProfiles(0.02)[0];
+  workload.profile.base_request_rate = 4.0;
+  workload.seed = scale.seed + 17;
+  workload.duration_seconds = 2.0 * 3600.0;
+  const trace::Trace trace = trace::WorkloadGenerator(workload).Generate().trace;
   core::CacheConfig config;
   config.disk_capacity_chunks = 4096;
-  return config;
-}
+  const uint64_t offline = sim::ReplayOutcomeDigest(core::CacheKind::kCafe, config, trace);
 
-struct Target {
-  bool external = false;
-  std::string host = "127.0.0.1";
-  uint16_t port = 0;
-};
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  bench::BenchFlags flags = bench::FlagsFromArgs(
-      argc, argv, {"--connections", "--pipeline", "--shards", "--connect", "--out"});
-  bench::BenchScale scale = bench::ResolveScale(flags);
-  bench::BenchObs obs(argc, argv);
-
-  const size_t connections = ArgSize(argc, argv, "--connections", 4);
-  const size_t pipeline = ArgSize(argc, argv, "--pipeline", 32);
-  const size_t shards = ArgSize(argc, argv, "--shards", 2);
-  const size_t flight_capacity = ArgSize(argc, argv, "--flight", 0);
-  const std::string connect = ArgString(argc, argv, "--connect", "");
-  const std::string out_path = ArgString(argc, argv, "--out", "");
-  const size_t pool_threads =
-      flags.threads > 0 ? flags.threads
-                        : std::max<size_t>(1, std::thread::hardware_concurrency());
-
-  Target target;
-  if (!connect.empty()) {
-    const size_t colon = connect.rfind(':');
-    uint64_t port = 0;
-    if (colon == std::string::npos || colon == 0 ||
-        !util::ParseUint64(connect.c_str() + colon + 1, &port) || port == 0 || port > 65535) {
-      std::fprintf(stderr, "error: invalid value '%s' for flag '--connect' (want HOST:PORT)\n",
-                   connect.c_str());
-      return 2;
-    }
-    target.external = true;
-    target.host = connect.substr(0, colon);
-    target.port = static_cast<uint16_t>(port);
-  }
-
-  bench::PrintHeader(
-      "Net loopback: closed-loop load generator vs the live edge-server daemon",
-      "the daemon serves bit-identical decisions to the offline replayer "
-      "(wire digest == sim::ReplayOutcomeDigest) while sustaining loopback "
-      "throughput; BENCH_net.json tracks the median requests/sec",
-      scale);
-  std::printf("%zu connection%s x pipeline %zu, %zu shard%s, %zu pool threads, %zu repeat%s%s\n\n",
-              connections, connections == 1 ? "" : "s", pipeline, shards,
-              shards == 1 ? "" : "s", pool_threads, flags.repeat,
-              flags.repeat == 1 ? "" : "s",
-              target.external ? " (external daemon)" : "");
-
-  exec::ThreadPool pool(pool_threads);
-
-  // ---- Phase 1: the determinism bridge ----------------------------------
-  // ~29K requests: two hours at 4 req/s, decorrelated from the throughput
-  // trace's seed.
-  const trace::Trace bridge_trace = MakeNetTrace(0.02, scale.seed + 17, 4.0, 2.0 * 3600.0);
-  const uint64_t offline =
-      sim::ReplayOutcomeDigest(core::CacheKind::kCafe, BridgeConfig(), bridge_trace);
-
-  uint64_t wire_digest = 0;
-  uint64_t bridge_responses = 0;
-  {
-    std::unique_ptr<net::EdgeServer> server;
-    net::LoadGenOptions load;
-    load.connections = 1;
-    load.pipeline_depth = 64;
-    if (target.external) {
-      load.host = target.host;
-      load.port = target.port;
-    } else {
-      net::EdgeServerOptions options;
-      options.cache_kind = core::CacheKind::kCafe;
-      options.cache_config = BridgeConfig();
-      options.num_shards = 1;
-      server = std::make_unique<net::EdgeServer>(pool, options);
-      VCDN_CHECK_MSG(server->Start().ok(), "bridge server failed to start");
-      load.port = server->port();
-    }
-    util::Result<net::LoadGenResult> result = net::RunClosedLoop(bridge_trace, load);
-    VCDN_CHECK_MSG(result.ok(), "bridge replay failed");
-    wire_digest = result.value().digest;
-    bridge_responses = result.value().responses_received;
-    if (server) {
-      server->Stop();
-    }
-  }
-  const bool bridge_match =
-      wire_digest == offline && bridge_responses == bridge_trace.requests.size();
-  std::printf("Bridge: %zu requests over the wire, offline digest %016llx, wire %016llx -- %s\n\n",
-              bridge_trace.requests.size(), static_cast<unsigned long long>(offline),
-              static_cast<unsigned long long>(wire_digest), bridge_match ? "MATCH" : "MISMATCH");
-  VCDN_CHECK_MSG(bridge_match,
-                 "daemon-served decisions diverged from the offline replayer -- "
-                 "throughput of a wrong cache is not a number worth tracking");
-
-  // ---- Phase 2: throughput ----------------------------------------------
-  // ~650K requests: the default 30-day window at 0.25 req/s. The catalog
-  // shape follows VCDN_BENCH_SCALE; the count is pinned by the rate.
-  const trace::Trace trace =
-      MakeNetTrace(scale.workload_scale, scale.seed, 0.25, scale.duration_seconds());
-  core::CacheConfig config = bench::PaperConfig(1.0, 2.0, scale);
-
-  obs.SetWorkload("net loopback", scale.seed);
-  obs.SetRunShape(pool_threads, pipeline);
-  obs::TimeSeriesRecorder* series = obs.replay_options().series;
-
-  std::vector<net::LoadGenResult> repeats;
-  for (size_t k = 0; k < flags.repeat; ++k) {
-    const bool record_obs = k + 1 == flags.repeat && obs.any_enabled();
-    std::unique_ptr<net::EdgeServer> server;
-    net::LoadGenOptions load;
-    load.connections = connections;
-    load.pipeline_depth = pipeline;
-    if (target.external) {
-      load.host = target.host;
-      load.port = target.port;
-    } else {
-      net::EdgeServerOptions options;
-      options.cache_kind = core::CacheKind::kCafe;
-      options.cache_config = config;
-      options.num_shards = shards;
-      if (record_obs) {
-        options.metrics = obs.metrics();
-        options.flight_recorder_capacity = flight_capacity;
-      }
-      server = std::make_unique<net::EdgeServer>(pool, options);
-      VCDN_CHECK_MSG(server->Start().ok(), "throughput server failed to start");
-      load.port = server->port();
-    }
-    if (record_obs) {
-      load.metrics = obs.metrics();
-    }
-    util::Result<net::LoadGenResult> result = net::RunClosedLoop(trace, load);
-    VCDN_CHECK_MSG(result.ok(), "throughput replay failed");
-    VCDN_CHECK_MSG(result.value().responses_received == trace.requests.size(),
-                   "not every request was answered");
-    if (record_obs && series != nullptr) {
-      // One window over the instrumented repeat: the net.* counter deltas
-      // and the latency hdr quantiles of exactly this run.
-      series->EndWindow(0.0, result.value().elapsed_seconds);
-    }
-    repeats.push_back(result.value());
-    if (server) {
-      server->Stop();
-    }
-  }
-  pool.Shutdown();
-
-  // Median-throughput repeat (lower median for even K).
-  std::vector<size_t> order(repeats.size());
-  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    return repeats[a].requests_per_second < repeats[b].requests_per_second;
-  });
-  const net::LoadGenResult& median = repeats[order[(order.size() - 1) / 2]];
-
-  util::TextTable table({"repeat", "wall s", "req/s", "p50 us", "p99 us", "p999 us"});
-  for (size_t k = 0; k < repeats.size(); ++k) {
-    const net::LoadGenResult& r = repeats[k];
-    table.AddRow({std::to_string(k + 1), util::FormatDouble(r.elapsed_seconds, 3),
-                  util::FormatDouble(r.requests_per_second, 0),
-                  util::FormatDouble(r.latency_p50 * 1e6, 1),
-                  util::FormatDouble(r.latency_p99 * 1e6, 1),
-                  util::FormatDouble(r.latency_p999 * 1e6, 1)});
-  }
-  std::printf("%s\n", table.ToString().c_str());
-  std::printf("Throughput (median of %zu): %.0f req/s over %zu requests\n", repeats.size(),
-              median.requests_per_second, trace.requests.size());
-
-  const bool obs_ok = obs.WriteIfRequested().ok();
-
-  if (target.external && out_path.empty()) {
-    return obs_ok ? 0 : 1;
-  }
-  const std::string path = out_path.empty() ? "BENCH_net.json" : out_path;
-  std::ofstream out(path);
-  if (!out) {
-    std::fprintf(stderr, "error: cannot write %s\n", path.c_str());
+  util::Result<net::LoadGenResult> result = net::RunClosedLoop(trace, load);
+  if (!result.ok()) {
+    std::fprintf(stderr, "error: bridge replay failed: %s\n", result.status().message().c_str());
     return 1;
   }
-  obs::RunMetadata meta = obs::CollectRunMetadata();
-  meta.workload = "net loopback";
-  meta.seed = scale.seed;
-  meta.threads = pool_threads;
-  meta.batch = flags.batch;
-  char digest_hex[32];
-  std::snprintf(digest_hex, sizeof(digest_hex), "%016llx",
-                static_cast<unsigned long long>(offline));
-  out << "{\n"
-      << "  \"bench\": \"bench_net_loopback\",\n"
-      << "  \"meta\": ";
-  obs::WriteRunMetadataJson(out, meta);
-  out << ",\n"
-      << "  \"workload\": {\n"
-      << "    \"scale\": " << scale.workload_scale << ",\n"
-      << "    \"seed\": " << scale.seed << ",\n"
-      << "    \"requests\": " << trace.requests.size() << ",\n"
-      << "    \"connections\": " << connections << ",\n"
-      << "    \"pipeline\": " << pipeline << ",\n"
-      << "    \"shards\": " << shards << "\n"
-      << "  },\n"
-      << "  \"repeat\": " << repeats.size() << ",\n"
-      << "  \"headline\": \"median\",\n"
-      << "  \"bridge\": {\n"
-      << "    \"requests\": " << bridge_trace.requests.size() << ",\n"
-      << "    \"digest\": \"" << digest_hex << "\",\n"
-      << "    \"digest_match\": " << (bridge_match ? "true" : "false") << "\n"
-      << "  },\n"
-      << "  \"throughput\": {\n"
-      << "    \"requests\": " << trace.requests.size() << ",\n"
-      << "    \"wall_seconds\": " << median.elapsed_seconds << ",\n"
-      << "    \"requests_per_sec\": " << median.requests_per_second << ",\n"
-      << "    \"latency_p50_us\": " << median.latency_p50 * 1e6 << ",\n"
-      << "    \"latency_p90_us\": " << median.latency_p90 * 1e6 << ",\n"
-      << "    \"latency_p99_us\": " << median.latency_p99 * 1e6 << ",\n"
-      << "    \"latency_p999_us\": " << median.latency_p999 * 1e6 << ",\n"
-      << "    \"repeat_requests_per_sec\": [";
-  for (size_t k = 0; k < repeats.size(); ++k) {
-    out << (k > 0 ? ", " : "") << repeats[k].requests_per_second;
-  }
-  out << "]\n"
-      << "  }\n"
-      << "}\n";
-  std::printf("Wrote %s\n", path.c_str());
-  return obs_ok ? 0 : 1;
+  const bool match = result.value().digest == offline &&
+                     result.value().responses_received == trace.requests.size();
+  std::printf("Bridge: %zu requests to %s, offline digest %016llx, wire %016llx -- %s\n",
+              trace.requests.size(), connect.c_str(), static_cast<unsigned long long>(offline),
+              static_cast<unsigned long long>(result.value().digest),
+              match ? "MATCH" : "MISMATCH");
+  return match ? 0 : 1;
 }

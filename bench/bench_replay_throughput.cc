@@ -1,372 +1,91 @@
 // Copyright (c) 2026 libvcdn authors. Apache-2.0 license.
 //
-// Hot-path replay throughput: the tracked baseline for xLRU and Cafe on the
-// flat containers (FlatLruMap / ScoreHeap / Cafe's chunk table), on the
-// default Figure-7 six-server workload.
+// Batch-size sweep: single-threaded replay throughput of xLRU and Cafe on
+// the default Figure-7 six-server workload at {1, 4, 8, 16, 32} requests per
+// HandleRequestBatch call -- the software-prefetch pipeline's knob (see
+// docs/PERFORMANCE.md). Batch 1 has no lookahead, so each row's ratio to it
+// is what the pipeline buys. Decisions are identical at every batch size
+// (tests/sim_replay_batch_test.cc).
 //
-// Measures, single-threaded per algorithm (xLRU, Cafe):
-//   * requests/sec over the full six-server replay,
-//   * ns/request p50 / p99 (timed in slices of 1024 requests),
-//   * heap allocations and bytes per request (global counting operator new;
-//     exact in this binary, which links vcdn_alloc_hook),
-// plus a batch-size sweep (requests per HandleRequestBatch call -- the
-// software-prefetch pipeline's knob, see docs/PERFORMANCE.md) and, at
-// --threads N, one fleet replay of the six servers x {xLRU, Cafe}, which
-// carries the --obs-* instruments.
-//
-// Writes BENCH_hotpath.json (override with --out <path>). --repeat K runs
-// the single-thread measurement K times; the headline numbers are the
-// MEDIAN-throughput run (by requests/sec, lower median), so one noisy
-// neighbor can't inflate the tracked baseline. All repeats are listed in
-// the JSON. --batch N sets the headline batch size (default 16).
+// This is the one replay question perfbench/ does not answer: the
+// repository benchmark (BENCHMARK.json) measures fleet throughput, CPU per
+// request, decision latency and peak RSS at batch 16 only.
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <fstream>
-#include <limits>
-#include <string>
 #include <vector>
 
 #include "bench/bench_common.h"
-#include "src/obs/perf_counters.h"
-#include "src/obs/run_metadata.h"
-#include "src/util/alloc_hook.h"
-#include "src/util/check.h"
-#include "src/util/str_util.h"
 
 namespace {
 
 using Clock = std::chrono::steady_clock;
 
-constexpr size_t kSlice = 1024;  // requests per timing sample
-
 constexpr size_t kSweepBatches[] = {1, 4, 8, 16, 32};
 
-struct SingleThreadRun {
-  double wall_seconds = 0.0;
-  double requests_per_sec = 0.0;
-  double ns_per_request_p50 = 0.0;
-  double ns_per_request_p99 = 0.0;
-  double allocs_per_request = 0.0;
-  double bytes_per_request = 0.0;
-  uint64_t requests = 0;
-  // Hardware counters over the request loop (obs::PerfCounterGroup). All
-  // zero with perf_valid=false when perf_event_open is unavailable.
-  bool perf_valid = false;
-  double ipc = 0.0;
-  double llc_misses_per_request = 0.0;
-  double branch_misses_per_request = 0.0;
-};
-
-double Percentile(std::vector<double>& sorted_in_place, double q) {
-  if (sorted_in_place.empty()) {
-    return 0.0;
-  }
-  std::sort(sorted_in_place.begin(), sorted_in_place.end());
-  size_t index = static_cast<size_t>(q * static_cast<double>(sorted_in_place.size() - 1));
-  return sorted_in_place[index];
-}
-
-// Replays every trace through a fresh cache of `kind`, feeding the requests
-// through HandleRequestBatch in spans of `batch_size` and timing in slices
-// of kSlice requests. Prepare, cache construction and the outcome buffer
-// are outside the timed region; the allocation counters cover only the
-// request loop.
-//
-// `metrics` / `flight` (both nullable) attach the obs instruments INSIDE the
-// timed region -- counter/hdr updates per request, one flight-ring store per
-// outcome. The caller only passes them on the LAST repeat (the repo-wide
-// "only the last repeat records" rule, see bench_common.h), so at
-// --repeat >= 3 the median headline tracks the uninstrumented hot path
-// while the instrumented repeat still exercises every per-request update
-// and feeds the --obs-json/--obs-series/--post-mortem artifacts.
-SingleThreadRun ReplaySingleThread(vcdn::core::CacheKind kind,
-                                   const std::vector<vcdn::trace::Trace>& traces,
-                                   const vcdn::core::CacheConfig& config, size_t batch_size,
-                                   vcdn::obs::MetricsRegistry* metrics = nullptr,
-                                   vcdn::obs::FlightRecorder* flight = nullptr) {
+// Replays every trace through a fresh cache of `kind` in spans of
+// `batch_size`; returns requests per second over the request loops only
+// (cache construction and Prepare are outside the timed region).
+double ReplayRequestsPerSecond(vcdn::core::CacheKind kind,
+                               const std::vector<vcdn::trace::Trace>& traces,
+                               const vcdn::core::CacheConfig& config, size_t batch_size) {
   using namespace vcdn;
-  SingleThreadRun run;
-  std::vector<double> slice_ns;
-  double total_seconds = 0.0;
-  util::AllocStats alloc_total{};
   core::RequestBatch batch;
   batch.outcomes.resize(batch_size);
-  // One accumulated hardware-counter region over every request loop:
-  // Start resets on the first trace, Resume continues on the rest, and the
-  // group is stopped across cache construction / Prepare so the counts
-  // cover the same work as the wall-clock slices.
-  obs::PerfCounterGroup perf;
-  bool perf_started = false;
+  double seconds = 0.0;
+  size_t requests = 0;
   for (const trace::Trace& trace : traces) {
     auto cache = core::MakeCache(kind, config);
-    if (metrics != nullptr) {
-      cache->AttachMetrics(*metrics);
-    }
     cache->Prepare(trace);
-    const std::vector<trace::Request>& requests = trace.requests;
-    util::AllocScope alloc_scope;
-    if (perf_started) {
-      perf.Resume();
-    } else {
-      perf.Start();
-      perf_started = true;
+    const std::vector<trace::Request>& stream = trace.requests;
+    const auto t0 = Clock::now();
+    for (size_t i = 0; i < stream.size(); i += batch_size) {
+      batch.requests = &stream[i];
+      batch.count = std::min(batch_size, stream.size() - i);
+      cache->HandleRequestBatch(batch);
     }
-    for (size_t start = 0; start < requests.size(); start += kSlice) {
-      size_t end = std::min(requests.size(), start + kSlice);
-      auto t0 = Clock::now();
-      for (size_t i = start; i < end; i += batch_size) {
-        batch.requests = &requests[i];
-        batch.count = std::min(batch_size, end - i);
-        cache->HandleRequestBatch(batch);
-        if (flight != nullptr) {
-          // Same packing as sim::Replay's record_flight; clamped casts keep
-          // the record at 32 bytes.
-          for (size_t j = 0; j < batch.count; ++j) {
-            const core::RequestOutcome& outcome = batch.outcomes[j];
-            obs::DecisionRecord record;
-            record.time = requests[i + j].arrival_time;
-            record.key = requests[i + j].video;
-            record.requested_bytes = static_cast<uint32_t>(std::min<uint64_t>(
-                outcome.requested_bytes, std::numeric_limits<uint32_t>::max()));
-            record.filled_chunks = static_cast<uint16_t>(
-                std::min<uint32_t>(outcome.filled_chunks, std::numeric_limits<uint16_t>::max()));
-            record.evicted_chunks = static_cast<uint16_t>(
-                std::min<uint32_t>(outcome.evicted_chunks, std::numeric_limits<uint16_t>::max()));
-            record.hit_chunks = static_cast<uint16_t>(
-                std::min<uint32_t>(outcome.hit_chunks, std::numeric_limits<uint16_t>::max()));
-            record.decision = static_cast<uint8_t>(outcome.decision);
-            flight->Record(record);
-          }
-        }
-      }
-      auto t1 = Clock::now();
-      double ns = std::chrono::duration<double, std::nano>(t1 - t0).count();
-      total_seconds += ns * 1e-9;
-      slice_ns.push_back(ns / static_cast<double>(end - start));
-    }
-    perf.Stop();
-    util::AllocStats delta = alloc_scope.Delta();
-    alloc_total.allocations += delta.allocations;
-    alloc_total.bytes += delta.bytes;
-    run.requests += requests.size();
+    seconds += std::chrono::duration<double>(Clock::now() - t0).count();
+    requests += stream.size();
   }
-  const obs::PerfSample perf_sample = perf.TakeSample();
-  if (perf_sample.valid && run.requests > 0) {
-    run.perf_valid = true;
-    run.ipc = perf_sample.ipc();
-    run.llc_misses_per_request =
-        static_cast<double>(perf_sample.llc_misses) / static_cast<double>(run.requests);
-    run.branch_misses_per_request =
-        static_cast<double>(perf_sample.branch_misses) / static_cast<double>(run.requests);
-  }
-  run.wall_seconds = total_seconds;
-  run.requests_per_sec =
-      total_seconds > 0.0 ? static_cast<double>(run.requests) / total_seconds : 0.0;
-  run.ns_per_request_p99 = Percentile(slice_ns, 0.99);  // sorts slice_ns
-  run.ns_per_request_p50 = Percentile(slice_ns, 0.50);
-  if (run.requests > 0) {
-    run.allocs_per_request =
-        static_cast<double>(alloc_total.allocations) / static_cast<double>(run.requests);
-    run.bytes_per_request =
-        static_cast<double>(alloc_total.bytes) / static_cast<double>(run.requests);
-  }
-  return run;
-}
-
-// The run whose requests/sec is the (lower) median of the repeats: one
-// consistent run supplies every headline field, and the raw per-repeat
-// arrays stay in the JSON for dispersion checks.
-const SingleThreadRun& MedianRun(const std::vector<SingleThreadRun>& runs) {
-  VCDN_CHECK(!runs.empty());
-  std::vector<size_t> order(runs.size());
-  for (size_t i = 0; i < order.size(); ++i) {
-    order[i] = i;
-  }
-  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    return runs[a].requests_per_sec < runs[b].requests_per_sec;
-  });
-  return runs[order[(order.size() - 1) / 2]];
-}
-
-void PrintRun(const char* label, const SingleThreadRun& run) {
-  std::printf("  %-14s %10.0f req/s  p50 %7.0f ns  p99 %7.0f ns  %6.2f allocs/req  %8.1f B/req",
-              label, run.requests_per_sec, run.ns_per_request_p50, run.ns_per_request_p99,
-              run.allocs_per_request, run.bytes_per_request);
-  if (run.perf_valid) {
-    std::printf("  IPC %4.2f  %5.2f LLC-miss/req", run.ipc, run.llc_misses_per_request);
-  }
-  std::printf("\n");
-}
-
-void WriteRunJson(std::ofstream& out, const char* indent, const SingleThreadRun& run) {
-  out << indent << "\"requests\": " << run.requests << ",\n"
-      << indent << "\"wall_seconds\": " << run.wall_seconds << ",\n"
-      << indent << "\"requests_per_sec\": " << run.requests_per_sec << ",\n"
-      << indent << "\"ns_per_request_p50\": " << run.ns_per_request_p50 << ",\n"
-      << indent << "\"ns_per_request_p99\": " << run.ns_per_request_p99 << ",\n"
-      << indent << "\"allocs_per_request\": " << run.allocs_per_request << ",\n"
-      << indent << "\"bytes_per_request\": " << run.bytes_per_request << ",\n"
-      << indent << "\"perf_valid\": " << (run.perf_valid ? "true" : "false") << ",\n"
-      << indent << "\"ipc\": " << run.ipc << ",\n"
-      << indent << "\"llc_misses_per_request\": " << run.llc_misses_per_request << ",\n"
-      << indent << "\"branch_misses_per_request\": " << run.branch_misses_per_request << "\n";
+  return seconds > 0.0 ? static_cast<double>(requests) / seconds : 0.0;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   using namespace vcdn;
-  bench::BenchFlags flags = bench::FlagsFromArgs(argc, argv, {"--out"});
+  bench::BenchFlags flags = bench::FlagsFromArgs(argc, argv);
   bench::BenchScale scale = bench::ResolveScale(flags);
-  bench::BenchObs obs(argc, argv);
-  obs.SetWorkload("fig7 six servers", scale.seed);
-  std::string out_path = "BENCH_hotpath.json";
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::string(argv[i]) == "--out") {
-      out_path = argv[i + 1];
-    }
-  }
   bench::PrintHeader(
-      "Hot-path replay throughput: xLRU and Cafe on the flat containers",
-      "engineering baseline (no paper figure); batched admission + software "
-      "prefetch target >= 2x the unbatched flat Cafe baseline at bit-identical results",
+      "Batch-size sweep: single-thread xLRU and Cafe replay on the flat containers",
+      "engineering measurement (no paper figure); batched admission + software "
+      "prefetch, bit-identical decisions at every batch size",
       scale);
-  if (!util::AllocHookActive()) {
-    std::fprintf(stderr, "error: vcdn_alloc_hook not linked; allocation columns would lie\n");
-    return 1;
-  }
 
-  core::CacheConfig config = bench::PaperConfig(1.0, 2.0, scale);
-  std::vector<trace::ServerProfile> profiles = trace::PaperServerProfiles(scale.workload_scale);
-  std::vector<trace::Trace> traces = bench::MakeServerTraces(profiles, scale, flags);
-  uint64_t total_requests = 0;
+  const core::CacheConfig config = bench::PaperConfig(1.0, 2.0, scale);
+  const std::vector<trace::Trace> traces =
+      bench::MakeServerTraces(trace::PaperServerProfiles(scale.workload_scale), scale, flags);
+  size_t total_requests = 0;
   for (const trace::Trace& t : traces) {
     total_requests += t.requests.size();
   }
-  std::printf("Workload: %zu servers, %llu requests total, batch %zu\n\n", traces.size(),
-              static_cast<unsigned long long>(total_requests), flags.batch);
+  std::printf("Workload: %zu servers, %zu requests total\n\n", traces.size(), total_requests);
 
-  // Single-thread replay: per algorithm, median of --repeat runs.
   struct Algorithm {
     const char* label;
     core::CacheKind kind;
   };
-  const Algorithm algorithms[] = {
-      {"xLRU", core::CacheKind::kXlru},
-      {"Cafe", core::CacheKind::kCafe},
-  };
-  std::vector<std::vector<SingleThreadRun>> runs(2);
-  // With any obs flag set, only the LAST repeat carries the instruments --
-  // the same "only the last repeat records" rule as RunCacheJobs
-  // (bench_common.h). At --repeat >= 3 the instrumented repeat is the
-  // slowest and never the median, so the tracked headline stays the
-  // uninstrumented hot path (acceptance bound: obs-enabled medians within
-  // 5% of the committed baseline); the gap it leaves in
-  // repeat_requests_per_sec_flat IS the visible hot-path telemetry cost. At
-  // --repeat 1 the single run is both instrumented and the headline.
-  for (size_t k = 0; k < flags.repeat; ++k) {
-    const bool last_repeat = (k + 1 == flags.repeat);
-    obs::MetricsRegistry* st_metrics =
-        last_repeat && obs.any_enabled() ? obs.metrics() : nullptr;
-    obs::FlightRecorder* st_flight = last_repeat ? obs.flight() : nullptr;
-    for (size_t p = 0; p < 2; ++p) {
-      runs[p].push_back(ReplaySingleThread(algorithms[p].kind, traces, config, flags.batch,
-                                           st_metrics, st_flight));
-    }
-  }
-  std::printf("Single-thread replay (median of %zu repeat%s):\n", flags.repeat,
-              flags.repeat == 1 ? "" : "s");
-  std::vector<const SingleThreadRun*> median(2);
-  for (size_t p = 0; p < 2; ++p) {
-    median[p] = &MedianRun(runs[p]);
-    PrintRun(algorithms[p].label, *median[p]);
-  }
-  std::printf("\n");
-
-  // Batch-size sweep: how much of the throughput comes from the
-  // software-prefetch pipeline (batch 1 = no lookahead).
-  std::vector<std::vector<SingleThreadRun>> sweep(2);
-  std::printf("Batch-size sweep (1 run each):\n");
-  for (size_t p = 0; p < 2; ++p) {
-    std::printf("%s:\n", algorithms[p].label);
+  for (const Algorithm& algorithm :
+       {Algorithm{"xLRU", core::CacheKind::kXlru}, Algorithm{"Cafe", core::CacheKind::kCafe}}) {
+    std::printf("%s:\n", algorithm.label);
+    double unbatched = 0.0;
     for (size_t batch : kSweepBatches) {
-      sweep[p].push_back(ReplaySingleThread(algorithms[p].kind, traces, config, batch));
-      char label[32];
-      std::snprintf(label, sizeof(label), "batch %zu", batch);
-      PrintRun(label, sweep[p].back());
+      const double rps = ReplayRequestsPerSecond(algorithm.kind, traces, config, batch);
+      unbatched = batch == 1 ? rps : unbatched;
+      std::printf("  batch %-3zu %12.0f req/s  %5.2fx batch 1\n", batch, rps,
+                  unbatched > 0.0 ? rps / unbatched : 0.0);
     }
   }
-  std::printf("\n");
-
-  // Fleet at --threads: 6 servers x {xLRU, Cafe}, with the obs instruments
-  // attached.
-  std::vector<bench::CacheJob> jobs;
-  for (size_t s = 0; s < profiles.size(); ++s) {
-    for (const Algorithm& algorithm : algorithms) {
-      jobs.push_back(bench::CacheJob{profiles[s].name, algorithm.kind, config, &traces[s]});
-    }
-  }
-  bench::RunCacheJobs(jobs, flags, &obs);
-
-  std::ofstream out(out_path);
-  if (!out) {
-    std::fprintf(stderr, "error: cannot write %s\n", out_path.c_str());
-    return 1;
-  }
-  obs::RunMetadata meta = obs::CollectRunMetadata();
-  meta.workload = "fig7 six servers";
-  meta.seed = scale.seed;
-  meta.threads = flags.threads;
-  meta.batch = flags.batch;
-  out << "{\n"
-      << "  \"bench\": \"bench_replay_throughput\",\n"
-      << "  \"meta\": ";
-  obs::WriteRunMetadataJson(out, meta);
-  out << ",\n"
-      << "  \"workload\": {\n"
-      << "    \"figure\": \"fig7 six servers\",\n"
-      << "    \"scale\": " << scale.workload_scale << ",\n"
-      << "    \"days\": " << scale.days << ",\n"
-      << "    \"chunks_per_paper_tb\": " << scale.chunks_per_paper_tb << ",\n"
-      << "    \"seed\": " << scale.seed << ",\n"
-      << "    \"servers\": " << traces.size() << ",\n"
-      << "    \"requests\": " << total_requests << "\n"
-      << "  },\n"
-      << "  \"repeat\": " << flags.repeat << ",\n"
-      << "  \"batch\": " << flags.batch << ",\n"
-      << "  \"headline\": \"median\",\n"
-      << "  \"alloc_hook_active\": true,\n"
-      << "  \"single_thread\": {\n";
-  for (size_t p = 0; p < 2; ++p) {
-    out << "    \"" << algorithms[p].label << "\": {\n"
-        << "      \"flat\": {\n";
-    WriteRunJson(out, "        ", *median[p]);
-    out << "      },\n"
-        << "      \"repeat_requests_per_sec_flat\": [";
-    for (size_t k = 0; k < runs[p].size(); ++k) {
-      out << (k > 0 ? ", " : "") << runs[p][k].requests_per_sec;
-    }
-    out << "]\n    }" << (p == 0 ? "," : "") << "\n";
-  }
-  out << "  },\n"
-      << "  \"batch_sweep\": {\n";
-  for (size_t p = 0; p < 2; ++p) {
-    out << "    \"" << algorithms[p].label << "\": [\n";
-    for (size_t b = 0; b < sweep[p].size(); ++b) {
-      out << "      {\n"
-          << "        \"batch\": " << kSweepBatches[b] << ",\n";
-      WriteRunJson(out, "        ", sweep[p][b]);
-      out << "      }" << (b + 1 < sweep[p].size() ? "," : "") << "\n";
-    }
-    out << "    ]" << (p == 0 ? "," : "") << "\n";
-  }
-  out << "  },\n"
-      << "  \"fleet\": {\n"
-      << "    \"jobs\": " << jobs.size() << "\n"
-      << "  }\n"
-      << "}\n";
-  std::printf("Wrote %s\n", out_path.c_str());
-  return obs.WriteIfRequested().ok() ? 0 : 1;
+  return 0;
 }

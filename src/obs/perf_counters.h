@@ -2,17 +2,18 @@
 //
 // Hardware performance counters over perf_event_open(2): one group of
 // {cycles, instructions, LLC misses, branch misses} counting this thread,
-// started and stopped around a timed region. bench_common wraps its timed
-// loops in one, which is how BENCH_hotpath.json gains IPC and
-// LLC-miss-per-request columns (docs/PERFORMANCE.md).
+// started and stopped around a timed region. The repository benchmark's
+// traced run samples one around each cache call, which is where its
+// cycles-per-request and LLC-misses-per-request metrics come from
+// (perfbench/README.md).
 //
 // Graceful fallback is the whole point of the design: perf_event_open is
 // often unavailable (perf_event_paranoid, seccomp, containers, non-Linux),
 // and a bench must not fail because of it. Construction never aborts; when
 // the syscall is denied, available() is false, Start/Stop are no-ops and
 // TakeSample returns an invalid sample -- callers emit their usual output
-// minus the hardware columns (tools/check_bench_regression.py and
-// tools/obs_report.py both tolerate the absence).
+// minus the hardware figures (perfbench reports them as 0, with
+// core.perf_counters_available = 0).
 
 #ifndef VCDN_SRC_OBS_PERF_COUNTERS_H_
 #define VCDN_SRC_OBS_PERF_COUNTERS_H_

@@ -2,7 +2,7 @@
 //
 // Self-describing run metadata embedded in every obs artifact (the --obs-json
 // dump, --obs-series JSONL header, flight-recorder post-mortems, and
-// BENCH_*.json): a committed artifact must answer "what built this, on what
+// perfbench's meta line): an artifact must answer "what built this, on what
 // workload, with which knobs" without consulting the shell history that
 // produced it.
 //

@@ -20,7 +20,8 @@
 // running the replay shards consuming these streams. A consumer blocked in
 // Next() occupies a worker; if every worker is a blocked consumer, the
 // producer tasks they are waiting on can never run. Use a dedicated
-// generator pool (bench_scale_sweep does) or inline mode.
+// generator pool (bench_scale_sweep and perfbench's fleet-churn do) or
+// inline mode.
 
 #ifndef VCDN_SRC_TRACE_GENERATED_STREAM_H_
 #define VCDN_SRC_TRACE_GENERATED_STREAM_H_

@@ -1,8 +1,9 @@
 // Copyright (c) 2026 libvcdn authors. Apache-2.0 license.
 //
-// Opt-in global allocation counters, used by bench_replay_throughput (bytes
-// allocated per request) and the container differential test (zero
-// steady-state allocation assertion).
+// Opt-in global allocation counters, used by the repository benchmark
+// (perfbench/: allocations per request) and by the tests that assert zero
+// steady-state allocations (container differential, replay flight, net
+// soak).
 //
 // The counters only tick in binaries that link vcdn_alloc_hook: that library
 // defines the replaceable global operator new/delete to forward to malloc and

@@ -2,8 +2,8 @@
 //
 // Replaceable global operator new/delete that count allocations into the
 // thread-local counters of alloc_hook.h. Compiled into the vcdn_alloc_hook
-// OBJECT library so only binaries that opt in (bench_replay_throughput, the
-// container differential test) carry the replacement.
+// OBJECT library so only binaries that opt in (perfbench/ and the tests that
+// count allocations) carry the replacement.
 
 #include <cstdlib>
 #include <new>

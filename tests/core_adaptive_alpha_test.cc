@@ -92,7 +92,7 @@ TEST(AdaptiveAlphaTest, LowersAlphaWhenIngressBelowBudget) {
   double t = 0.0;
   for (int i = 0; i < 3000; ++i) {
     t += 1.0;
-    cache.HandleRequest(ChunkRequest(t, 1 + (i % 4), 0, 3));
+    cache.HandleRequest(ChunkRequest(t, static_cast<trace::VideoId>(1 + i % 4), 0, 3));
   }
   EXPECT_LT(cache.current_alpha(), 1.0);
 }
@@ -114,8 +114,9 @@ TEST(AdaptiveAlphaTest, TracksIngressBudgetEndToEnd) {
     t += 1.0;
     // Stable popular set + a churning tail whose videos recur a few times
     // (so admitting them costs real ingress, and alpha controls how much).
-    trace.requests.push_back(ChunkRequest(t, 1 + (round % 6), 0, 2));
-    trace.requests.push_back(ChunkRequest(t + 0.5, 1000 + (round / 4), 0, 2));
+    trace.requests.push_back(ChunkRequest(t, static_cast<trace::VideoId>(1 + round % 6), 0, 2));
+    trace.requests.push_back(
+        ChunkRequest(t + 0.5, static_cast<trace::VideoId>(1000 + round / 4), 0, 2));
   }
   trace.duration = t + 1.0;
   sim::ReplayResult result = sim::Replay(cache, trace);

@@ -206,7 +206,7 @@ TEST(CafeTest, DeterministicReplay) {
     for (int i = 0; i < 300; ++i) {
       double t = static_cast<double>(i) * 0.7;
       trace::VideoId v = static_cast<trace::VideoId>(i % 9);
-      auto outcome = cache.HandleRequest(ChunkRequest(t, v, 0, (i % 4)));
+      auto outcome = cache.HandleRequest(ChunkRequest(t, v, 0, static_cast<uint32_t>(i % 4)));
       decisions.push_back(outcome.decision);
     }
   };

@@ -73,7 +73,7 @@ TEST(ProactiveCafeTest, NoPrefetchAtPeakRate) {
   for (int i = 0; i < 500; ++i) {
     t += 1.0;
     auto outcome =
-        cache.HandleRequest(ChunkRequest(t, 1 + (i % 20), 0, 1));
+        cache.HandleRequest(ChunkRequest(t, static_cast<trace::VideoId>(1 + i % 20), 0, 1));
     proactive += outcome.proactive_filled_chunks;
   }
   EXPECT_EQ(proactive, 0u);
@@ -85,7 +85,7 @@ TEST(ProactiveCafeTest, PrefetchRespectsCapacity) {
   double t = 0.0;
   for (int i = 0; i < 300; ++i) {
     t += 0.1;
-    cache.HandleRequest(ChunkRequest(t, 1 + (i % 6), 0, 1));
+    cache.HandleRequest(ChunkRequest(t, static_cast<trace::VideoId>(1 + i % 6), 0, 1));
   }
   for (int i = 0; i < 100; ++i) {
     t += 50.0;

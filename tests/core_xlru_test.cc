@@ -182,7 +182,7 @@ TEST(XlruTest, DeterministicReplay) {
     for (int i = 0; i < 200; ++i) {
       double t = static_cast<double>(i);
       trace::VideoId v = static_cast<trace::VideoId>(i % 7);
-      auto outcome = cache.HandleRequest(ChunkRequest(t, v, 0, (i % 3)));
+      auto outcome = cache.HandleRequest(ChunkRequest(t, v, 0, static_cast<uint32_t>(i % 3)));
       decisions.push_back(outcome.decision);
     }
   };

@@ -2,7 +2,8 @@
 //
 // End-to-end tests of the EdgeServer daemon over loopback sockets: the
 // determinism bridge (daemon-served outcome digest == offline sim::Replay
-// digest, at more than one pool thread count), multi-connection accounting,
+// digest, at more than one pool thread count, and pinned to a recorded
+// constant on the bridge trace), multi-connection accounting,
 // protocol-error handling, idle timeouts, and graceful shutdown.
 
 #include <gtest/gtest.h>
@@ -94,6 +95,37 @@ TEST(NetEdgeServerTest, DigestBridgeMatchesOfflineReplay) {
     server.Stop();
     pool.Shutdown();
   }
+}
+
+// The bridge pin: the trace bench_net_loopback replays against an external
+// daemon (the first paper profile at scale 0.02, seed 18, 4 req/s for 2 h),
+// served by a one-shard in-process daemon over one connection. The offline
+// replay and the wire digest must both equal the recorded constant, so a
+// change to Cafe's decisions or to the wire fold fails here, not only a
+// divergence between the two sides.
+TEST(NetEdgeServerTest, BridgeTraceMatchesPinnedDigest) {
+  constexpr uint64_t kDigest = 0x83b283f9d78b9270ULL;
+  const trace::Trace trace = MakeTrace(18);
+  ASSERT_EQ(trace.requests.size(), 25299u);
+  EXPECT_EQ(sim::ReplayOutcomeDigest(core::CacheKind::kCafe, SmallCacheConfig(), trace), kDigest);
+
+  exec::ThreadPool pool(2);
+  EdgeServerOptions options;
+  options.cache_kind = core::CacheKind::kCafe;
+  options.cache_config = SmallCacheConfig();
+  options.num_shards = 1;
+  EdgeServer server(pool, options);
+  ASSERT_TRUE(server.Start().ok());
+  LoadGenOptions load;
+  load.port = server.port();
+  load.connections = 1;
+  load.pipeline_depth = 64;
+  util::Result<LoadGenResult> result = RunClosedLoop(trace, load);
+  ASSERT_TRUE(result.ok()) << result.status().message();
+  EXPECT_EQ(result.value().responses_received, trace.requests.size());
+  EXPECT_EQ(result.value().digest, kDigest);
+  server.Stop();
+  pool.Shutdown();
 }
 
 TEST(NetEdgeServerTest, MultiConnectionMultiShardAccountsEveryRequest) {

@@ -11,13 +11,18 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "src/core/cache_factory.h"
 #include "src/core/chunk.h"
+#include "src/exec/thread_pool.h"
+#include "src/trace/generated_stream.h"
 #include "src/trace/server_profile.h"
+#include "src/trace/trace_file.h"
 #include "src/trace/workload_generator.h"
 #include "src/util/rng.h"
 
@@ -45,7 +50,7 @@ class ParallelFleetTest : public ::testing::Test {
       config.disk_capacity_chunks = 200 + 100 * i;
       config.alpha_f2r = 2.0;
       servers_.push_back(
-          FleetServer{"server" + std::to_string(i), kinds[i], config, &traces_.back()});
+          FleetServer{"server" + std::to_string(i), kinds[i], config, &traces_.back(), {}});
     }
   }
 
@@ -224,7 +229,7 @@ TEST_F(ParallelFleetTest, DigestIsSensitiveToResults) {
 }
 
 // Golden digests: the Fig. 7 fleet (six paper server profiles x {xLRU, Cafe},
-// bench_scale_sweep's shard order) at a reduced workload scale, with the disk
+// server-major shard order) at a reduced workload scale, with the disk
 // scaled by the same factor. Every other digest test compares two
 // configurations of one build, so a decision change shared by both sides
 // would pass them; these constants pin the decisions themselves. They were
@@ -273,6 +278,76 @@ TEST(FleetGoldenDigestTest, ReducedFig7FleetMatchesPinnedDigests) {
           << "paper_tb " << golden.paper_tb << ", batch " << batch;
     }
   }
+}
+
+// The streaming equivalence pin: the Fig. 7 fleet at scale 0.25 for 30 days,
+// 1 paper-TB disks of 4,096 chunks, alpha 2 and batch 16, replayed from each
+// producer -- materialized traces, trace::GeneratedStream on a dedicated
+// generator pool (never the fleet pool), and the same traces packed into a
+// VCDNTRS2 file and streamed from the mapping. Every producer must give the
+// scale-0.25 fleet digest recorded in docs/TRACE_FORMAT.md.
+TEST(FleetGoldenDigestTest, ScaleSweepProducersMatchPinnedDigest) {
+  constexpr double kScale = 0.25;
+  constexpr uint64_t kDigest = 0x23d1728431e11ee0ULL;
+  const std::vector<trace::ServerProfile> profiles = trace::PaperServerProfiles(kScale);
+  std::vector<trace::WorkloadConfig> workloads;
+  for (size_t s = 0; s < profiles.size(); ++s) {
+    trace::WorkloadConfig workload;
+    workload.profile = profiles[s];
+    workload.seed = util::SplitSeed(1, s);
+    workload.duration_seconds = 30.0 * 86400.0;
+    workloads.push_back(workload);
+  }
+  trace::ParallelGenerateOptions generate;
+  generate.threads = 2;
+  const std::vector<trace::GeneratedWorkload> generated =
+      trace::GenerateWorkloads(workloads, generate);
+
+  std::vector<const trace::Trace*> traces;
+  for (const trace::GeneratedWorkload& workload : generated) {
+    traces.push_back(&workload.trace);
+  }
+  const std::string path = testing::TempDir() + "fleet_golden_digest_test.vtrs";
+  ASSERT_TRUE(trace::WriteTraceFile(traces, path).ok());
+  util::Result<trace::MmapTrace> mapped = trace::MmapTrace::Open(path);
+  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+  const trace::MmapTrace& file = mapped.value();
+  exec::ThreadPoolOptions pool_options;
+  pool_options.num_threads = 2;
+  exec::ThreadPool generator_pool(pool_options);
+
+  core::CacheConfig config;
+  config.chunk_bytes = core::kDefaultChunkBytes;
+  config.disk_capacity_chunks = 4096;
+  config.alpha_f2r = 2.0;
+  FleetOptions options;
+  options.threads = 2;
+  options.replay.batch_size = 16;
+  for (const char* producer : {"materialized", "generated", "mmap"}) {
+    const std::string name = producer;
+    std::vector<FleetServer> fleet;
+    for (size_t s = 0; s < profiles.size(); ++s) {
+      for (core::CacheKind kind : {core::CacheKind::kXlru, core::CacheKind::kCafe}) {
+        FleetServer server{profiles[s].name + "/" + std::string(core::CacheKindName(kind)), kind,
+                           config, nullptr, {}};
+        if (name == "materialized") {
+          server.trace = traces[s];
+        } else if (name == "generated") {
+          const trace::WorkloadConfig workload = workloads[s];
+          server.stream = [workload, &generator_pool]() -> std::unique_ptr<trace::RequestStream> {
+            trace::GeneratedStreamOptions stream_options;
+            stream_options.generator_pool = &generator_pool;
+            return std::make_unique<trace::GeneratedStream>(workload, stream_options);
+          };
+        } else {
+          server.stream = [&file, s]() { return file.ServerStream(s); };
+        }
+        fleet.push_back(std::move(server));
+      }
+    }
+    EXPECT_EQ(FleetDigest(RunFleet(fleet, options)), kDigest) << name;
+  }
+  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -133,7 +133,7 @@ TEST_F(ReplayBatchTest, FleetDigestIsIdenticalAtEveryBatchSize) {
   const core::CacheKind kinds[] = {core::CacheKind::kXlru, core::CacheKind::kCafe};
   for (size_t i = 0; i < traces_.size(); ++i) {
     servers.push_back(
-        FleetServer{"server" + std::to_string(i), kinds[i % 2], config_, &traces_[i]});
+        FleetServer{"server" + std::to_string(i), kinds[i % 2], config_, &traces_[i], {}});
   }
   uint64_t reference_digest = 0;
   for (size_t batch : kBatchSizes) {

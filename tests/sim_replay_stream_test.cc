@@ -7,9 +7,9 @@
 // thread counts and batch sizes, identical per-request outcome streams,
 // byte-identical time-series JSONL and flight-ring contents, identical
 // fault accounting when a schedule bites mid-stream, and an identical
-// two-tier hierarchy result. This is the contract that lets
-// bench_scale_sweep's throughput numbers stand in for the materialized
-// reference.
+// two-tier hierarchy result. This is the contract that lets streaming
+// replay (bench_scale_sweep, perfbench's fleet-mmap and fleet-churn) stand
+// in for the materialized reference.
 
 #include <gtest/gtest.h>
 
@@ -102,7 +102,7 @@ class ReplayStreamTest : public ::testing::Test {
 
   // A fresh stream over server `i` for the given producer. GeneratedStream
   // runs in pooled mode on the dedicated generator pool (never the fleet
-  // pool), the shape bench_scale_sweep uses.
+  // pool), the shape bench_scale_sweep and FleetGoldenDigestTest use.
   std::unique_ptr<trace::RequestStream> MakeStream(Producer producer, size_t i) {
     if (producer == Producer::kGenerated) {
       trace::GeneratedStreamOptions options;

@@ -5,8 +5,8 @@
 // src/net/protocol.h until SIGINT/SIGTERM, then drains gracefully and
 // prints a serving summary -- per-shard outcome digests plus the
 // net.server.* counters -- so a driving script can assert clean shutdown
-// and exact accounting (.github/workflows/ci.yml "net smoke" does exactly
-// that with bench_net_loopback --connect).
+// and exact accounting (.github/workflows/ci.yml "net-smoke" does exactly
+// that, replaying the bridge trace with bench_net_loopback --connect).
 //
 // The bound address is announced on the first stdout line:
 //

@@ -1,24 +1,15 @@
 #!/usr/bin/env python3
-"""Diff two observability artifacts into a markdown report.
+"""Diff two windowed time-series files into a markdown report.
 
 Usage: obs_report.py A B [--out report.md] [--top 20]
 
-Accepts either artifact kind the benches produce, and both inputs must be the
-same kind:
+Both inputs are --obs-series JSONL (obs::TimeSeriesRecorder::WriteJsonl): a
+meta header line then one line per replay window. The report diffs run
+metadata field by field, total counter deltas, final gauge values, and hdr
+histogram quantiles (count-weighted means over windows).
 
-  * --obs-series JSONL (obs::TimeSeriesRecorder::WriteJsonl): a meta header
-    line then one line per replay window. The report diffs run metadata field
-    by field, total counter deltas, final gauge values, and hdr histogram
-    quantiles (count-weighted means over windows).
-  * BENCH_hotpath.json (bench_replay_throughput): the report diffs the
-    single-thread headlines -- requests/sec, ns/request percentiles,
-    allocations, and the hardware-counter columns (IPC, LLC misses) when both
-    runs carried them (perf_valid). Missing perf columns are reported as
-    absent, never an error: perf_event_open is frequently unavailable in CI.
-
-Pure reporting: always exits 0 on well-formed inputs. The regression *gate*
-is tools/check_bench_regression.py; this tool is for humans reading CI
-artifacts or comparing two local runs.
+Pure reporting: always exits 0 on well-formed inputs. The performance gate is
+tools/perfbench_ab.py; this tool is for humans comparing two runs' telemetry.
 """
 
 import argparse
@@ -42,20 +33,14 @@ def load_series(path):
     return meta, windows
 
 
-def detect_kind(path):
+def is_series(path):
+    """True when the file's first line is a time-series meta header."""
     with open(path) as f:
-        head = f.read(1)
-        f.seek(0)
-        if head != "{":
-            raise ValueError("%s: not a JSON document" % path)
-        first_line = f.readline().strip()
-    try:
-        doc = json.loads(first_line)
-        if doc.get("type") == "meta":
-            return "series"
-    except json.JSONDecodeError:
-        pass  # multi-line document: the BENCH json
-    return "bench"
+        try:
+            doc = json.loads(f.readline())
+        except json.JSONDecodeError:
+            return False
+    return isinstance(doc, dict) and doc.get("type") == "meta"
 
 
 def fmt(value):
@@ -166,65 +151,6 @@ def report_series(path_a, path_b, top):
     return lines
 
 
-BENCH_FIELDS = [
-    ("requests/sec", "requests_per_sec"),
-    ("ns/req p50", "ns_per_request_p50"),
-    ("ns/req p99", "ns_per_request_p99"),
-    ("allocs/req", "allocs_per_request"),
-    ("bytes/req", "bytes_per_request"),
-    ("IPC", "ipc"),
-    ("LLC miss/req", "llc_misses_per_request"),
-    ("branch miss/req", "branch_misses_per_request"),
-]
-
-
-def bench_run(doc, algo, variant):
-    return doc.get("single_thread", {}).get(algo, {}).get(variant, {})
-
-
-def perf_columns_valid(run):
-    return bool(run.get("perf_valid", False))
-
-
-def report_bench(path_a, path_b, top):
-    del top  # bench reports are fixed-shape
-    with open(path_a) as f:
-        doc_a = json.load(f)
-    with open(path_b) as f:
-        doc_b = json.load(f)
-    lines = ["# Bench diff", "", "A: `%s`" % path_a, "B: `%s`" % path_b, ""]
-    meta_section(lines, doc_a.get("meta", {}), doc_b.get("meta", {}))
-
-    for algo in sorted(set(doc_a.get("single_thread", {})) | set(doc_b.get("single_thread", {}))):
-        for variant in ("flat", "reference"):
-            run_a = bench_run(doc_a, algo, variant)
-            run_b = bench_run(doc_b, algo, variant)
-            if not run_a and not run_b:
-                continue
-            lines.append("## %s (%s)" % (algo, variant))
-            lines.append("")
-            lines.append("| metric | A | B | change |")
-            lines.append("|---|---|---|---|")
-            for label, key in BENCH_FIELDS:
-                is_perf = key in ("ipc", "llc_misses_per_request", "branch_misses_per_request")
-                if is_perf and not (perf_columns_valid(run_a) and perf_columns_valid(run_b)):
-                    # perf_event_open unavailable in at least one run; the
-                    # column is absent, not wrong.
-                    lines.append("| %s | -- | -- | perf unavailable |" % label)
-                    continue
-                a, b = run_a.get(key), run_b.get(key)
-                lines.append("| %s | %s | %s | %s |" % (label, fmt(a), fmt(b), change(a, b)))
-            lines.append("")
-
-    speedup_a = doc_a.get("combined_single_thread_speedup")
-    speedup_b = doc_b.get("combined_single_thread_speedup")
-    if speedup_a is not None or speedup_b is not None:
-        lines.append("Combined single-thread speedup: A %s vs B %s" %
-                     (fmt(speedup_a), fmt(speedup_b)))
-        lines.append("")
-    return lines
-
-
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("a")
@@ -233,18 +159,12 @@ def main():
     parser.add_argument("--top", type=int, default=20, help="counter movers to list")
     args = parser.parse_args()
 
-    kind_a = detect_kind(args.a)
-    kind_b = detect_kind(args.b)
-    if kind_a != kind_b:
-        print("error: cannot diff a %s file against a %s file" % (kind_a, kind_b),
-              file=sys.stderr)
-        return 2
-
-    if kind_a == "series":
-        lines = report_series(args.a, args.b, args.top)
-    else:
-        lines = report_bench(args.a, args.b, args.top)
-
+    for path in (args.a, args.b):
+        if not is_series(path):
+            print("error: %s is not a time-series JSONL file (no meta header line)" % path,
+                  file=sys.stderr)
+            return 2
+    lines = report_series(args.a, args.b, args.top)
     text = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w") as f:
