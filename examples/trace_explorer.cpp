@@ -4,9 +4,9 @@
 //
 // Prints the workload statistics the paper's arguments rest on -- the Zipf
 // popularity curve, the diurnal demand cycle, intra-file (chunk) skew and
-// catalog churn -- and optionally writes the trace as CSV/binary for replay
-// elsewhere (including through real tooling; see src/trace/trace_io.h for
-// the formats).
+// catalog churn -- and optionally writes the trace for replay elsewhere: as
+// CSV for real tooling (src/trace/trace_io.h) or as a one-section VCDNTRS2
+// file (src/trace/trace_file.h). Exits 1 when an export fails.
 //
 // Usage: trace_explorer [--server NAME] [--days N] [--seed N] [--scale X]
 //                       [--out-csv FILE] [--out-bin FILE]
@@ -19,6 +19,7 @@
 #include "src/core/chunk.h"
 #include "src/trace/analysis.h"
 #include "src/trace/server_profile.h"
+#include "src/trace/trace_file.h"
 #include "src/trace/trace_io.h"
 #include "src/trace/workload_generator.h"
 #include "src/util/str_util.h"
@@ -157,13 +158,18 @@ int main(int argc, char** argv) {
   PrintChunkSkew(trace);
   PrintWorkingSet(trace);
 
+  // A dropped export must not look like a successful run.
+  bool exported = true;
   if (!out_csv.empty()) {
     util::Status status = trace::WriteCsvFile(trace, out_csv);
     std::printf("\nCSV export to %s: %s\n", out_csv.c_str(), status.ToString().c_str());
+    exported = exported && status.ok();
   }
   if (!out_bin.empty()) {
-    util::Status status = trace::WriteBinaryFile(trace, out_bin);
-    std::printf("Binary export to %s: %s\n", out_bin.c_str(), status.ToString().c_str());
+    util::Status status =
+        trace::WriteTraceFile({&trace}, out_bin, {workload.catalog.videos.size()});
+    std::printf("VCDNTRS2 export to %s: %s\n", out_bin.c_str(), status.ToString().c_str());
+    exported = exported && status.ok();
   }
-  return 0;
+  return exported ? 0 : 1;
 }

@@ -123,7 +123,7 @@ class CacheAlgorithm {
 
   // Registers this cache's instruments under "cache.<name>." and starts
   // recording every outcome (hits/fills/evictions/redirects, occupancy
-  // gauge, request-size histogram, plus subclass-specific instruments).
+  // gauge, request-size hdr histogram, plus subclass-specific instruments).
   // Idempotent per registry; attaching a second registry re-points the
   // handles. Counters of same-named caches in one registry aggregate.
   void AttachMetrics(obs::MetricsRegistry& registry) {
@@ -137,10 +137,8 @@ class CacheAlgorithm {
         registry.GetCounter(prefix + "proactive_filled_chunks_total");
     evicted_chunks_total_ = registry.GetCounter(prefix + "evicted_chunks_total");
     used_chunks_gauge_ = registry.GetGauge(prefix + "used_chunks");
-    request_chunks_hist_ = registry.GetHistogram(prefix + "request_chunks", 0.0, 64.0, 16);
-    // Log-bucketed: request sizes span KBs to GBs, where the uniform
-    // histogram above has no resolution (1 KiB .. 1 GiB, 8 sub-buckets per
-    // octave = 12.5% relative error at every scale).
+    // Log-bucketed: request sizes span KBs to GBs (1 KiB .. 1 GiB, 8
+    // sub-buckets per octave = 12.5% relative error at every scale).
     request_bytes_hdr_ = registry.GetHdrHistogram(prefix + "request_bytes", 1024.0,
                                                   1024.0 * 1024.0 * 1024.0, 8);
     OnAttachMetrics(registry, prefix);
@@ -251,7 +249,6 @@ class CacheAlgorithm {
     proactive_filled_chunks_total_.Increment(outcome.proactive_filled_chunks);
     evicted_chunks_total_.Increment(outcome.evicted_chunks);
     used_chunks_gauge_.Set(static_cast<double>(used_chunks()));
-    request_chunks_hist_.Observe(static_cast<double>(outcome.requested_chunks));
     request_bytes_hdr_.Observe(static_cast<double>(outcome.requested_bytes));
     OnOutcomeRecorded();
   }
@@ -265,7 +262,6 @@ class CacheAlgorithm {
   obs::Counter proactive_filled_chunks_total_;
   obs::Counter evicted_chunks_total_;
   obs::Gauge used_chunks_gauge_;
-  obs::Histogram request_chunks_hist_;
   obs::HdrHistogram request_bytes_hdr_;
 };
 

@@ -6,7 +6,6 @@
 #include <string>
 
 #include "src/util/check.h"
-#include "src/util/fnv1a.h"
 
 namespace vcdn::exec {
 
@@ -20,18 +19,6 @@ struct WorkerContext {
   size_t index = 0;
 };
 thread_local WorkerContext current_worker;
-
-// FNV-1a over the label bytes: a stable, alloc-free key for the flight
-// lane's per-task record (null label hashes to the offset basis).
-uint64_t HashLabel(const char* label) {
-  util::Fnv1a hash;
-  if (label != nullptr) {
-    for (const char* p = label; *p != '\0'; ++p) {
-      hash.FoldByte(static_cast<unsigned char>(*p));
-    }
-  }
-  return hash.value();
-}
 
 }  // namespace
 
@@ -55,9 +42,6 @@ ThreadPool::ThreadPool(ThreadPoolOptions options)
       workers_[i]->tasks_counter =
           metrics_->GetCounter("exec.worker." + std::to_string(i) + ".tasks_total");
     }
-    if (options.flight_capacity > 0) {
-      workers_[i]->flight.emplace(options.flight_capacity);
-    }
   }
   for (size_t i = 0; i < n; ++i) {
     workers_[i]->thread = std::thread([this, i] { WorkerLoop(i); });
@@ -80,12 +64,6 @@ void ThreadPool::Shutdown() {
   {
     std::lock_guard<std::mutex> lock(sleep_mu_);
     stop_ = true;
-  }
-  if (crash_dumps_armed_) {
-    for (auto& worker : workers_) {
-      obs::DisarmCrashDump(&*worker->flight);
-    }
-    crash_dumps_armed_ = false;
   }
   wake_cv_.notify_all();
   for (auto& worker : workers_) {
@@ -278,11 +256,9 @@ void ThreadPool::WorkerLoop(size_t self) {
 
   for (;;) {
     Task task;
-    bool was_stolen = false;
     bool got = PopOwn(self, &task);
     if (!got && Steal(self, &task)) {
       got = true;
-      was_stolen = true;
       stolen_.fetch_add(1, std::memory_order_relaxed);
       stolen_counter_.Increment();
     }
@@ -311,13 +287,6 @@ void ThreadPool::WorkerLoop(size_t self) {
       executed_.fetch_add(1, std::memory_order_relaxed);
       executed_counter_.Increment();
       worker.tasks_counter.Increment();
-      if (worker.flight.has_value()) {
-        // One lane entry per task: what this worker was running, in order.
-        obs::DecisionRecord record;
-        record.key = HashLabel(task.label);
-        record.decision = was_stolen ? 1 : 0;
-        worker.flight->Record(record);
-      }
       continue;
     }
 
@@ -345,25 +314,5 @@ ThreadPool::Stats ThreadPool::stats() const {
 }
 
 bool ThreadPool::InWorker() const { return current_worker.pool == this; }
-
-obs::FlightRecorder* ThreadPool::CurrentWorkerFlight() const {
-  if (current_worker.pool != this) {
-    return nullptr;
-  }
-  return worker_flight(current_worker.index);
-}
-
-void ThreadPool::ArmWorkerCrashDumps(const std::string& path_prefix,
-                                     const obs::RunMetadata& meta) {
-  VCDN_CHECK(!workers_.empty() && workers_[0]->flight.has_value());
-  for (size_t i = 0; i < workers_.size(); ++i) {
-    obs::PostMortemContext context;
-    context.label = "worker" + std::to_string(i);
-    obs::ArmCrashDump(&*workers_[i]->flight,
-                      path_prefix + ".worker" + std::to_string(i) + ".jsonl", meta,
-                      std::move(context));
-  }
-  crash_dumps_armed_ = true;
-}
 
 }  // namespace vcdn::exec

@@ -34,17 +34,13 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <optional>
-#include <string>
 #include <thread>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "src/exec/future.h"
-#include "src/obs/flight_recorder.h"
 #include "src/obs/metrics.h"
-#include "src/obs/run_metadata.h"
 #include "src/obs/trace_event.h"
 
 namespace vcdn::exec {
@@ -114,13 +110,6 @@ struct ThreadPoolOptions {
   // written after workers join.
   obs::MetricsRegistry* metrics = nullptr;
   obs::TraceEventSink* trace_sink = nullptr;
-  // When > 0, each worker owns an obs::FlightRecorder lane of this capacity:
-  // the pool records one entry per executed task (key = FNV-1a of the task
-  // label, decision 0 = own-queue / 1 = stolen, seq = lane position), and
-  // tasks may record their own entries via CurrentWorkerFlight(). Together
-  // with ArmWorkerCrashDumps this answers "what was each worker doing" after
-  // a VCDN_CHECK failure. Zero (the default) costs nothing.
-  size_t flight_capacity = 0;
 };
 
 class ThreadPool {
@@ -194,19 +183,6 @@ class ThreadPool {
   obs::MetricsRegistry* metrics() const { return metrics_; }
   obs::TraceEventSink* trace_sink() const { return sink_; }
 
-  // Worker i's flight lane; null when flight_capacity was 0. Reading a lane
-  // is only safe from its own worker or after Shutdown.
-  obs::FlightRecorder* worker_flight(size_t i) const {
-    return workers_[i]->flight.has_value() ? &*workers_[i]->flight : nullptr;
-  }
-  // The calling worker's own lane; null off-pool or when lanes are disabled.
-  obs::FlightRecorder* CurrentWorkerFlight() const;
-
-  // Arms every worker lane to dump "<path_prefix>.worker<i>.jsonl" if a
-  // VCDN_CHECK fails anywhere in the process (obs::ArmCrashDump). Lanes
-  // disarm automatically at Shutdown -- the recorders die with the pool.
-  void ArmWorkerCrashDumps(const std::string& path_prefix, const obs::RunMetadata& meta);
-
  private:
   struct Task {
     std::function<void()> fn;
@@ -221,9 +197,6 @@ class ThreadPool {
     std::thread thread;
     std::vector<obs::TraceEvent> spans;
     obs::Counter tasks_counter;  // "exec.worker.<i>.tasks_total"
-    // Per-worker recorder lane (flight_capacity > 0); only its own thread
-    // writes it while the pool runs.
-    std::optional<obs::FlightRecorder> flight;
   };
 
   void WorkerLoop(size_t self);
@@ -243,7 +216,6 @@ class ThreadPool {
   size_t pending_ = 0;
   bool stop_ = false;
   bool joined_ = false;
-  bool crash_dumps_armed_ = false;
 
   std::atomic<uint64_t> submitted_{0};
   std::atomic<uint64_t> executed_{0};

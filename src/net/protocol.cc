@@ -12,7 +12,7 @@ namespace vcdn::net {
 namespace {
 
 // Native little-endian load/store through memcpy (the supported targets are
-// little-endian, same convention as trace::WriteBinary).
+// little-endian, same convention as the VCDNTRS2 trace format).
 template <typename T>
 void Store(uint8_t* dst, T value) {
   std::memcpy(dst, &value, sizeof(T));

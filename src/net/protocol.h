@@ -3,7 +3,7 @@
 // The VCDN edge wire protocol: length-prefixed binary frames over TCP.
 //
 // Every frame is a fixed 12-byte header followed by a type-specific body
-// (native little-endian, like the VCDNTRC1 trace format):
+// (native little-endian, like the VCDNTRS2 trace format):
 //
 //   offset  size  field
 //        0     4  magic      0x4E444356 ("VCDN")
@@ -22,7 +22,7 @@
 //                                            24   u32  filled_chunks
 //                                            28   u32  evicted_chunks
 //
-// Parsing is hardened the way trace::ReadBinary was hardened (see
+// Parsing is hardened the way trace::MmapTrace::Open is (see
 // trace_corruption_test): the length prefix is validated against a hard cap
 // and the version/type/reserved fields are checked BEFORE any body is
 // touched, truncated frames simply wait for more bytes (streaming), and
@@ -46,7 +46,7 @@ inline constexpr size_t kRequestBodyBytes = 40;
 inline constexpr size_t kResponseBodyBytes = 32;
 // Hard cap on the declared body length, enforced before anything else is
 // read: a hostile length prefix must be rejected without allocating or
-// skipping ahead (mirror of ReadBinary's record-count-vs-payload check).
+// skipping ahead (mirror of MmapTrace::Open's record-count-vs-payload check).
 inline constexpr size_t kMaxFrameBodyBytes = 256;
 
 enum class FrameType : uint8_t {

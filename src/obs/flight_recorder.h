@@ -1,10 +1,10 @@
 // Copyright (c) 2026 libvcdn authors. Apache-2.0 license.
 //
 // Flight recorder: a fixed-capacity ring of packed per-request decision
-// records, kept per shard (or per worker lane) so that when something goes
-// wrong -- a fault boundary fires, a fleet digest mismatches, a VCDN_CHECK
-// trips -- the last N decisions leading up to it can be dumped as a
-// post-mortem without having logged anything during normal operation.
+// records, kept per replay shard (or per daemon cache shard) so that when
+// something goes wrong -- a fault boundary fires, a fleet digest mismatches,
+// a VCDN_CHECK trips -- the last N decisions leading up to it can be dumped
+// as a post-mortem without having logged anything during normal operation.
 //
 // Hot-path contract: the ring is preallocated at construction and Record()
 // is a bounded store plus two index updates -- no allocation, no branching

@@ -4,11 +4,10 @@
 // (one per octave of the value range) subdivided into `sub_buckets` linear
 // sub-buckets, so relative error is bounded by 1/sub_buckets across the whole
 // dynamic range. This is the right shape for latency- and size-like
-// distributions whose interesting quantiles span orders of magnitude --
-// exactly where the uniform-bucket HistogramCell wastes all its resolution.
+// distributions whose interesting quantiles span orders of magnitude. It is
+// the registry's one histogram type (src/obs/metrics.h).
 //
-// Same concurrency and merge rules as HistogramCell (src/obs/metrics.h):
-// counts are relaxed atomics, any number of threads may Add through handles
+// Counts are relaxed atomics, any number of threads may Add through handles
 // into one cell, MergeFrom folds a same-layout cell in, and merging shard
 // cells in any order reproduces the single-stream fill exactly (counts are
 // sums). Values below `lo` clamp into the underflow count and quantile-read

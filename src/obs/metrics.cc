@@ -2,10 +2,10 @@
 
 #include "src/obs/metrics.h"
 
-#include <fstream>
 #include <utility>
 
 #include "src/obs/json_util.h"
+#include "src/util/check.h"
 
 namespace vcdn::obs {
 
@@ -13,7 +13,6 @@ MetricsRegistry::MetricsRegistry(MetricsRegistry&& other) noexcept {
   std::lock_guard<std::mutex> lock(other.mu_);
   counters_ = std::move(other.counters_);
   gauges_ = std::move(other.gauges_);
-  histograms_ = std::move(other.histograms_);
   hdr_histograms_ = std::move(other.hdr_histograms_);
 }
 
@@ -22,7 +21,6 @@ MetricsRegistry& MetricsRegistry::operator=(MetricsRegistry&& other) noexcept {
     std::scoped_lock lock(mu_, other.mu_);
     counters_ = std::move(other.counters_);
     gauges_ = std::move(other.gauges_);
-    histograms_ = std::move(other.histograms_);
     hdr_histograms_ = std::move(other.hdr_histograms_);
   }
   return *this;
@@ -44,18 +42,6 @@ Gauge MetricsRegistry::GetGauge(std::string_view name) {
     it = gauges_.emplace(std::string(name), std::make_unique<std::atomic<double>>(0.0)).first;
   }
   return Gauge(it->second.get());
-}
-
-Histogram MetricsRegistry::GetHistogram(std::string_view name, double lo, double hi,
-                                        size_t num_buckets) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = histograms_.find(name);
-  if (it == histograms_.end()) {
-    it = histograms_
-             .emplace(std::string(name), std::make_unique<HistogramCell>(lo, hi, num_buckets))
-             .first;
-  }
-  return Histogram(it->second.get());
 }
 
 HdrHistogram MetricsRegistry::GetHdrHistogram(std::string_view name, double lo, double hi,
@@ -85,25 +71,18 @@ double MetricsRegistry::GaugeValue(std::string_view name) const {
 bool MetricsRegistry::Has(std::string_view name) const {
   std::lock_guard<std::mutex> lock(mu_);
   return counters_.find(name) != counters_.end() || gauges_.find(name) != gauges_.end() ||
-         histograms_.find(name) != histograms_.end() ||
          hdr_histograms_.find(name) != hdr_histograms_.end();
 }
 
 size_t MetricsRegistry::num_instruments() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return counters_.size() + gauges_.size() + histograms_.size() + hdr_histograms_.size();
+  return counters_.size() + gauges_.size() + hdr_histograms_.size();
 }
 
 const HdrHistogramCell* MetricsRegistry::FindHdrHistogram(std::string_view name) const {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = hdr_histograms_.find(name);
   return it != hdr_histograms_.end() ? it->second.get() : nullptr;
-}
-
-const HistogramCell* MetricsRegistry::FindHistogram(std::string_view name) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = histograms_.find(name);
-  return it != histograms_.end() ? it->second.get() : nullptr;
 }
 
 std::vector<std::pair<std::string, uint64_t>> MetricsRegistry::CounterSamples() const {
@@ -122,26 +101,6 @@ std::vector<std::pair<std::string, double>> MetricsRegistry::GaugeSamples() cons
   out.reserve(gauges_.size());
   for (const auto& [name, cell] : gauges_) {
     out.emplace_back(name, cell->load(std::memory_order_relaxed));
-  }
-  return out;
-}
-
-std::vector<MetricsRegistry::HistogramSample> MetricsRegistry::HistogramSamples() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<HistogramSample> out;
-  out.reserve(histograms_.size());
-  for (const auto& [name, hist] : histograms_) {
-    HistogramSample sample;
-    sample.name = name;
-    sample.lo = hist->bucket_lo(0);
-    sample.hi = hist->bucket_lo(hist->num_buckets());  // == the histogram's upper edge
-    sample.underflow = hist->underflow();
-    sample.overflow = hist->overflow();
-    sample.counts.reserve(hist->num_buckets());
-    for (size_t i = 0; i < hist->num_buckets(); ++i) {
-      sample.counts.push_back(hist->bucket_count(i));
-    }
-    out.push_back(std::move(sample));
   }
   return out;
 }
@@ -182,17 +141,6 @@ void MetricsRegistry::MergeFrom(const MetricsRegistry& other) {
   }
   {
     std::scoped_lock lock(mu_, other.mu_);
-    for (const auto& [name, cell] : other.histograms_) {
-      auto it = histograms_.find(name);
-      if (it == histograms_.end()) {
-        it = histograms_
-                 .emplace(name, std::make_unique<HistogramCell>(
-                                    cell->bucket_lo(0), cell->bucket_lo(cell->num_buckets()),
-                                    cell->num_buckets()))
-                 .first;
-      }
-      it->second->MergeFrom(*cell);
-    }
     for (const auto& [name, cell] : other.hdr_histograms_) {
       auto it = hdr_histograms_.find(name);
       if (it == hdr_histograms_.end()) {
@@ -209,7 +157,6 @@ void MetricsRegistry::MergeFrom(const MetricsRegistry& other) {
 void MetricsRegistry::WriteJson(std::ostream& out) const {
   auto counters = CounterSamples();
   auto gauges = GaugeSamples();
-  auto histograms = HistogramSamples();
   out << "{\"counters\":{";
   bool first = true;
   for (const auto& [name, value] : counters) {
@@ -230,28 +177,6 @@ void MetricsRegistry::WriteJson(std::ostream& out) const {
     WriteJsonString(out, name);
     out << ":";
     WriteJsonDouble(out, value);
-  }
-  out << "},\"histograms\":{";
-  first = true;
-  for (const auto& sample : histograms) {
-    if (!first) {
-      out << ",";
-    }
-    first = false;
-    WriteJsonString(out, sample.name);
-    out << ":{\"lo\":";
-    WriteJsonDouble(out, sample.lo);
-    out << ",\"hi\":";
-    WriteJsonDouble(out, sample.hi);
-    out << ",\"underflow\":" << sample.underflow << ",\"overflow\":" << sample.overflow
-        << ",\"counts\":[";
-    for (size_t i = 0; i < sample.counts.size(); ++i) {
-      if (i > 0) {
-        out << ",";
-      }
-      out << sample.counts[i];
-    }
-    out << "]}";
   }
   out << "},\"hdr_histograms\":{";
   first = true;
@@ -285,20 +210,6 @@ void MetricsRegistry::WriteJson(std::ostream& out) const {
     out << "]}";
   }
   out << "}}";
-}
-
-util::Status MetricsRegistry::SnapshotJson(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out) {
-    return util::InvalidArgumentError("cannot open metrics snapshot path: " + path);
-  }
-  WriteJson(out);
-  out << "\n";
-  out.flush();
-  if (!out) {
-    return util::DataLossError("short write to metrics snapshot path: " + path);
-  }
-  return util::OkStatus();
 }
 
 }  // namespace vcdn::obs

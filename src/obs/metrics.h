@@ -1,7 +1,7 @@
 // Copyright (c) 2026 libvcdn authors. Apache-2.0 license.
 //
 // Unified metrics layer: a MetricsRegistry owns named instruments (Counter,
-// Gauge, fixed-bucket Histogram); components hold cheap handles into it.
+// Gauge, HdrHistogram); components hold cheap handles into it.
 //
 // Design rules (see docs/OBSERVABILITY.md):
 //
@@ -26,7 +26,7 @@
 //
 // Naming convention: dot-separated lowercase path, "<layer>.<object>.<what>",
 // with counters suffixed "_total" (e.g. "cache.xLRU.filled_chunks_total",
-// "sim.replay.requests_per_sec", "lp.simplex.iterations_total").
+// "sim.replay.sim_time_seconds", "lp.simplex.iterations_total").
 
 #ifndef VCDN_SRC_OBS_METRICS_H_
 #define VCDN_SRC_OBS_METRICS_H_
@@ -42,8 +42,6 @@
 #include <vector>
 
 #include "src/obs/hdr_histogram.h"
-#include "src/util/check.h"
-#include "src/util/status.h"
 
 namespace vcdn::obs {
 
@@ -102,103 +100,6 @@ class Gauge {
   std::atomic<double>* cell_ = nullptr;
 };
 
-// The registry-owned backing store of one histogram instrument: uniform
-// buckets over [lo, hi) plus underflow/overflow, all counts relaxed atomics.
-class HistogramCell {
- public:
-  HistogramCell(double lo, double hi, size_t num_buckets)
-      : lo_(lo), hi_(hi), counts_(num_buckets) {
-    VCDN_CHECK(hi > lo);
-    VCDN_CHECK(num_buckets > 0);
-  }
-
-  void Add(double value) {
-    size_t index;
-    if (value < lo_) {
-      index = kUnderflow;
-    } else if (value >= hi_) {
-      index = kOverflow;
-    } else {
-      double relative = (value - lo_) / (hi_ - lo_);
-      index = static_cast<size_t>(relative * static_cast<double>(counts_.size()));
-      if (index >= counts_.size()) {  // guard the fp round-up edge
-        index = counts_.size() - 1;
-      }
-    }
-    Bump(index, 1);
-  }
-
-  size_t num_buckets() const { return counts_.size(); }
-  double bucket_lo(size_t i) const {
-    return lo_ + static_cast<double>(i) * (hi_ - lo_) / static_cast<double>(counts_.size());
-  }
-  uint64_t bucket_count(size_t i) const {
-    return counts_[i].load(std::memory_order_relaxed);
-  }
-  uint64_t underflow() const { return underflow_.load(std::memory_order_relaxed); }
-  uint64_t overflow() const { return overflow_.load(std::memory_order_relaxed); }
-  uint64_t total_count() const {
-    uint64_t total = underflow() + overflow();
-    for (const auto& count : counts_) {
-      total += count.load(std::memory_order_relaxed);
-    }
-    return total;
-  }
-
-  // Adds another cell's counts into this one. Layouts must match (same
-  // [lo, hi) and bucket count): cells merged across registries always come
-  // from the same instrumented call site.
-  void MergeFrom(const HistogramCell& other) {
-    VCDN_CHECK(other.lo_ == lo_ && other.hi_ == hi_ &&
-               other.counts_.size() == counts_.size());
-    Bump(kUnderflow, other.underflow());
-    Bump(kOverflow, other.overflow());
-    for (size_t i = 0; i < counts_.size(); ++i) {
-      counts_[i].fetch_add(other.bucket_count(i), std::memory_order_relaxed);
-    }
-  }
-
- private:
-  static constexpr size_t kUnderflow = static_cast<size_t>(-1);
-  static constexpr size_t kOverflow = static_cast<size_t>(-2);
-
-  void Bump(size_t index, uint64_t delta) {
-    if (index == kUnderflow) {
-      underflow_.fetch_add(delta, std::memory_order_relaxed);
-    } else if (index == kOverflow) {
-      overflow_.fetch_add(delta, std::memory_order_relaxed);
-    } else {
-      counts_[index].fetch_add(delta, std::memory_order_relaxed);
-    }
-  }
-
-  double lo_;
-  double hi_;
-  std::vector<std::atomic<uint64_t>> counts_;
-  std::atomic<uint64_t> underflow_{0};
-  std::atomic<uint64_t> overflow_{0};
-};
-
-// Fixed-bucket distribution instrument over [lo, hi) with underflow/overflow.
-class Histogram {
- public:
-  Histogram() = default;
-
-  void Observe(double value) {
-    if (impl_ != nullptr) {
-      impl_->Add(value);
-    }
-  }
-  bool enabled() const { return impl_ != nullptr; }
-  // Null when disabled.
-  const HistogramCell* data() const { return impl_; }
-
- private:
-  friend class MetricsRegistry;
-  explicit Histogram(HistogramCell* impl) : impl_(impl) {}
-  HistogramCell* impl_ = nullptr;
-};
-
 class MetricsRegistry {
  public:
   MetricsRegistry() = default;
@@ -211,13 +112,9 @@ class MetricsRegistry {
   // to the same cell (same-named instruments aggregate).
   Counter GetCounter(std::string_view name);
   Gauge GetGauge(std::string_view name);
-  // For an existing name the original bucket layout is kept.
-  Histogram GetHistogram(std::string_view name, double lo, double hi, size_t num_buckets);
-  // Log-bucketed counterpart (see src/obs/hdr_histogram.h): [lo, hi) split
-  // into octaves of `sub_buckets` linear sub-buckets. Same find-or-create and
-  // layout-keeping rules as GetHistogram; histograms and hdr histograms live
-  // in separate namespaces (one name may back both, though the naming
-  // convention keeps them distinct).
+  // Log-bucketed histogram (see src/obs/hdr_histogram.h): [lo, hi) split
+  // into octaves of `sub_buckets` linear sub-buckets. For an existing name
+  // the original bucket layout is kept.
   HdrHistogram GetHdrHistogram(std::string_view name, double lo, double hi, size_t sub_buckets);
 
   // Point reads, mainly for tests and reporters; 0 for unknown names.
@@ -230,15 +127,6 @@ class MetricsRegistry {
   // Name-sorted snapshots.
   std::vector<std::pair<std::string, uint64_t>> CounterSamples() const;
   std::vector<std::pair<std::string, double>> GaugeSamples() const;
-  struct HistogramSample {
-    std::string name;
-    double lo = 0.0;
-    double hi = 0.0;
-    uint64_t underflow = 0;
-    uint64_t overflow = 0;
-    std::vector<uint64_t> counts;
-  };
-  std::vector<HistogramSample> HistogramSamples() const;
   struct HdrHistogramSample {
     std::string name;
     double lo = 0.0;
@@ -252,26 +140,18 @@ class MetricsRegistry {
   // The live cell for a registered hdr histogram (layout queries, windowed
   // quantiles); null for unknown names.
   const HdrHistogramCell* FindHdrHistogram(std::string_view name) const;
-  const HistogramCell* FindHistogram(std::string_view name) const;
 
   // Folds another registry into this one, find-or-creating instruments as
-  // needed: counters and histogram buckets add, gauges overwrite (matching
+  // needed: counters and hdr histogram buckets add, gauges overwrite (matching
   // the last-writer-wins semantics of a sequential run). Merging shard
   // registries in a fixed order therefore reproduces the shared-registry
   // sequential result exactly -- the determinism contract the parallel fleet
   // relies on (docs/PARALLELISM.md). `other` must not be this registry.
   void MergeFrom(const MetricsRegistry& other);
 
-  // One JSON object: {"counters":{...},"gauges":{...},"histograms":{...},
-  // "hdr_histograms":{...}} (hdr entries carry p50/p90/p99/p999 quantiles
-  // next to their raw counts).
+  // One JSON object: {"counters":{...},"gauges":{...},"hdr_histograms":{...}}
+  // (hdr entries carry p50/p90/p99/p999 quantiles next to their raw counts).
   void WriteJson(std::ostream& out) const;
-
-  // Writes the WriteJson document to `path`, replacing the file. Returns a
-  // non-OK Status naming the path when the file cannot be opened or the
-  // write fails -- callers must surface it; a dropped snapshot that looks
-  // like a successful run is how regressions hide.
-  util::Status SnapshotJson(const std::string& path) const;
 
  private:
   // std::map keeps export order deterministic; unique_ptr keeps cell
@@ -279,7 +159,6 @@ class MetricsRegistry {
   mutable std::mutex mu_;
   std::map<std::string, std::unique_ptr<std::atomic<uint64_t>>, std::less<>> counters_;
   std::map<std::string, std::unique_ptr<std::atomic<double>>, std::less<>> gauges_;
-  std::map<std::string, std::unique_ptr<HistogramCell>, std::less<>> histograms_;
   std::map<std::string, std::unique_ptr<HdrHistogramCell>, std::less<>> hdr_histograms_;
 };
 

@@ -35,61 +35,12 @@ void TraceEventSink::AddInstant(std::string_view name, std::string_view category
   events_.push_back(std::move(event));
 }
 
-void TraceEventSink::AddCounter(std::string_view name, double value, double ts_us) {
-  TraceEvent event;
-  event.name = std::string(name);
-  event.category = "metrics";
-  event.phase = 'C';
-  event.ts_us = ts_us;
-  event.value = value;
-  events_.push_back(std::move(event));
-}
-
-void TraceEventSink::SnapshotRegistry(const MetricsRegistry& registry) {
-  const double now_us = NowMicros();
-  for (const auto& [name, value] : registry.CounterSamples()) {
-    AddCounter(name, static_cast<double>(value), now_us);
-  }
-  for (const auto& [name, value] : registry.GaugeSamples()) {
-    AddCounter(name, value, now_us);
-  }
-  ++num_snapshots_;
-  if (snapshot_stream_ != nullptr) {
-    std::ostream& out = *snapshot_stream_;
-    out << "{\"ts_us\":";
-    WriteJsonDouble(out, now_us);
-    out << ",\"counters\":{";
-    bool first = true;
-    for (const auto& [name, value] : registry.CounterSamples()) {
-      if (!first) {
-        out << ",";
-      }
-      first = false;
-      WriteJsonString(out, name);
-      out << ":" << value;
-    }
-    out << "},\"gauges\":{";
-    first = true;
-    for (const auto& [name, value] : registry.GaugeSamples()) {
-      if (!first) {
-        out << ",";
-      }
-      first = false;
-      WriteJsonString(out, name);
-      out << ":";
-      WriteJsonDouble(out, value);
-    }
-    out << "}}\n";
-  }
-}
-
 void TraceEventSink::Append(const TraceEventSink& other, int tid) {
   events_.reserve(events_.size() + other.events_.size());
   for (TraceEvent event : other.events_) {
     event.tid = tid;
     events_.push_back(std::move(event));
   }
-  num_snapshots_ += other.num_snapshots_;
 }
 
 namespace {
@@ -107,10 +58,6 @@ void WriteEvent(std::ostream& out, const TraceEvent& event) {
     WriteJsonDouble(out, event.dur_us);
   } else if (event.phase == 'i') {
     out << ",\"s\":\"t\"";
-  } else if (event.phase == 'C') {
-    out << ",\"args\":{\"value\":";
-    WriteJsonDouble(out, event.value);
-    out << "}";
   }
   out << "}";
 }
@@ -126,12 +73,6 @@ void TraceEventSink::WriteTraceEventsArray(std::ostream& out) const {
     WriteEvent(out, events_[i]);
   }
   out << "]";
-}
-
-void TraceEventSink::WriteTraceJson(std::ostream& out) const {
-  out << "{\"traceEvents\":";
-  WriteTraceEventsArray(out);
-  out << ",\"displayTimeUnit\":\"ms\"}";
 }
 
 void WriteObsJson(std::ostream& out, const MetricsRegistry* registry, const TraceEventSink* sink,
@@ -152,7 +93,7 @@ void WriteObsJson(std::ostream& out, const MetricsRegistry* registry, const Trac
   if (registry != nullptr) {
     registry->WriteJson(out);
   } else {
-    out << "{\"counters\":{},\"gauges\":{},\"histograms\":{},\"hdr_histograms\":{}}";
+    out << "{\"counters\":{},\"gauges\":{},\"hdr_histograms\":{}}";
   }
   out << "}\n";
 }

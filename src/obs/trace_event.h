@@ -13,13 +13,9 @@
 // Event kinds emitted:
 //   * complete spans   ("ph":"X")  -- scoped timers, with microsecond ts/dur
 //     relative to the sink's creation;
-//   * instants         ("ph":"i")  -- point annotations;
-//   * counter samples  ("ph":"C")  -- periodic snapshots of a MetricsRegistry,
-//     which chrome://tracing renders as stacked time series.
-//
-// SnapshotRegistry doubles as the JSONL snapshot stream: when a line stream
-// is attached, each snapshot also appends one self-contained JSON line
-// ({"ts_us":...,"counters":{...},"gauges":{...}}) to it.
+//   * instants         ("ph":"i")  -- point annotations.
+// Per-bucket instrument values are the time-series recorder's job
+// (src/obs/time_series.h), not the sink's.
 //
 // Thread safety: unlike the metrics registry, a TraceEventSink is
 // single-threaded -- recording methods must not race. Parallel code records
@@ -50,11 +46,9 @@ inline constexpr int kFleetTidBase = 100;
 struct TraceEvent {
   std::string name;
   std::string category;
-  char phase = 'X';     // 'X' complete, 'i' instant, 'C' counter
+  char phase = 'X';     // 'X' complete, 'i' instant
   double ts_us = 0.0;   // microseconds since sink creation
   double dur_us = 0.0;  // complete events only
-  // Counter events carry one sampled value under this series name.
-  double value = 0.0;
   // Rendered as the Chrome trace "tid": one horizontal lane per tid in the
   // viewer. Lane 1 is the main thread; executor workers use 2 + worker index
   // (exec::ThreadPool), merged fleet shards use kFleetTidBase + shard index.
@@ -76,7 +70,6 @@ class TraceEventSink {
 
   void AddComplete(std::string_view name, std::string_view category, double ts_us, double dur_us);
   void AddInstant(std::string_view name, std::string_view category);
-  void AddCounter(std::string_view name, double value, double ts_us);
   // Fully specified event (callers that set tid themselves).
   void Add(TraceEvent event) { events_.push_back(std::move(event)); }
 
@@ -88,29 +81,15 @@ class TraceEventSink {
   // order yields a deterministic event list.
   void Append(const TraceEventSink& other, int tid);
 
-  // Samples every counter and gauge of the registry as 'C' events at
-  // NowMicros(), and appends one JSONL line if a line stream is attached.
-  void SnapshotRegistry(const MetricsRegistry& registry);
-
-  // Attaches a stream that receives one JSON line per SnapshotRegistry call.
-  // The sink does not own the stream; pass nullptr to detach.
-  void AttachSnapshotStream(std::ostream* stream) { snapshot_stream_ = stream; }
-
   const std::vector<TraceEvent>& events() const { return events_; }
   size_t num_events() const { return events_.size(); }
-  // Number of SnapshotRegistry calls so far.
-  uint64_t num_snapshots() const { return num_snapshots_; }
 
-  // Chrome trace object: {"traceEvents":[...],"displayTimeUnit":"ms"}.
-  void WriteTraceJson(std::ostream& out) const;
-  // The events array alone, for embedding in a larger JSON object.
+  // The events array, for embedding in a larger JSON object (WriteObsJson).
   void WriteTraceEventsArray(std::ostream& out) const;
 
  private:
   std::chrono::steady_clock::time_point origin_;
   std::vector<TraceEvent> events_;
-  std::ostream* snapshot_stream_ = nullptr;
-  uint64_t num_snapshots_ = 0;
 };
 
 // RAII wall-clock span: records a complete event over its lifetime. No-op

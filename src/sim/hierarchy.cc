@@ -9,6 +9,7 @@
 #include <utility>
 
 #include "src/exec/strand.h"
+#include "src/sim/shard_telemetry.h"
 #include "src/util/stats.h"
 
 namespace vcdn::sim {
@@ -47,20 +48,12 @@ struct EdgeSource {
   const StreamFactory* factory = nullptr;
 };
 
-// Replays one edge with a local redirect capture and (when obs is on) local
-// instruments, so edges can run concurrently and still merge exactly.
+// Replays one edge with a local redirect capture and shard-local telemetry,
+// so edges can run concurrently and still merge exactly.
 void RunEdge(const EdgeSource& source, const HierarchyConfig& config, size_t edge_index,
-             obs::MetricsRegistry* local_metrics, obs::TraceEventSink* local_sink,
-             obs::TimeSeriesRecorder* local_series, obs::FlightRecorder* local_flight,
-             std::vector<obs::FlightCapture>* local_captures, ReplayResult& result_out,
-             EdgeCapture& capture) {
+             ShardTelemetry& telemetry, ReplayResult& result_out, EdgeCapture& capture) {
   auto edge = core::MakeCache(config.edge_kind, config.edge_config);
-  ReplayOptions options = config.replay;
-  options.metrics = local_metrics;
-  options.trace_sink = local_sink;
-  options.series = local_series;
-  options.flight = local_flight;
-  options.flight_captures = local_captures;
+  ReplayOptions options = telemetry.ShardOptions(edge_index);
   options.flight_label = "edge" + std::to_string(edge_index);
   options.faults = config.faults;
   options.fault_target = edge_index;
@@ -94,7 +87,6 @@ HierarchyResult RunHierarchyImpl(const std::vector<EdgeSource>& edge_sources,
                                  const HierarchyConfig& config) {
   VCDN_CHECK(!edge_sources.empty());
   // The hierarchy owns the replay loop's callbacks and the fault wiring.
-  VCDN_CHECK(config.replay.observer == nullptr);
   VCDN_CHECK(config.replay.on_outcome == nullptr);
   VCDN_CHECK(config.replay.faults == nullptr);
 
@@ -104,43 +96,7 @@ HierarchyResult RunHierarchyImpl(const std::vector<EdgeSource>& edge_sources,
 
   // Per-edge local obs, merged in edge order below (identical for any thread
   // count; see docs/PARALLELISM.md).
-  std::vector<std::optional<obs::MetricsRegistry>> edge_metrics(num_edges);
-  std::vector<std::optional<obs::TraceEventSink>> edge_sinks(num_edges);
-  std::vector<std::optional<obs::TimeSeriesRecorder>> edge_series(num_edges);
-  std::vector<std::optional<obs::FlightRecorder>> edge_flights(num_edges);
-  std::vector<std::vector<obs::FlightCapture>> edge_captures(num_edges);
-  if (config.replay.series != nullptr) {
-    VCDN_CHECK(config.replay.metrics != nullptr);
-  }
-  for (size_t i = 0; i < num_edges; ++i) {
-    if (config.replay.metrics != nullptr) {
-      edge_metrics[i].emplace();
-      if (config.replay.series != nullptr) {
-        edge_series[i].emplace(&*edge_metrics[i]);
-      }
-    }
-    if (config.replay.trace_sink != nullptr) {
-      edge_sinks[i].emplace();
-    }
-    if (config.replay.flight != nullptr) {
-      edge_flights[i].emplace(config.replay.flight->capacity());
-    }
-  }
-  auto edge_metrics_ptr = [&](size_t i) {
-    return edge_metrics[i].has_value() ? &*edge_metrics[i] : nullptr;
-  };
-  auto edge_sink_ptr = [&](size_t i) {
-    return edge_sinks[i].has_value() ? &*edge_sinks[i] : nullptr;
-  };
-  auto edge_series_ptr = [&](size_t i) {
-    return edge_series[i].has_value() ? &*edge_series[i] : nullptr;
-  };
-  auto edge_flight_ptr = [&](size_t i) {
-    return edge_flights[i].has_value() ? &*edge_flights[i] : nullptr;
-  };
-  auto edge_captures_ptr = [&](size_t i) {
-    return edge_flights[i].has_value() ? &edge_captures[i] : nullptr;
-  };
+  ShardTelemetry telemetry(config.replay, num_edges);
 
   exec::ThreadPool* pool = config.pool;
   std::optional<exec::ThreadPool> owned_pool;
@@ -162,18 +118,14 @@ HierarchyResult RunHierarchyImpl(const std::vector<EdgeSource>& edge_sources,
   }
   if (pool == nullptr) {
     for (size_t i = 0; i < num_edges; ++i) {
-      RunEdge(edge_sources[i], config, i, edge_metrics_ptr(i), edge_sink_ptr(i),
-              edge_series_ptr(i), edge_flight_ptr(i), edge_captures_ptr(i), result.edges[i],
-              captures[i]);
+      RunEdge(edge_sources[i], config, i, telemetry, result.edges[i], captures[i]);
     }
   } else {
     exec::Latch done(num_edges);
     for (size_t i = 0; i < num_edges; ++i) {
       pool->Submit(
           [&, i] {
-            RunEdge(edge_sources[i], config, i, edge_metrics_ptr(i), edge_sink_ptr(i),
-                    edge_series_ptr(i), edge_flight_ptr(i), edge_captures_ptr(i),
-                    result.edges[i], captures[i]);
+            RunEdge(edge_sources[i], config, i, telemetry, result.edges[i], captures[i]);
             done.CountDown();
           },
           "hierarchy.edge");
@@ -205,27 +157,7 @@ HierarchyResult RunHierarchyImpl(const std::vector<EdgeSource>& edge_sources,
   });
 
   // Merge edge obs in edge order before the parent records anything.
-  for (size_t i = 0; i < num_edges; ++i) {
-    if (edge_metrics[i].has_value()) {
-      config.replay.metrics->MergeFrom(*edge_metrics[i]);
-    }
-    if (edge_series[i].has_value()) {
-      config.replay.series->MergeFrom(*edge_series[i]);
-    }
-    if (edge_sinks[i].has_value()) {
-      config.replay.trace_sink->Append(*edge_sinks[i], obs::kFleetTidBase + static_cast<int>(i));
-    }
-    if (edge_flights[i].has_value()) {
-      for (const obs::DecisionRecord& record : edge_flights[i]->Snapshot()) {
-        config.replay.flight->Record(record);
-      }
-      if (config.replay.flight_captures != nullptr) {
-        for (obs::FlightCapture& capture : edge_captures[i]) {
-          config.replay.flight_captures->push_back(std::move(capture));
-        }
-      }
-    }
-  }
+  telemetry.MergeInto();
 
   // Phase 2: parent sees the merged redirect stream. Redirects arriving in a
   // parent-outage window fall through to the origin right here -- they never

@@ -51,9 +51,9 @@ struct HierarchyConfig {
   core::CacheConfig edge_config;
   core::CacheKind parent_kind = core::CacheKind::kCafe;
   core::CacheConfig parent_config;  // typically a deeper cache, lower alpha
-  // observer/on_outcome must be unset (the hierarchy owns the replay loop);
-  // metrics/trace_sink receive the edge recordings merged in edge order,
-  // then the parent's.
+  // on_outcome must be unset (the hierarchy owns the replay loop);
+  // metrics/trace_sink/flight receive the edge recordings merged in edge
+  // order, then the parent's; series records the edge tier only.
   ReplayOptions replay;
   // Edge-replay worker count: 1 (default) runs sequentially on the calling
   // thread, 0 selects hardware concurrency.

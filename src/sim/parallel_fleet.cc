@@ -8,46 +8,23 @@
 #include <string>
 #include <utility>
 
+#include "src/sim/shard_telemetry.h"
 #include "src/util/fnv1a.h"
 
 namespace vcdn::sim {
 
 namespace {
 
-// Everything a shard produces besides its ReplayResult: the local obs
-// recordings, merged into the shared sinks in server order after the join.
-struct ShardObs {
-  std::optional<obs::MetricsRegistry> metrics;
-  std::optional<obs::TraceEventSink> sink;
-  std::optional<obs::TimeSeriesRecorder> series;
-  std::optional<obs::FlightRecorder> flight;
-  // Deferred fault-boundary dumps, appended to the caller's vector (in
-  // server order) after the join -- shards never touch a shared file.
-  std::vector<obs::FlightCapture> captures;
-};
-
-ReplayOptions ShardReplayOptions(const ReplayOptions& base, const FleetServer& server,
-                                 ShardObs& obs, size_t shard_index) {
-  ReplayOptions options = base;
-  options.observer = nullptr;
-  options.metrics = obs.metrics.has_value() ? &*obs.metrics : nullptr;
-  options.trace_sink = obs.sink.has_value() ? &*obs.sink : nullptr;
-  options.series = obs.series.has_value() ? &*obs.series : nullptr;
-  options.flight = obs.flight.has_value() ? &*obs.flight : nullptr;
-  options.flight_captures = obs.flight.has_value() ? &obs.captures : nullptr;
+void RunShard(const FleetServer& server, ShardTelemetry& telemetry, size_t shard_index,
+              ReplayResult& out) {
+  auto cache = core::MakeCache(server.kind, server.config);
+  ReplayOptions options = telemetry.ShardOptions(shard_index);
   options.flight_label =
       server.name.empty() ? "server" + std::to_string(shard_index) : server.name;
   // Shard i is fault target i: a shared FaultSchedule applies each server's
   // own outage/degrade windows, and stays deterministic because the schedule
   // is read-only and each driver is replay-local.
   options.fault_target = shard_index;
-  return options;
-}
-
-void RunShard(const FleetServer& server, const ReplayOptions& base, ShardObs& obs,
-              size_t shard_index, ReplayResult& out) {
-  auto cache = core::MakeCache(server.kind, server.config);
-  const ReplayOptions options = ShardReplayOptions(base, server, obs, shard_index);
   if (server.trace != nullptr) {
     out = Replay(*cache, *server.trace, options);
   } else {
@@ -68,35 +45,11 @@ FleetResult RunFleet(const std::vector<FleetServer>& servers, const FleetOptions
   }
   // Per-shard callbacks would run concurrently on pool workers; the fleet
   // API deliberately has no per-request hook.
-  VCDN_CHECK(options.replay.observer == nullptr);
   VCDN_CHECK(options.replay.on_outcome == nullptr);
-
-  if (options.replay.series != nullptr) {
-    VCDN_CHECK(options.replay.metrics != nullptr);
-  }
-  const bool obs_enabled = options.replay.metrics != nullptr ||
-                           options.replay.trace_sink != nullptr ||
-                           options.replay.flight != nullptr;
 
   FleetResult result;
   result.servers.resize(servers.size());
-  std::vector<ShardObs> shard_obs(servers.size());
-  if (obs_enabled) {
-    for (ShardObs& obs : shard_obs) {
-      if (options.replay.metrics != nullptr) {
-        obs.metrics.emplace();
-        if (options.replay.series != nullptr) {
-          obs.series.emplace(&*obs.metrics);
-        }
-      }
-      if (options.replay.trace_sink != nullptr) {
-        obs.sink.emplace();
-      }
-      if (options.replay.flight != nullptr) {
-        obs.flight.emplace(options.replay.flight->capacity());
-      }
-    }
-  }
+  ShardTelemetry telemetry(options.replay, servers.size());
 
   const auto start = std::chrono::steady_clock::now();
   exec::ThreadPool* pool = options.pool;
@@ -115,7 +68,7 @@ FleetResult RunFleet(const std::vector<FleetServer>& servers, const FleetOptions
 
   if (pool == nullptr) {
     for (size_t i = 0; i < servers.size(); ++i) {
-      RunShard(servers[i], options.replay, shard_obs[i], i, result.servers[i]);
+      RunShard(servers[i], telemetry, i, result.servers[i]);
     }
   } else {
     // Span labels must outlive the tasks; keep them alive past the join.
@@ -127,8 +80,8 @@ FleetResult RunFleet(const std::vector<FleetServer>& servers, const FleetOptions
     exec::Latch done(servers.size());
     for (size_t i = 0; i < servers.size(); ++i) {
       pool->Submit(
-          [&servers, &options, &shard_obs, &result, &done, i] {
-            RunShard(servers[i], options.replay, shard_obs[i], i, result.servers[i]);
+          [&servers, &telemetry, &result, &done, i] {
+            RunShard(servers[i], telemetry, i, result.servers[i]);
             done.CountDown();
           },
           labels[i].c_str());
@@ -145,34 +98,11 @@ FleetResult RunFleet(const std::vector<FleetServer>& servers, const FleetOptions
   result.wall_seconds = std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
 
   // Deterministic merge, in server order.
-  for (size_t i = 0; i < servers.size(); ++i) {
-    result.totals.Add(result.servers[i].totals);
-    result.steady.Add(result.servers[i].steady);
-    if (shard_obs[i].metrics.has_value()) {
-      options.replay.metrics->MergeFrom(*shard_obs[i].metrics);
-    }
-    if (shard_obs[i].series.has_value()) {
-      options.replay.series->MergeFrom(*shard_obs[i].series);
-    }
-    if (shard_obs[i].sink.has_value()) {
-      options.replay.trace_sink->Append(*shard_obs[i].sink,
-                                        obs::kFleetTidBase + static_cast<int>(i));
-    }
-    if (shard_obs[i].flight.has_value()) {
-      // Re-record shard rings into the caller's ring in server order: the
-      // merged ring holds the tail of the concatenated per-shard streams,
-      // identically at every thread count (the shape RunFleet(threads=1)
-      // produces too).
-      for (const obs::DecisionRecord& record : shard_obs[i].flight->Snapshot()) {
-        options.replay.flight->Record(record);
-      }
-      for (obs::FlightCapture& capture : shard_obs[i].captures) {
-        if (options.replay.flight_captures != nullptr) {
-          options.replay.flight_captures->push_back(std::move(capture));
-        }
-      }
-    }
+  for (const ReplayResult& server : result.servers) {
+    result.totals.Add(server.totals);
+    result.steady.Add(server.steady);
   }
+  telemetry.MergeInto();
   return result;
 }
 

@@ -52,8 +52,8 @@ struct FleetOptions {
   exec::ThreadPool* pool = nullptr;
   // Per-shard replay parameters. metrics/trace_sink receive the
   // deterministic in-order merge of per-shard recordings (each shard's
-  // events land on trace lane obs::kFleetTidBase + shard index). observer
-  // and on_outcome must be unset: they would be invoked concurrently.
+  // events land on trace lane obs::kFleetTidBase + shard index). on_outcome
+  // must be unset: it would be invoked concurrently.
   // replay.faults applies per shard with fault target = shard index
   // (replay.fault_target is overwritten); see docs/FAULTS.md.
   ReplayOptions replay;

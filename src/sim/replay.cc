@@ -39,15 +39,14 @@ ReplayResult ReplayLoop(core::CacheAlgorithm& cache, trace::RequestStream& strea
   obs::Counter requests_counter;
   obs::Counter buckets_counter;
   obs::Gauge sim_time_gauge;
-  obs::Gauge throughput_gauge;
   if (options.metrics != nullptr) {
     requests_counter = options.metrics->GetCounter("sim.replay.requests_total");
     buckets_counter = options.metrics->GetCounter("sim.replay.buckets_flushed_total");
     sim_time_gauge = options.metrics->GetGauge("sim.replay.sim_time_seconds");
-    throughput_gauge = options.metrics->GetGauge("sim.replay.requests_per_sec");
   }
-  const bool observing = options.observer != nullptr || options.trace_sink != nullptr ||
-                         options.metrics != nullptr || options.series != nullptr;
+  // Bucket flushes feed the registry's replay instruments and the series;
+  // both need a registry.
+  const bool observing = options.metrics != nullptr;
   if (options.series != nullptr) {
     // The recorder snapshots the registry at window edges; without one there
     // is nothing to snapshot and the series would be silently empty.
@@ -67,31 +66,15 @@ ReplayResult ReplayLoop(core::CacheAlgorithm& cache, trace::RequestStream& strea
   // Rendered lazily on the first fault-boundary capture, then reused.
   std::string fault_schedule_json;
 
-  // Per-bucket flush: gauges, registry snapshot, series window, observer
-  // callback.
+  // Per-bucket flush: replay instruments, then the series window.
   auto flush = [&](double sim_time) {
-    double wall = SecondsSince(loop_start);
     buckets_counter.Increment();
     sim_time_gauge.Set(sim_time);
-    throughput_gauge.Set(wall > 0.0 ? static_cast<double>(processed) / wall : 0.0);
-    if (options.trace_sink != nullptr && options.metrics != nullptr) {
-      options.trace_sink->SnapshotRegistry(*options.metrics);
-    }
     if (options.series != nullptr) {
       // Window edges are the bucket edges (not request times), so every
       // shard of a fleet keys the same windows and MergeFrom aligns exactly.
       const double start = static_cast<double>(current_bucket) * options.bucket_seconds;
       options.series->EndWindow(start, start + options.bucket_seconds);
-    }
-    if (options.observer != nullptr) {
-      ReplayProgress progress;
-      progress.requests_processed = processed;
-      progress.total_requests = stream.total_requests_hint();
-      progress.sim_time = sim_time;
-      progress.wall_seconds = wall;
-      progress.requests_per_second = wall > 0.0 ? static_cast<double>(processed) / wall : 0.0;
-      progress.totals = &collector.totals();
-      options.observer->OnBucketEnd(progress);
     }
   };
 

@@ -2,9 +2,10 @@
 //
 // Trace replay: drives a CacheAlgorithm over a request log and produces the
 // paper's metrics (Sec. 9 methodology). Optionally observable: pass a
-// MetricsRegistry / TraceEventSink / ReplayObserver via ReplayOptions to get
-// live instruments, profiling spans and per-bucket progress callbacks; all
-// three default to off and cost nothing when absent.
+// MetricsRegistry / TimeSeriesRecorder / TraceEventSink / FlightRecorder via
+// ReplayOptions to get live instruments, per-bucket series windows,
+// profiling spans and a per-request decision ring; all default to off and
+// cost nothing when absent.
 
 #ifndef VCDN_SRC_SIM_REPLAY_H_
 #define VCDN_SRC_SIM_REPLAY_H_
@@ -27,32 +28,6 @@
 
 namespace vcdn::sim {
 
-// Progress snapshot handed to ReplayObserver callbacks. The references point
-// at the replay's live accounting and are only valid during the callback.
-struct ReplayProgress {
-  uint64_t requests_processed = 0;
-  uint64_t total_requests = 0;
-  // Arrival time of the most recently processed request.
-  double sim_time = 0.0;
-  // Wall-clock seconds since the replay loop started, and the resulting
-  // throughput (requests/sec of host time, not simulated time).
-  double wall_seconds = 0.0;
-  double requests_per_second = 0.0;
-  // Running whole-trace totals (warmup included).
-  const ReplayTotals* totals = nullptr;
-};
-
-// Callback interface for streaming replay progress (benches, examples,
-// future dashboards) without touching the replay loop itself.
-class ReplayObserver {
- public:
-  virtual ~ReplayObserver() = default;
-  // Called once per completed time-series bucket -- i.e. when a request
-  // arrives in a later bucket than its predecessor -- and once more after
-  // the final request. Never called for an empty trace.
-  virtual void OnBucketEnd(const ReplayProgress& progress) = 0;
-};
-
 struct ReplayOptions {
   // Steady-state measurement starts at this fraction of the trace duration
   // (the paper averages over the second half of the month).
@@ -72,11 +47,8 @@ struct ReplayOptions {
   // Attached to the cache (AttachMetrics) and to the replay's own
   // instruments ("sim.replay.*").
   obs::MetricsRegistry* metrics = nullptr;
-  // Receives scoped-timer spans ("replay.prepare", "replay.loop") and, when
-  // `metrics` is also set, a registry snapshot at every bucket flush.
+  // Receives scoped-timer spans ("replay.prepare", "replay.loop").
   obs::TraceEventSink* trace_sink = nullptr;
-  // Per-bucket progress callbacks.
-  ReplayObserver* observer = nullptr;
   // Windowed time-series over `metrics`: EndWindow is called at every bucket
   // flush (window edges are the bucket edges, so per-shard recorders align
   // and merge exactly -- see src/obs/time_series.h). Requires `metrics`; the

@@ -16,11 +16,11 @@
 //   [64 + 48*server_count)  total_records x 32-byte request records,
 //         grouped by server, time-ordered within each server
 //
-// Hostile-file rigor mirrors trace_io.cc's ReadBinary: Open() validates the
-// header and index against the actual file size before trusting any count
-// (structural mismatches -> InvalidArgument, truncation/bit-rot ->
-// DataLoss), and per-record validation happens lazily as spans are pulled
-// (streams end early with a non-OK status()) or eagerly via Validate().
+// Hostile-file rigor: Open() validates the header and index against the
+// actual file size before trusting any count (structural mismatches ->
+// InvalidArgument, truncation/bit-rot -> DataLoss), and per-record
+// validation happens lazily as spans are pulled (streams end early with a
+// non-OK status()) or eagerly via Validate().
 // docs/TRACE_FORMAT.md documents the layout and the versioning rules.
 
 #ifndef VCDN_SRC_TRACE_TRACE_FILE_H_

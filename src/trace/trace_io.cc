@@ -2,15 +2,12 @@
 
 #include "src/trace/trace_io.h"
 
-#include <algorithm>
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <istream>
 #include <ostream>
-#include <sstream>
 #include <string>
 
 #include "src/util/str_util.h"
@@ -20,11 +17,8 @@ namespace vcdn::trace {
 namespace {
 
 constexpr char kCsvHeader[] = "arrival_time,video,byte_begin,byte_end";
-constexpr char kBinaryMagic[8] = {'V', 'C', 'D', 'N', 'T', 'R', 'C', '1'};
 
 }  // namespace
-
-// --- CSV ---------------------------------------------------------------------
 
 util::Status WriteCsv(const Trace& trace, std::ostream& out) {
   out << kCsvHeader << "\n";
@@ -113,95 +107,6 @@ util::Result<Trace> ReadCsvFile(const std::string& path) {
     return util::NotFoundError("cannot open: " + path);
   }
   return ReadCsv(in);
-}
-
-// --- Binary -------------------------------------------------------------------
-
-util::Status WriteBinary(const Trace& trace, std::ostream& out) {
-  out.write(kBinaryMagic, sizeof(kBinaryMagic));
-  uint64_t count = trace.requests.size();
-  out.write(reinterpret_cast<const char*>(&count), sizeof(count));
-  out.write(reinterpret_cast<const char*>(&trace.duration), sizeof(trace.duration));
-  for (const Request& r : trace.requests) {
-    out.write(reinterpret_cast<const char*>(&r.arrival_time), sizeof(r.arrival_time));
-    out.write(reinterpret_cast<const char*>(&r.video), sizeof(r.video));
-    out.write(reinterpret_cast<const char*>(&r.byte_begin), sizeof(r.byte_begin));
-    out.write(reinterpret_cast<const char*>(&r.byte_end), sizeof(r.byte_end));
-  }
-  if (!out) {
-    return util::DataLossError("binary write failed");
-  }
-  return util::OkStatus();
-}
-
-util::Status WriteBinaryFile(const Trace& trace, const std::string& path) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) {
-    return util::NotFoundError("cannot open for write: " + path);
-  }
-  return WriteBinary(trace, out);
-}
-
-util::Result<Trace> ReadBinary(std::istream& in) {
-  char magic[sizeof(kBinaryMagic)];
-  in.read(magic, sizeof(magic));
-  if (!in || std::memcmp(magic, kBinaryMagic, sizeof(magic)) != 0) {
-    return util::InvalidArgumentError("bad magic: not a VCDNTRC1 trace");
-  }
-  uint64_t count = 0;
-  Trace trace;
-  in.read(reinterpret_cast<char*>(&count), sizeof(count));
-  in.read(reinterpret_cast<char*>(&trace.duration), sizeof(trace.duration));
-  if (!in) {
-    return util::DataLossError("truncated header");
-  }
-  if (!std::isfinite(trace.duration) || trace.duration < 0.0) {
-    return util::DataLossError("corrupt header: non-finite or negative duration");
-  }
-  // A corrupt count must not drive a multi-gigabyte resize. When the stream
-  // is seekable, bound count by the payload bytes actually present; either
-  // way, grow incrementally and bail on the first short read.
-  constexpr uint64_t kRecordBytes = 4 * sizeof(uint64_t);
-  const std::istream::pos_type payload_start = in.tellg();
-  if (payload_start != std::istream::pos_type(-1) && in.seekg(0, std::ios::end)) {
-    const std::istream::pos_type stream_end = in.tellg();
-    in.seekg(payload_start);
-    if (stream_end != std::istream::pos_type(-1)) {
-      const auto remaining = static_cast<uint64_t>(stream_end - payload_start);
-      if (count > remaining / kRecordBytes) {
-        return util::DataLossError("corrupt header: record count " + std::to_string(count) +
-                                   " exceeds the " + std::to_string(remaining) +
-                                   " payload bytes in the stream");
-      }
-    }
-  } else {
-    in.clear();  // non-seekable stream (e.g. a pipe): fall back to bail-on-read
-  }
-  trace.requests.reserve(static_cast<size_t>(std::min<uint64_t>(count, uint64_t{1} << 20)));
-  for (uint64_t i = 0; i < count; ++i) {
-    Request r;
-    in.read(reinterpret_cast<char*>(&r.arrival_time), sizeof(r.arrival_time));
-    in.read(reinterpret_cast<char*>(&r.video), sizeof(r.video));
-    in.read(reinterpret_cast<char*>(&r.byte_begin), sizeof(r.byte_begin));
-    in.read(reinterpret_cast<char*>(&r.byte_end), sizeof(r.byte_end));
-    if (!in) {
-      return util::DataLossError("truncated record stream: expected " + std::to_string(count) +
-                                 " records, got " + std::to_string(i));
-    }
-    trace.requests.push_back(r);
-  }
-  if (!trace.IsWellFormed()) {
-    return util::InvalidArgumentError("trace not well-formed");
-  }
-  return trace;
-}
-
-util::Result<Trace> ReadBinaryFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return util::NotFoundError("cannot open: " + path);
-  }
-  return ReadBinary(in);
 }
 
 }  // namespace vcdn::trace

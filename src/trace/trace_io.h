@@ -1,13 +1,12 @@
 // Copyright (c) 2026 libvcdn authors. Apache-2.0 license.
 //
-// Trace (de)serialization. Two formats:
+// CSV trace (de)serialization: human-readable, header
+// "arrival_time,video,byte_begin,byte_end"; interoperable with
+// spreadsheet/plotting tooling. CSV is the interchange format; the one binary
+// format is VCDNTRS2 (src/trace/trace_file.h, packed from CSV by trace_pack).
 //
-//   * CSV: human-readable, header "arrival_time,video,byte_begin,byte_end";
-//     interoperable with spreadsheet/plotting tooling.
-//   * VCDNTRC1 binary: compact native-endian record stream for large traces.
-//
-// Real anonymized logs in either format can be replayed through the
-// simulator in place of synthetic ones.
+// Real anonymized logs can be replayed through the simulator in place of
+// synthetic ones.
 
 #ifndef VCDN_SRC_TRACE_TRACE_IO_H_
 #define VCDN_SRC_TRACE_TRACE_IO_H_
@@ -20,21 +19,11 @@
 
 namespace vcdn::trace {
 
-// CSV ------------------------------------------------------------------------
-
 util::Status WriteCsv(const Trace& trace, std::ostream& out);
 util::Status WriteCsvFile(const Trace& trace, const std::string& path);
 
 util::Result<Trace> ReadCsv(std::istream& in);
 util::Result<Trace> ReadCsvFile(const std::string& path);
-
-// Binary ----------------------------------------------------------------------
-
-util::Status WriteBinary(const Trace& trace, std::ostream& out);
-util::Status WriteBinaryFile(const Trace& trace, const std::string& path);
-
-util::Result<Trace> ReadBinary(std::istream& in);
-util::Result<Trace> ReadBinaryFile(const std::string& path);
 
 }  // namespace vcdn::trace
 

@@ -1,7 +1,7 @@
 // Copyright (c) 2026 libvcdn authors. Apache-2.0 license.
 //
 // Streaming statistics helpers used by the simulator and the benches:
-// accumulators, EWMA, and bucketed time series.
+// accumulators and bucketed time series.
 
 #ifndef VCDN_SRC_UTIL_STATS_H_
 #define VCDN_SRC_UTIL_STATS_H_
@@ -34,32 +34,6 @@ class StatAccumulator {
   double m2_ = 0.0;
   double min_ = std::numeric_limits<double>::infinity();
   double max_ = -std::numeric_limits<double>::infinity();
-};
-
-// Exponentially weighted moving average. The first observation initializes
-// the average directly (no bias toward zero).
-class Ewma {
- public:
-  explicit Ewma(double alpha) : alpha_(alpha) {
-    VCDN_CHECK(alpha > 0.0 && alpha <= 1.0);
-  }
-
-  void Add(double value) {
-    if (!initialized_) {
-      value_ = value;
-      initialized_ = true;
-    } else {
-      value_ = alpha_ * value + (1.0 - alpha_) * value_;
-    }
-  }
-
-  bool initialized() const { return initialized_; }
-  double value() const { return value_; }
-
- private:
-  double alpha_;
-  double value_ = 0.0;
-  bool initialized_ = false;
 };
 
 // Accumulates (time, value-sums) into fixed-width time buckets, e.g. hourly

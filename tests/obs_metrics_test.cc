@@ -4,8 +4,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -29,13 +27,6 @@ TEST(GaugeTest, DisabledHandleIsNoOp) {
   gauge.Set(3.5);
   gauge.Add(1.0);
   EXPECT_DOUBLE_EQ(gauge.value(), 0.0);
-}
-
-TEST(HistogramTest, DisabledHandleIsNoOp) {
-  Histogram hist;
-  EXPECT_FALSE(hist.enabled());
-  hist.Observe(1.0);
-  EXPECT_EQ(hist.data(), nullptr);
 }
 
 TEST(MetricsRegistryTest, CounterFindOrCreateAggregates) {
@@ -76,46 +67,21 @@ TEST(MetricsRegistryTest, HandlesSurviveRegistryMove) {
   EXPECT_EQ(moved.CounterValue("moved_total"), 2u);
 }
 
-TEST(MetricsRegistryTest, HistogramBucketing) {
+TEST(MetricsRegistryTest, HdrHistogramKeepsOriginalLayoutOnRelookup) {
   MetricsRegistry registry;
-  // 4 buckets over [0, 8): [0,2) [2,4) [4,6) [6,8).
-  Histogram hist = registry.GetHistogram("h", 0.0, 8.0, 4);
-  ASSERT_TRUE(hist.enabled());
-  hist.Observe(-1.0);  // underflow
-  hist.Observe(0.0);   // bucket 0
-  hist.Observe(1.9);   // bucket 0
-  hist.Observe(2.0);   // bucket 1
-  hist.Observe(7.9);   // bucket 3
-  hist.Observe(8.0);   // overflow (hi is exclusive)
-  hist.Observe(100.0);  // overflow
-
-  auto samples = registry.HistogramSamples();
-  ASSERT_EQ(samples.size(), 1u);
-  const auto& s = samples[0];
-  EXPECT_EQ(s.name, "h");
-  EXPECT_DOUBLE_EQ(s.lo, 0.0);
-  EXPECT_DOUBLE_EQ(s.hi, 8.0);
-  EXPECT_EQ(s.underflow, 1u);
-  EXPECT_EQ(s.overflow, 2u);
-  ASSERT_EQ(s.counts.size(), 4u);
-  EXPECT_EQ(s.counts[0], 2u);
-  EXPECT_EQ(s.counts[1], 1u);
-  EXPECT_EQ(s.counts[2], 0u);
-  EXPECT_EQ(s.counts[3], 1u);
-}
-
-TEST(MetricsRegistryTest, HistogramKeepsOriginalLayoutOnRelookup) {
-  MetricsRegistry registry;
-  Histogram first = registry.GetHistogram("h", 0.0, 10.0, 5);
+  HdrHistogram first = registry.GetHdrHistogram("h", 1.0, 1024.0, 4);
   // A second lookup with different parameters must not reshape the buckets.
-  Histogram second = registry.GetHistogram("h", 0.0, 100.0, 50);
+  HdrHistogram second = registry.GetHdrHistogram("h", 2.0, 4096.0, 8);
   first.Observe(9.0);
   second.Observe(9.0);
-  auto samples = registry.HistogramSamples();
+  auto samples = registry.HdrHistogramSamples();
   ASSERT_EQ(samples.size(), 1u);
-  EXPECT_DOUBLE_EQ(samples[0].hi, 10.0);
-  ASSERT_EQ(samples[0].counts.size(), 5u);
-  EXPECT_EQ(samples[0].counts[4], 2u);
+  EXPECT_DOUBLE_EQ(samples[0].lo, 1.0);
+  EXPECT_DOUBLE_EQ(samples[0].hi, 1024.0);
+  EXPECT_EQ(samples[0].sub_buckets, 4u);
+  // Both handles feed the one cell.
+  ASSERT_NE(registry.FindHdrHistogram("h"), nullptr);
+  EXPECT_EQ(registry.FindHdrHistogram("h")->total_count(), 2u);
 }
 
 TEST(MetricsRegistryTest, SamplesAreNameSorted) {
@@ -143,11 +109,11 @@ TEST(MetricsRegistryTest, ConcurrentUpdatesThroughSharedRegistry) {
     workers.emplace_back([&registry] {
       Counter counter = registry.GetCounter("exec.test.shared_total");
       Gauge gauge = registry.GetGauge("exec.test.sum");
-      Histogram hist = registry.GetHistogram("exec.test.h", 0.0, 8.0, 4);
+      HdrHistogram hist = registry.GetHdrHistogram("exec.test.h", 1.0, 8.0, 4);
       for (int i = 0; i < kIncrements; ++i) {
         counter.Increment();
         gauge.Add(1.0);
-        hist.Observe(static_cast<double>(i % 10));  // buckets + overflow
+        hist.Observe(static_cast<double>(i % 10));  // underflow, buckets, overflow
       }
     });
   }
@@ -157,14 +123,11 @@ TEST(MetricsRegistryTest, ConcurrentUpdatesThroughSharedRegistry) {
   constexpr uint64_t kTotal = uint64_t{kThreads} * kIncrements;
   EXPECT_EQ(registry.CounterValue("exec.test.shared_total"), kTotal);
   EXPECT_DOUBLE_EQ(registry.GaugeValue("exec.test.sum"), static_cast<double>(kTotal));
-  auto samples = registry.HistogramSamples();
-  ASSERT_EQ(samples.size(), 1u);
-  uint64_t observed = samples[0].underflow + samples[0].overflow;
-  for (uint64_t count : samples[0].counts) {
-    observed += count;
-  }
-  EXPECT_EQ(observed, kTotal);
-  EXPECT_EQ(samples[0].overflow, uint64_t{kThreads} * kIncrements / 10 * 2);
+  const HdrHistogramCell* hist = registry.FindHdrHistogram("exec.test.h");
+  ASSERT_NE(hist, nullptr);
+  EXPECT_EQ(hist->total_count(), kTotal);
+  EXPECT_EQ(hist->underflow(), kTotal / 10);      // 0 < lo
+  EXPECT_EQ(hist->overflow(), kTotal / 10 * 2);  // 8 and 9 >= hi
 }
 
 TEST(MetricsRegistryTest, MergeFromReproducesSequentialAggregation) {
@@ -173,23 +136,20 @@ TEST(MetricsRegistryTest, MergeFromReproducesSequentialAggregation) {
   MetricsRegistry a;
   a.GetCounter("c_total").Increment(3);
   a.GetGauge("g").Set(1.0);
-  a.GetHistogram("h", 0.0, 4.0, 2).Observe(1.0);
+  a.GetHdrHistogram("h", 1.0, 4.0, 2).Observe(1.0);
 
   MetricsRegistry b;
   b.GetCounter("c_total").Increment(4);
   b.GetCounter("only_b_total").Increment(1);
   b.GetGauge("g").Set(2.5);
-  b.GetHistogram("h", 0.0, 4.0, 2).Observe(3.0);
+  b.GetHdrHistogram("h", 1.0, 4.0, 2).Observe(3.0);
 
   a.MergeFrom(b);
   EXPECT_EQ(a.CounterValue("c_total"), 7u);
   EXPECT_EQ(a.CounterValue("only_b_total"), 1u);
   EXPECT_DOUBLE_EQ(a.GaugeValue("g"), 2.5);
-  auto samples = a.HistogramSamples();
-  ASSERT_EQ(samples.size(), 1u);
-  ASSERT_EQ(samples[0].counts.size(), 2u);
-  EXPECT_EQ(samples[0].counts[0], 1u);
-  EXPECT_EQ(samples[0].counts[1], 1u);
+  ASSERT_NE(a.FindHdrHistogram("h"), nullptr);
+  EXPECT_EQ(a.FindHdrHistogram("h")->total_count(), 2u);
 
   MetricsRegistry sequential;
   sequential.GetCounter("c_total").Increment(3);
@@ -197,33 +157,12 @@ TEST(MetricsRegistryTest, MergeFromReproducesSequentialAggregation) {
   sequential.GetCounter("only_b_total").Increment(1);
   sequential.GetGauge("g").Set(1.0);
   sequential.GetGauge("g").Set(2.5);
-  sequential.GetHistogram("h", 0.0, 4.0, 2).Observe(1.0);
-  sequential.GetHistogram("h", 0.0, 4.0, 2).Observe(3.0);
+  sequential.GetHdrHistogram("h", 1.0, 4.0, 2).Observe(1.0);
+  sequential.GetHdrHistogram("h", 1.0, 4.0, 2).Observe(3.0);
   std::ostringstream merged_json, sequential_json;
   a.WriteJson(merged_json);
   sequential.WriteJson(sequential_json);
   EXPECT_EQ(merged_json.str(), sequential_json.str());
-}
-
-TEST(HistogramCellTest, MergeOfShardsEqualsSingleStream) {
-  // The cell-level half of the fleet determinism contract: counts are sums,
-  // so folding shard cells in any order reproduces the single-stream fill.
-  HistogramCell single(0.0, 10.0, 5);
-  HistogramCell shard_a(0.0, 10.0, 5);
-  HistogramCell shard_b(0.0, 10.0, 5);
-  for (int i = -2; i < 14; ++i) {
-    const double value = static_cast<double>(i);
-    single.Add(value);
-    (i % 2 == 0 ? shard_a : shard_b).Add(value);
-  }
-  shard_b.MergeFrom(shard_a);  // opposite order to the fill: still exact
-  EXPECT_EQ(shard_b.underflow(), single.underflow());
-  EXPECT_EQ(shard_b.overflow(), single.overflow());
-  ASSERT_EQ(shard_b.num_buckets(), single.num_buckets());
-  for (size_t i = 0; i < single.num_buckets(); ++i) {
-    EXPECT_EQ(shard_b.bucket_count(i), single.bucket_count(i)) << "bucket " << i;
-  }
-  EXPECT_EQ(shard_b.total_count(), single.total_count());
 }
 
 TEST(MetricsRegistryTest, MergeFromFoldsHdrHistograms) {
@@ -251,38 +190,13 @@ TEST(MetricsRegistryTest, MergeFromFoldsHdrHistograms) {
   EXPECT_EQ(a.FindHdrHistogram("nope"), nullptr);
 }
 
-TEST(MetricsRegistryTest, SnapshotJsonErrorStatusNamesThePath) {
-  MetricsRegistry registry;
-  registry.GetCounter("c_total").Increment(1);
-  const std::string bad_path = "/nonexistent-dir-for-test/metrics.json";
-  util::Status status = registry.SnapshotJson(bad_path);
-  EXPECT_FALSE(status.ok());
-  EXPECT_NE(status.message().find(bad_path), std::string::npos)
-      << "error must name the path: " << status.message();
-}
-
-TEST(MetricsRegistryTest, SnapshotJsonWritesTheWriteJsonDocument) {
-  MetricsRegistry registry;
-  registry.GetCounter("c_total").Increment(1);
-  registry.GetHdrHistogram("latency", 1.0, 1024.0, 4).Observe(2.0);
-  const std::string path = ::testing::TempDir() + "/obs_metrics_snapshot_test.json";
-  ASSERT_TRUE(registry.SnapshotJson(path).ok());
-  std::ifstream in(path);
-  std::string contents((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
-  std::ostringstream expected;
-  registry.WriteJson(expected);
-  expected << "\n";  // SnapshotJson terminates the document with a newline
-  EXPECT_EQ(contents, expected.str());
-  std::remove(path.c_str());
-}
-
 TEST(MetricsRegistryTest, WriteJsonIsDeterministic) {
   auto build = [] {
     MetricsRegistry registry;
     registry.GetCounter("b_total").Increment(2);
     registry.GetCounter("a_total").Increment(1);
     registry.GetGauge("g").Set(1.5);
-    registry.GetHistogram("h", 0.0, 4.0, 2).Observe(1.0);
+    registry.GetHdrHistogram("h", 1.0, 4.0, 2).Observe(1.0);
     std::ostringstream out;
     registry.WriteJson(out);
     return out.str();
@@ -293,7 +207,7 @@ TEST(MetricsRegistryTest, WriteJsonIsDeterministic) {
   EXPECT_LT(first.find("\"a_total\""), first.find("\"b_total\""));
   EXPECT_NE(first.find("\"counters\""), std::string::npos);
   EXPECT_NE(first.find("\"gauges\""), std::string::npos);
-  EXPECT_NE(first.find("\"histograms\""), std::string::npos);
+  EXPECT_NE(first.find("\"hdr_histograms\""), std::string::npos);
 }
 
 }  // namespace

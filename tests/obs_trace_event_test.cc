@@ -5,6 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <cctype>
+#include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 
@@ -207,20 +210,17 @@ TEST(JsonValidatorTest, SelfCheck) {
   EXPECT_FALSE(JsonValidator::Valid("\"raw\ncontrol\""));
 }
 
-TEST(TraceEventSinkTest, RecordsSpansInstantsAndCounters) {
+TEST(TraceEventSinkTest, RecordsSpansAndInstants) {
   TraceEventSink sink;
   {
     ScopedSpan span(&sink, "work", "test");
   }
   sink.AddInstant("marker", "test");
-  sink.AddCounter("series", 42.0, sink.NowMicros());
-  ASSERT_EQ(sink.num_events(), 3u);
+  ASSERT_EQ(sink.num_events(), 2u);
   EXPECT_EQ(sink.events()[0].phase, 'X');
   EXPECT_EQ(sink.events()[0].name, "work");
   EXPECT_GE(sink.events()[0].dur_us, 0.0);
   EXPECT_EQ(sink.events()[1].phase, 'i');
-  EXPECT_EQ(sink.events()[2].phase, 'C');
-  EXPECT_DOUBLE_EQ(sink.events()[2].value, 42.0);
 }
 
 TEST(TraceEventSinkTest, NullSinkScopeIsNoOp) {
@@ -232,48 +232,12 @@ TEST(TraceEventSinkTest, TraceJsonIsValid) {
   TraceEventSink sink;
   { ScopedSpan span(&sink, "outer"); }
   sink.AddInstant("name with \"quotes\" and \\slashes\\", "cat\negory");
-  sink.AddCounter("c", 1.25, 10.0);
   std::ostringstream out;
-  sink.WriteTraceJson(out);
+  WriteObsJson(out, nullptr, &sink);
   std::string json = out.str();
   EXPECT_TRUE(JsonValidator::Valid(json)) << json;
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(json.find("\"displayTimeUnit\""), std::string::npos);
-}
-
-TEST(TraceEventSinkTest, SnapshotRegistryEmitsCounterEventsAndJsonl) {
-  MetricsRegistry registry;
-  registry.GetCounter("a_total").Increment(5);
-  registry.GetGauge("g").Set(2.0);
-
-  TraceEventSink sink;
-  std::ostringstream lines;
-  sink.AttachSnapshotStream(&lines);
-  sink.SnapshotRegistry(registry);
-  registry.GetCounter("a_total").Increment(1);
-  sink.SnapshotRegistry(registry);
-
-  EXPECT_EQ(sink.num_snapshots(), 2u);
-  // One 'C' event per instrument per snapshot.
-  size_t counter_events = 0;
-  for (const TraceEvent& e : sink.events()) {
-    if (e.phase == 'C') {
-      ++counter_events;
-    }
-  }
-  EXPECT_EQ(counter_events, 4u);
-
-  // The JSONL stream holds one self-contained JSON object per line.
-  std::istringstream in(lines.str());
-  std::string line;
-  size_t num_lines = 0;
-  while (std::getline(in, line)) {
-    ++num_lines;
-    EXPECT_TRUE(JsonValidator::Valid(line)) << line;
-    EXPECT_NE(line.find("\"ts_us\""), std::string::npos);
-    EXPECT_NE(line.find("\"a_total\""), std::string::npos);
-  }
-  EXPECT_EQ(num_lines, 2u);
 }
 
 TEST(TraceEventSinkTest, WriteObsJsonCombinesMetricsAndEvents) {
@@ -296,11 +260,39 @@ TEST(TraceEventSinkTest, WriteObsJsonCombinesMetricsAndEvents) {
   EXPECT_TRUE(JsonValidator::Valid(none.str())) << none.str();
 }
 
+TEST(TraceEventSinkTest, WriteObsJsonFileWritesTheWriteObsJsonDocument) {
+  MetricsRegistry registry;
+  registry.GetCounter("c_total").Increment(1);
+  registry.GetHdrHistogram("latency", 1.0, 1024.0, 4).Observe(2.0);
+  TraceEventSink sink;
+  sink.AddInstant("marker", "test");
+  RunMetadata meta;
+  meta.git_describe = "test-deadbeef";
+  const std::string path = ::testing::TempDir() + "/obs_trace_event_test.json";
+  ASSERT_TRUE(WriteObsJsonFile(path, &registry, &sink, &meta).ok());
+  std::ifstream in(path);
+  std::string contents((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+  std::ostringstream expected;
+  WriteObsJson(expected, &registry, &sink, &meta);
+  EXPECT_EQ(contents, expected.str());
+  std::remove(path.c_str());
+}
+
+TEST(TraceEventSinkTest, WriteObsJsonFileErrorStatusNamesThePath) {
+  MetricsRegistry registry;
+  registry.GetCounter("c_total").Increment(1);
+  const std::string bad_path = "/nonexistent-dir-for-test/obs.json";
+  util::Status status = WriteObsJsonFile(bad_path, &registry, nullptr);
+  EXPECT_FALSE(status.ok());
+  EXPECT_NE(status.message().find(bad_path), std::string::npos)
+      << "error must name the path: " << status.message();
+}
+
 TEST(MetricsRegistryJsonTest, RegistryJsonIsValid) {
   MetricsRegistry registry;
   registry.GetCounter("a_total").Increment(1);
   registry.GetGauge("weird \"name\"\t").Set(-0.5);
-  registry.GetHistogram("h", 0.0, 2.0, 2).Observe(1.0);
+  registry.GetHdrHistogram("h", 1.0, 2.0, 2).Observe(1.0);
   std::ostringstream out;
   registry.WriteJson(out);
   EXPECT_TRUE(JsonValidator::Valid(out.str())) << out.str();

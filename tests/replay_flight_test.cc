@@ -18,6 +18,7 @@
 #include "src/obs/metrics.h"
 #include "src/obs/run_metadata.h"
 #include "src/obs/time_series.h"
+#include "src/sim/hierarchy.h"
 #include "src/sim/parallel_fleet.h"
 #include "src/sim/replay.h"
 #include "src/util/alloc_hook.h"
@@ -49,13 +50,14 @@ obs::RunMetadata TestMeta() {
   return meta;
 }
 
-// The replay's host-throughput gauge is the one wall-clock value in a series
-// (docs/OBSERVABILITY.md); every other field is a pure function of the
-// workload. Strip it so two runs compare on the deterministic content.
-std::string StripWallClockGauges(const std::string& series) {
-  static const std::regex kThroughputGauge(
-      "\"sim\\.replay\\.requests_per_sec\":[^,}]+,?");
-  return std::regex_replace(series, kThroughputGauge, "");
+// The registry's JSON without the pool's own exec.* instruments, the only
+// entries that depend on whether a pool ran.
+std::string JsonWithoutExec(const obs::MetricsRegistry& registry) {
+  std::ostringstream out;
+  registry.WriteJson(out);
+  static const std::regex kExecEntry("\"exec\\.[^\"]*\":[^,}]*,?");
+  static const std::regex kTrailingComma(",\\}");
+  return std::regex_replace(std::regex_replace(out.str(), kExecEntry, ""), kTrailingComma, "}");
 }
 
 // Serializes a ring through the post-mortem writer with a fixed context, so
@@ -140,7 +142,7 @@ TEST(ReplayFlightTest, FleetSeriesAndRingAreThreadCountInvariant) {
 
     std::ostringstream out;
     series.WriteJsonl(out, TestMeta());
-    *series_bytes = StripWallClockGauges(out.str());
+    *series_bytes = out.str();
     *ring_bytes = RingBytes(ring);
     return FleetDigest(result);
   };
@@ -155,6 +157,52 @@ TEST(ReplayFlightTest, FleetSeriesAndRingAreThreadCountInvariant) {
   // The series actually recorded windows (200s at 50s buckets, 4 shards
   // merged window-by-window -> 4-5 distinct window lines, not zero).
   EXPECT_NE(series_seq.find("\"type\":\"window\""), std::string::npos);
+}
+
+TEST(ReplayFlightTest, HierarchySeriesRingAndRegistryAreThreadCountInvariant) {
+  std::vector<trace::Trace> traces;
+  traces.push_back(UniformTrace(200, 3));
+  traces.push_back(UniformTrace(200, 7));
+  traces.push_back(UniformTrace(200, 11));
+  traces.push_back(UniformTrace(200, 5));
+
+  struct Telemetry {
+    std::string series;
+    std::string ring;
+    std::string registry;
+  };
+  auto run = [&](size_t threads) {
+    obs::MetricsRegistry registry;
+    obs::TimeSeriesRecorder series(&registry);
+    // Large enough to hold every edge and parent decision.
+    obs::FlightRecorder ring(4096);
+    HierarchyConfig config;
+    config.edge_kind = core::CacheKind::kCafe;
+    config.edge_config = SmallConfig(16, 2.0);
+    config.parent_kind = core::CacheKind::kCafe;
+    config.parent_config = SmallConfig(64, 1.0);
+    config.threads = threads;
+    config.replay.measurement_start_fraction = 0.0;
+    config.replay.bucket_seconds = 50.0;
+    config.replay.metrics = &registry;
+    config.replay.series = &series;
+    config.replay.flight = &ring;
+    HierarchyResult result = RunHierarchy(traces, config);
+    EXPECT_GT(result.parent.totals.requests, 0u) << "the parent tier must see redirects";
+
+    std::ostringstream out;
+    series.WriteJsonl(out, TestMeta());
+    return Telemetry{out.str(), RingBytes(ring), JsonWithoutExec(registry)};
+  };
+
+  const Telemetry sequential = run(1);
+  const Telemetry parallel = run(4);
+  EXPECT_EQ(sequential.series, parallel.series) << "merged series must not depend on thread count";
+  EXPECT_EQ(sequential.ring, parallel.ring) << "merged ring must not depend on thread count";
+  EXPECT_EQ(sequential.registry, parallel.registry)
+      << "merged registry must not depend on thread count";
+  EXPECT_NE(sequential.series.find("\"type\":\"window\""), std::string::npos);
+  EXPECT_NE(sequential.registry.find("\"sim.replay.requests_total\""), std::string::npos);
 }
 
 TEST(ReplayFlightTest, SeededFaultPostMortemIsByteIdenticalAcrossRuns) {

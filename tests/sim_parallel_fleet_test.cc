@@ -139,14 +139,13 @@ TEST_F(ParallelFleetTest, FleetTotalsAreSumsOfServerTotals) {
   EXPECT_GT(result.totals.requests, 0u);
 }
 
-// Sample vectors with the executor's own instruments and the wall-clock
-// throughput gauge removed -- the only registry content that legitimately
-// depends on whether (and how fast) a pool ran.
+// Sample vectors with the executor's own instruments removed -- the only
+// registry content that legitimately depends on whether a pool ran.
 template <typename Samples>
 Samples DeterministicSamples(const Samples& samples) {
   Samples out;
   for (const auto& sample : samples) {
-    if (sample.first.rfind("exec.", 0) == 0 || sample.first == "sim.replay.requests_per_sec") {
+    if (sample.first.rfind("exec.", 0) == 0) {
       continue;
     }
     out.push_back(sample);
@@ -175,11 +174,11 @@ TEST_F(ParallelFleetTest, MergedRegistryMatchesSequentialRecording) {
 
 TEST_F(ParallelFleetTest, FleetTraceLanesMatchSequentialRecording) {
   auto fleet_lane_events = [](const obs::TraceEventSink& sink) {
-    // (name, phase, tid) sequence of the merged shard lanes; timestamps and
-    // wall-clock counter samples are exempt from the contract.
+    // (name, phase, tid) sequence of the merged shard lanes; timestamps are
+    // exempt from the contract.
     std::vector<std::string> out;
     for (const obs::TraceEvent& event : sink.events()) {
-      if (event.tid < obs::kFleetTidBase || event.name == "sim.replay.requests_per_sec") {
+      if (event.tid < obs::kFleetTidBase) {
         continue;
       }
       out.push_back(event.name + "/" + event.phase + "/" + std::to_string(event.tid));

@@ -205,26 +205,9 @@ TEST_F(ReplayStreamTest, OutcomeStreamIdenticalAcrossProducers) {
   }
 }
 
-// Blanks the value of the one wall-clock-dependent gauge the replay exports
-// (host-time throughput); everything else in the document is sim-time or
-// counter state and must be byte-stable.
-std::string ScrubWallClock(std::string jsonl) {
-  const std::string key = "\"sim.replay.requests_per_sec\":";
-  for (size_t at = jsonl.find(key); at != std::string::npos; at = jsonl.find(key, at + key.size())) {
-    const size_t begin = at + key.size();
-    size_t end = begin;
-    while (end < jsonl.size() && jsonl[end] != ',' && jsonl[end] != '}') {
-      ++end;
-    }
-    jsonl.replace(begin, end - begin, "0");
-  }
-  return jsonl;
-}
-
 TEST_F(ReplayStreamTest, SeriesJsonlBytesIdenticalAcrossProducers) {
   // The exported JSONL document -- window edges, counter deltas, quantiles --
-  // must be byte-identical (modulo the host-time throughput gauge), not
-  // merely numerically close.
+  // must be byte-identical, not merely numerically close.
   auto series_bytes = [&](Producer producer) {
     obs::MetricsRegistry registry;
     obs::TimeSeriesRecorder recorder(&registry);
@@ -234,7 +217,7 @@ TEST_F(ReplayStreamTest, SeriesJsonlBytesIdenticalAcrossProducers) {
     RunOne(producer, options);
     std::ostringstream out;
     recorder.WriteJsonl(out, obs::RunMetadata{});
-    return ScrubWallClock(out.str());
+    return out.str();
   };
   const std::string reference = series_bytes(Producer::kMaterialized);
   ASSERT_FALSE(reference.empty());

@@ -10,6 +10,7 @@
 #include "src/core/cafe_cache.h"
 #include "src/core/xlru_cache.h"
 #include "src/obs/metrics.h"
+#include "src/obs/time_series.h"
 #include "src/obs/trace_event.h"
 #include "tests/cache_test_util.h"
 
@@ -125,63 +126,55 @@ TEST(ReplayTest, XlruEndToEndOnSyntheticPattern) {
   EXPECT_EQ(result.alpha_f2r, 2.0);
 }
 
-// Records every OnBucketEnd call for cadence assertions.
-class RecordingObserver : public ReplayObserver {
- public:
-  void OnBucketEnd(const ReplayProgress& progress) override {
-    processed_.push_back(progress.requests_processed);
-    sim_times_.push_back(progress.sim_time);
-    total_requests_ = progress.total_requests;
-    last_totals_requests_ = progress.totals != nullptr ? progress.totals->requests : 0;
+// The sim.replay.requests_total delta of one series window.
+uint64_t RequestsIn(const obs::SeriesWindow& window) {
+  for (const auto& [name, delta] : window.counters) {
+    if (name == "sim.replay.requests_total") {
+      return delta;
+    }
   }
+  return 0;
+}
 
-  const std::vector<uint64_t>& processed() const { return processed_; }
-  const std::vector<double>& sim_times() const { return sim_times_; }
-  uint64_t total_requests() const { return total_requests_; }
-  uint64_t last_totals_requests() const { return last_totals_requests_; }
-
- private:
-  std::vector<uint64_t> processed_;
-  std::vector<double> sim_times_;
-  uint64_t total_requests_ = 0;
-  uint64_t last_totals_requests_ = 0;
-};
-
-TEST(ReplayObserverTest, CalledOncePerBucketPlusFinal) {
+TEST(ReplaySeriesTest, OneWindowPerBucketPlusFinal) {
   // Buckets of 10s; requests land in buckets 0, 0, 2, 5 -> two interior
-  // boundary crossings plus the final flush = 3 callbacks.
+  // boundary crossings plus the final flush = 3 windows, keyed to the
+  // bucket edges.
   trace::Trace trace =
       MakeTrace({{1.0, 1, 0, 0}, {2.0, 1, 0, 0}, {25.0, 1, 0, 0}, {51.0, 2, 0, 0}});
   trace.duration = 60.0;
   core::AlwaysFillLruCache cache(SmallConfig(10, 1.0));
-  RecordingObserver observer;
+  obs::MetricsRegistry registry;
+  obs::TimeSeriesRecorder series(&registry);
   ReplayOptions options;
   options.bucket_seconds = 10.0;
-  options.observer = &observer;
+  options.metrics = &registry;
+  options.series = &series;
   Replay(cache, trace, options);
 
-  ASSERT_EQ(observer.processed().size(), 3u);
-  // First flush happens when t=25 arrives: 2 requests processed so far.
-  EXPECT_EQ(observer.processed()[0], 2u);
-  EXPECT_EQ(observer.processed()[1], 3u);
-  EXPECT_EQ(observer.processed()[2], 4u);
-  EXPECT_EQ(observer.total_requests(), 4u);
-  EXPECT_EQ(observer.last_totals_requests(), 4u);
-  EXPECT_DOUBLE_EQ(observer.sim_times().back(), 51.0);
+  ASSERT_EQ(series.num_windows(), 3u);
+  EXPECT_DOUBLE_EQ(series.window(0).start, 0.0);
+  EXPECT_DOUBLE_EQ(series.window(1).start, 20.0);
+  EXPECT_DOUBLE_EQ(series.window(2).start, 50.0);
+  // The first window closes when t=25 arrives, after 2 requests.
+  EXPECT_EQ(RequestsIn(series.window(0)), 2u);
+  EXPECT_EQ(RequestsIn(series.window(1)), 1u);
+  EXPECT_EQ(RequestsIn(series.window(2)), 1u);
+  EXPECT_DOUBLE_EQ(registry.GaugeValue("sim.replay.sim_time_seconds"), 51.0);
 }
 
-TEST(ReplayObserverTest, NeverCalledForEmptyTrace) {
+TEST(ReplaySeriesTest, NoWindowForEmptyTrace) {
   trace::Trace trace;
   trace.duration = 0.0;
   core::AlwaysFillLruCache cache(SmallConfig(10, 1.0));
-  RecordingObserver observer;
   obs::MetricsRegistry registry;
+  obs::TimeSeriesRecorder series(&registry);
   ReplayOptions options;
   options.measurement_start_fraction = 0.0;
-  options.observer = &observer;
   options.metrics = &registry;
+  options.series = &series;
   ReplayResult result = Replay(cache, trace, options);
-  EXPECT_TRUE(observer.processed().empty());
+  EXPECT_EQ(series.num_windows(), 0u);
   EXPECT_EQ(result.totals.requests, 0u);
   EXPECT_EQ(registry.CounterValue("sim.replay.requests_total"), 0u);
   EXPECT_EQ(registry.CounterValue("sim.replay.buckets_flushed_total"), 0u);
@@ -218,7 +211,7 @@ TEST(ReplayObsTest, RegistryCountersMatchReplayTotals) {
   EXPECT_GT(registry.GaugeValue(p + "used_chunks"), 0.0);
 }
 
-TEST(ReplayObsTest, TraceSinkRecordsSpansAndSnapshots) {
+TEST(ReplayObsTest, TraceSinkRecordsSpans) {
   trace::Trace trace = MakeTrace({{1.0, 1, 0, 1}, {4000.0, 1, 0, 1}});
   trace.duration = 7200.0;
   core::AlwaysFillLruCache cache(SmallConfig(10, 1.0));
@@ -229,16 +222,15 @@ TEST(ReplayObsTest, TraceSinkRecordsSpansAndSnapshots) {
   options.trace_sink = &sink;
   Replay(cache, trace, options);
 
-  bool saw_prepare = false;
-  bool saw_loop = false;
-  for (const obs::TraceEvent& e : sink.events()) {
-    saw_prepare = saw_prepare || (e.phase == 'X' && e.name == "replay.prepare");
-    saw_loop = saw_loop || (e.phase == 'X' && e.name == "replay.loop");
-  }
-  EXPECT_TRUE(saw_prepare);
-  EXPECT_TRUE(saw_loop);
-  // One snapshot per bucket flush: the interior boundary plus the final one.
-  EXPECT_EQ(sink.num_snapshots(), 2u);
+  // The sink holds the two replay spans and nothing else: per-bucket values
+  // live in the registry and the series.
+  ASSERT_EQ(sink.num_events(), 2u);
+  EXPECT_EQ(sink.events()[0].phase, 'X');
+  EXPECT_EQ(sink.events()[0].name, "replay.prepare");
+  EXPECT_EQ(sink.events()[1].phase, 'X');
+  EXPECT_EQ(sink.events()[1].name, "replay.loop");
+  // One flush per bucket: the interior boundary plus the final one.
+  EXPECT_EQ(registry.CounterValue("sim.replay.buckets_flushed_total"), 2u);
 }
 
 }  // namespace

@@ -65,39 +65,7 @@ TEST(TraceIoCsvTest, RejectsOutOfOrderTimes) {
   EXPECT_FALSE(result.ok());
 }
 
-TEST(TraceIoBinaryTest, RoundTrip) {
-  Trace original = SampleTrace();
-  std::stringstream stream(std::ios::in | std::ios::out | std::ios::binary);
-  ASSERT_TRUE(WriteBinary(original, stream).ok());
-  auto result = ReadBinary(stream);
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  const Trace& read = result.value();
-  ASSERT_EQ(read.requests.size(), original.requests.size());
-  for (size_t i = 0; i < read.requests.size(); ++i) {
-    EXPECT_DOUBLE_EQ(read.requests[i].arrival_time, original.requests[i].arrival_time);
-    EXPECT_EQ(read.requests[i].video, original.requests[i].video);
-  }
-}
-
-TEST(TraceIoBinaryTest, RejectsBadMagic) {
-  std::stringstream stream(std::ios::in | std::ios::out | std::ios::binary);
-  stream << "NOTATRACE-------";
-  auto result = ReadBinary(stream);
-  EXPECT_FALSE(result.ok());
-}
-
-TEST(TraceIoBinaryTest, RejectsTruncation) {
-  Trace original = SampleTrace();
-  std::stringstream stream(std::ios::in | std::ios::out | std::ios::binary);
-  ASSERT_TRUE(WriteBinary(original, stream).ok());
-  std::string data = stream.str();
-  std::stringstream truncated(data.substr(0, data.size() - 8),
-                              std::ios::in | std::ios::binary);
-  auto result = ReadBinary(truncated);
-  EXPECT_FALSE(result.ok());
-}
-
-TEST(TraceIoTest, GeneratedTraceRoundTripsThroughBothFormats) {
+TEST(TraceIoTest, GeneratedTraceRoundTripsThroughCsv) {
   WorkloadConfig config;
   config.profile = EuropeProfile(0.02);
   config.profile.base_request_rate = 0.02;
@@ -109,16 +77,6 @@ TEST(TraceIoTest, GeneratedTraceRoundTripsThroughBothFormats) {
   auto csv_read = ReadCsv(csv);
   ASSERT_TRUE(csv_read.ok());
   EXPECT_EQ(csv_read.value().requests.size(), trace.requests.size());
-
-  std::stringstream bin(std::ios::in | std::ios::out | std::ios::binary);
-  ASSERT_TRUE(WriteBinary(trace, bin).ok());
-  auto bin_read = ReadBinary(bin);
-  ASSERT_TRUE(bin_read.ok());
-  ASSERT_EQ(bin_read.value().requests.size(), trace.requests.size());
-  // Binary is bit-exact.
-  for (size_t i = 0; i < trace.requests.size(); ++i) {
-    ASSERT_EQ(bin_read.value().requests[i].arrival_time, trace.requests[i].arrival_time);
-  }
 }
 
 TEST(TraceIoFileTest, MissingFileIsNotFound) {

@@ -38,23 +38,6 @@ TEST(StatAccumulatorTest, SingleValue) {
   EXPECT_DOUBLE_EQ(acc.variance(), 0.0);
 }
 
-TEST(EwmaTest, FirstValueInitializes) {
-  Ewma ewma(0.25);
-  EXPECT_FALSE(ewma.initialized());
-  ewma.Add(10.0);
-  EXPECT_TRUE(ewma.initialized());
-  EXPECT_DOUBLE_EQ(ewma.value(), 10.0);
-}
-
-TEST(EwmaTest, Smoothing) {
-  Ewma ewma(0.5);
-  ewma.Add(10.0);
-  ewma.Add(20.0);
-  EXPECT_DOUBLE_EQ(ewma.value(), 15.0);
-  ewma.Add(15.0);
-  EXPECT_DOUBLE_EQ(ewma.value(), 15.0);
-}
-
 TEST(BucketedSeriesTest, AccumulatesIntoRightBuckets) {
   BucketedSeries series(0.0, 10.0);
   series.Add(0.0, 1.0);

@@ -6,13 +6,13 @@
 //   trace_pack --generate six|europe [--scale X] [--days D] [--seed S]
 //              --out fleet.vtrs [--verify]
 //   trace_pack --csv edge0.csv,edge1.csv --out fleet.vtrs [--verify]
-//   trace_pack --bin edge0.trc,edge1.trc --out fleet.vtrs [--verify]
 //
-// Exactly one input selector (--generate / --csv / --bin); each CSV or
-// VCDNTRC1 file becomes one server section, in argument order. --generate
-// streams window by window straight into the writer -- a full-scale
-// month-long fleet packs with peak RSS independent of trace length, the
-// same per-server seeding the benches use (util::SplitSeed(seed, i)).
+// Exactly one input selector (--generate / --csv); each CSV file (the
+// interchange format, src/trace/trace_io.h) becomes one server section, in
+// argument order. --generate streams window by window straight into the
+// writer -- a full-scale month-long fleet packs with peak RSS independent of
+// trace length, the same per-server seeding the benches use
+// (util::SplitSeed(seed, i)).
 //
 // --verify re-opens the packed file, runs the eager full scan
 // (MmapTrace::Validate) and compares record count and FNV-1a digest against
@@ -43,14 +43,14 @@ using vcdn::trace::TraceFileWriter;
     std::fprintf(stderr, "error: %s\n\n", error);
   }
   std::fprintf(stderr,
-               "usage: trace_pack --out FILE (--generate six|europe | --csv F[,F...] |"
-               " --bin F[,F...])\n"
+               "usage: trace_pack --out FILE (--generate six|europe | --csv F[,F...])\n"
                "                  [--scale X] [--days D] [--seed S] [--verify]\n"
                "\n"
-               "Packs traces into the mmap-replayable VCDNTRS2 format. --scale/--days/\n"
-               "--seed shape the synthetic workload (defaults 0.25 / 30 / 1, matching\n"
-               "the benches); --verify re-opens the output and proves the round trip\n"
-               "bit-exact against the source digest.\n");
+               "Packs a generated fleet, or CSV traces (one server section per file),\n"
+               "into the mmap-replayable VCDNTRS2 format. --scale/--days/--seed shape\n"
+               "the synthetic workload (defaults 0.25 / 30 / 1, matching the benches);\n"
+               "--verify re-opens the output and proves the round trip bit-exact\n"
+               "against the source digest.\n");
   std::exit(2);
 }
 
@@ -82,7 +82,6 @@ struct Options {
   std::string out;
   std::string generate;  // "six" or "europe"
   std::vector<std::string> csv;
-  std::vector<std::string> bin;
   double scale = 0.25;
   double days = 30.0;
   uint64_t seed = 1;
@@ -109,8 +108,6 @@ Options ParseArgs(int argc, char** argv) {
       }
     } else if (arg == "--csv") {
       opt.csv = SplitCommas(value());
-    } else if (arg == "--bin") {
-      opt.bin = SplitCommas(value());
     } else if (arg == "--scale" || arg == "--days") {
       double parsed = 0.0;
       if (!vcdn::util::ParseDouble(value(), &parsed) || !std::isfinite(parsed) || parsed <= 0.0) {
@@ -133,9 +130,8 @@ Options ParseArgs(int argc, char** argv) {
   if (opt.out.empty()) {
     Usage("--out is required");
   }
-  const int selectors = (!opt.generate.empty()) + (!opt.csv.empty()) + (!opt.bin.empty());
-  if (selectors != 1) {
-    Usage("exactly one of --generate / --csv / --bin is required");
+  if (opt.generate.empty() == opt.csv.empty()) {
+    Usage("exactly one of --generate / --csv is required");
   }
   return opt;
 }
@@ -173,11 +169,10 @@ void PackGenerated(const Options& opt, TraceFileWriter& writer, RequestDigest& d
   }
 }
 
-void PackFiles(const std::vector<std::string>& paths, bool csv, TraceFileWriter& writer,
-               RequestDigest& digest) {
+void PackCsvFiles(const std::vector<std::string>& paths, TraceFileWriter& writer,
+                  RequestDigest& digest) {
   for (const std::string& path : paths) {
-    vcdn::util::Result<vcdn::trace::Trace> read =
-        csv ? vcdn::trace::ReadCsvFile(path) : vcdn::trace::ReadBinaryFile(path);
+    vcdn::util::Result<vcdn::trace::Trace> read = vcdn::trace::ReadCsvFile(path);
     DieOnError(read.status(), path.c_str());
     const vcdn::trace::Trace& trace = read.value();
     DieOnError(writer.AppendTrace(trace), path.c_str());
@@ -194,7 +189,7 @@ int main(int argc, char** argv) {
 
   const size_t server_count = !opt.generate.empty()
                                   ? (opt.generate == "six" ? size_t{6} : size_t{1})
-                                  : (!opt.csv.empty() ? opt.csv.size() : opt.bin.size());
+                                  : opt.csv.size();
   std::printf("packing %zu server section(s) -> %s\n", server_count, opt.out.c_str());
 
   TraceFileWriter writer;
@@ -203,7 +198,7 @@ int main(int argc, char** argv) {
   if (!opt.generate.empty()) {
     PackGenerated(opt, writer, digest);
   } else {
-    PackFiles(!opt.csv.empty() ? opt.csv : opt.bin, !opt.csv.empty(), writer, digest);
+    PackCsvFiles(opt.csv, writer, digest);
   }
   DieOnError(writer.Finish(), "finish");
   std::printf("packed %llu requests, source digest %016llx\n",
