@@ -87,7 +87,7 @@ class CacheAlgorithm {
   RequestOutcome HandleRequest(const trace::Request& request) {
     RequestOutcome outcome = HandleRequestImpl(request);
     if (metrics_attached_) {
-      RecordOutcome(outcome);
+      RecordOutcomes(&outcome, 1);
     }
     return outcome;
   }
@@ -101,14 +101,12 @@ class CacheAlgorithm {
   void HandleRequestBatch(const trace::Request* requests, size_t count,
                           RequestOutcome* outcomes) {
     HandleRequestBatchImpl(requests, count, outcomes);
-    if (metrics_attached_) {
-      // Deferring the per-request recording to the end of the batch is
-      // observable only through a registry snapshot, and callers cut batches
-      // at every snapshot point (bucket flushes), so counter and gauge
-      // values agree with the unbatched path wherever they can be read.
-      for (size_t i = 0; i < count; ++i) {
-        RecordOutcome(outcomes[i]);
-      }
+    if (metrics_attached_ && count > 0) {
+      // Recording once per batch is observable only through a registry
+      // snapshot, and callers cut batches at every snapshot point (bucket
+      // flushes), so counter and gauge values agree with the unbatched path
+      // wherever they can be read.
+      RecordOutcomes(outcomes, count);
     }
   }
 
@@ -220,8 +218,9 @@ class CacheAlgorithm {
     (void)prefix;
   }
 
-  // Subclass hook: refresh algorithm-specific gauges; called after each
-  // recorded request while metrics are attached.
+  // Subclass hook: refresh algorithm-specific gauges from the current state;
+  // called once per recorded batch (a single request is a batch of one) while
+  // metrics are attached.
   virtual void OnOutcomeRecorded() {}
 
   // Shared helper: outcome skeleton for a request.
@@ -236,20 +235,32 @@ class CacheAlgorithm {
   CostModel cost_;
 
  private:
-  void RecordOutcome(const RequestOutcome& outcome) {
-    requests_total_.Increment();
-    if (outcome.decision == Decision::kServe) {
-      served_total_.Increment();
-    } else {
-      redirected_total_.Increment();
+  // Folds a batch's outcomes into each counter once; the gauges read the
+  // post-batch state. Request sizes still go to the histogram one by one.
+  void RecordOutcomes(const RequestOutcome* outcomes, size_t count) {
+    uint64_t served = 0;
+    uint64_t hit_chunks = 0;
+    uint64_t filled_chunks = 0;
+    uint64_t proactive_filled_chunks = 0;
+    uint64_t evicted_chunks = 0;
+    for (size_t i = 0; i < count; ++i) {
+      const RequestOutcome& outcome = outcomes[i];
+      served += outcome.decision == Decision::kServe ? 1 : 0;
+      hit_chunks += outcome.hit_chunks;
+      filled_chunks += outcome.filled_chunks;
+      proactive_filled_chunks += outcome.proactive_filled_chunks;
+      evicted_chunks += outcome.evicted_chunks;
+      request_bytes_hdr_.Observe(static_cast<double>(outcome.requested_bytes));
     }
-    hit_chunks_total_.Increment(outcome.hit_chunks);
+    requests_total_.Increment(count);
+    served_total_.Increment(served);
+    redirected_total_.Increment(count - served);
+    hit_chunks_total_.Increment(hit_chunks);
     // Matches ReplayTotals::filled_chunks: proactive prefetches are ingress.
-    filled_chunks_total_.Increment(outcome.filled_chunks + outcome.proactive_filled_chunks);
-    proactive_filled_chunks_total_.Increment(outcome.proactive_filled_chunks);
-    evicted_chunks_total_.Increment(outcome.evicted_chunks);
+    filled_chunks_total_.Increment(filled_chunks + proactive_filled_chunks);
+    proactive_filled_chunks_total_.Increment(proactive_filled_chunks);
+    evicted_chunks_total_.Increment(evicted_chunks);
     used_chunks_gauge_.Set(static_cast<double>(used_chunks()));
-    request_bytes_hdr_.Observe(static_cast<double>(outcome.requested_bytes));
     OnOutcomeRecorded();
   }
 

@@ -126,9 +126,9 @@ ReplayResult ReplayLoop(core::CacheAlgorithm& cache, trace::RequestStream& strea
       if (options.on_outcome) {
         options.on_outcome(request, outcome);
       }
-      ++processed;
-      requests_counter.Increment();
     }
+    processed += batch.count;
+    requests_counter.Increment(batch.count);
     batch.requests = nullptr;
     batch.count = 0;
   };

@@ -4,13 +4,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <optional>
 #include <utility>
 #include <vector>
 
 #include "src/util/check.h"
 #include "src/util/distributions.h"
-#include "src/util/rng.h"
 
 namespace vcdn::trace {
 
@@ -23,6 +23,24 @@ constexpr double kCatalogHistorySeconds = 45.0 * kSecondsPerDay;
 // Minimum bytes a view consumes (a player fetches at least its startup buffer).
 constexpr uint64_t kMinViewBytes = 64ull << 10;
 
+// Amplitude of DiurnalFactor's weekly component, and the headroom the
+// thinning envelope keeps above the diurnal peak. The swing must fit inside
+// the headroom so that the acceptance probability stays below 1.
+constexpr double kWeeklySwing = 0.08;
+constexpr double kThinningHeadroom = 0.1;
+static_assert(kWeeklySwing < kThinningHeadroom);
+// DiurnalFactor's floor; it keeps the acceptance probability above 0.
+constexpr double kMinDiurnalFactor = 0.05;
+
+// Arrival thinning bounds the acceptance probability over slices of this
+// length and computes it exactly only when the uniform falls between the
+// bounds.
+constexpr double kThinningSliceSeconds = 900.0;
+// Added to each side of a slice's bounds on DiurnalShape. The rounding error
+// of the computed shape is ~1e-13 over a month (sin's argument is a few
+// hundred radians), so the bounds hold for every computed value.
+constexpr double kThinningBoundSlack = 1e-6;
+
 // Distinct PCG32 stream ids so that each aspect of generation has an
 // independent, reproducible random sequence.
 enum RngStream : uint64_t {
@@ -32,14 +50,33 @@ enum RngStream : uint64_t {
   kStreamRange = 4,
 };
 
+void CheckConfig(const WorkloadConfig& config) {
+  const ServerProfile& profile = config.profile;
+  VCDN_CHECK(config.duration_seconds > 0.0);
+  VCDN_CHECK(config.popularity_refresh_seconds > 0.0);
+  VCDN_CHECK(profile.catalog_size > 0);
+  VCDN_CHECK(profile.base_request_rate > 0.0);
+  VCDN_CHECK(profile.diurnal_amplitude >= 0.0 && profile.diurnal_amplitude < 1.0);
+  VCDN_CHECK(0 < profile.min_video_bytes && profile.min_video_bytes <= profile.max_video_bytes);
+  VCDN_CHECK(profile.mean_view_fraction > 0.0);
+}
+
+// DiurnalFactor before its floor: server-local time-of-day, peaking at
+// ~20:00 local and bottoming out at ~08:00 local, plus a mild weekly swing.
+double DiurnalShape(const ServerProfile& profile, double t) {
+  double local = t + profile.timezone_offset_hours * 3600.0;
+  double day_phase = 2.0 * M_PI * (local / kSecondsPerDay);
+  // sin peaks when local time-of-day == 20h: shift by 14h (sin peaks at
+  // phase pi/2, i.e. 6h after the shifted origin).
+  double daily = std::sin(day_phase - 2.0 * M_PI * 14.0 / 24.0);
+  double weekly = kWeeklySwing * std::sin(2.0 * M_PI * local / kSecondsPerWeek);
+  return 1.0 + profile.diurnal_amplitude * daily + weekly;
+}
+
 }  // namespace
 
 WorkloadGenerator::WorkloadGenerator(WorkloadConfig config) : config_(std::move(config)) {
-  VCDN_CHECK(config_.duration_seconds > 0.0);
-  VCDN_CHECK(config_.popularity_refresh_seconds > 0.0);
-  VCDN_CHECK(config_.profile.catalog_size > 0);
-  VCDN_CHECK(config_.profile.base_request_rate > 0.0);
-  VCDN_CHECK(config_.profile.diurnal_amplitude >= 0.0 && config_.profile.diurnal_amplitude < 1.0);
+  CheckConfig(config_);
 }
 
 WindowedWorkload::WindowedWorkload(WorkloadConfig config)
@@ -47,15 +84,11 @@ WindowedWorkload::WindowedWorkload(WorkloadConfig config)
       arrival_rng_(config_.seed, kStreamArrivals),
       pick_rng_(config_.seed, kStreamVideoPick),
       range_rng_(config_.seed, kStreamRange) {
-  VCDN_CHECK(config_.duration_seconds > 0.0);
-  VCDN_CHECK(config_.popularity_refresh_seconds > 0.0);
-  VCDN_CHECK(config_.profile.catalog_size > 0);
-  VCDN_CHECK(config_.profile.base_request_rate > 0.0);
-  VCDN_CHECK(config_.profile.diurnal_amplitude >= 0.0 && config_.profile.diurnal_amplitude < 1.0);
+  CheckConfig(config_);
 
   const ServerProfile& profile = config_.profile;
   util::Pcg32 catalog_rng(config_.seed, kStreamCatalog);
-  lambda_max_ = profile.base_request_rate * (1.0 + profile.diurnal_amplitude + 0.1);
+  lambda_max_ = profile.base_request_rate * (1.0 + profile.diurnal_amplitude + kThinningHeadroom);
 
   auto make_video = [&](VideoId id, double birth) {
     VideoMeta v;
@@ -96,6 +129,8 @@ WindowedWorkload::WindowedWorkload(WorkloadConfig config)
       t += util::SampleExponential(catalog_rng, 1.0 / upload_rate);
     }
   }
+  // live_ and the sampling table index the catalog with 32 bits.
+  VCDN_CHECK(catalog_.videos.size() <= std::numeric_limits<uint32_t>::max());
 }
 
 bool WindowedWorkload::NextWindow(std::vector<Request>* out) {
@@ -105,48 +140,30 @@ bool WindowedWorkload::NextWindow(std::vector<Request>* out) {
   const ServerProfile& profile = config_.profile;
   double window_end =
       std::min(window_start_ + config_.popularity_refresh_seconds, config_.duration_seconds);
-  double window_mid = 0.5 * (window_start_ + window_end);
-
-  // Rebuild the sampling table from demand weights at the window midpoint.
-  active_ids_.clear();
-  active_weights_.clear();
-  for (const VideoMeta& v : catalog_.videos) {
-    double w = WorkloadGenerator::VideoWeightAt(v, window_mid, config_);
-    if (w > config_.weight_floor_fraction * v.base_weight && w > 0.0) {
-      active_ids_.push_back(v.id);
-      active_weights_.push_back(w);
-    }
-  }
-  if (active_ids_.empty()) {
+  RefreshActive(0.5 * (window_start_ + window_end));
+  if (active_.empty()) {
     window_start_ += config_.popularity_refresh_seconds;
     return true;
   }
-  util::AliasTable table(active_weights_);
 
-  // Request arrivals: non-homogeneous Poisson process sampled by thinning
-  // against the maximum rate.
-  double t = window_start_;
-  for (;;) {
-    t += util::SampleExponential(arrival_rng_, 1.0 / lambda_max_);
-    if (t >= window_end) {
-      break;
-    }
-    // Thinning acceptance for the diurnal/weekly modulated rate.
-    double accept =
-        profile.base_request_rate * WorkloadGenerator::DiurnalFactor(profile, t) / lambda_max_;
-    if (!arrival_rng_.NextBool(accept)) {
-      continue;
-    }
+  // Each RNG stream is drawn in one pass, in the order one loop interleaving
+  // all three would draw it: arrival times, then a pick per accepted arrival,
+  // then a byte range per request.
+  DrawArrivals(window_end);
+  picks_.resize(arrivals_.size());
+  table_.SampleMany(pick_rng_, picks_.data(), picks_.size());
 
-    const VideoMeta& video = catalog_.videos[active_ids_[table.Sample(pick_rng_)]];
+  // At most one request per arrival: size `out` once, then trim.
+  const size_t first = out->size();
+  out->resize(first + arrivals_.size());
+  Request* next = out->data() + first;
+  for (size_t i = 0; i < arrivals_.size(); ++i) {
+    const VideoMeta& video = catalog_.videos[active_[picks_[i]]];
+    const double t = arrivals_[i];
     if (video.birth_time > t) {
       // Born later in this sampling window; it cannot be requested yet.
       continue;
     }
-
-    Request r;
-    r.arrival_time = t;
-    r.video = video.id;
 
     // Intra-file pattern: most views start at the head of the file; others
     // seek into the early part (quadratic skew toward the beginning). View
@@ -164,26 +181,107 @@ bool WindowedWorkload::NextWindow(std::vector<Request>* out) {
     uint64_t end = start + view_bytes - 1;
     end = std::min(end, size - 1);
 
-    r.byte_begin = start;
-    r.byte_end = end;
-    out->push_back(r);
+    next->arrival_time = t;
+    next->video = video.id;
+    next->byte_begin = start;
+    next->byte_end = end;
+    ++next;
   }
+  out->resize(static_cast<size_t>(next - out->data()));
 
   window_start_ += config_.popularity_refresh_seconds;
   return true;
 }
 
+void WindowedWorkload::RefreshActive(double window_mid) {
+  const std::vector<VideoMeta>& videos = catalog_.videos;
+  // Pre-existing videos are born at or before 0 < window_mid and uploads
+  // follow in birth order, so the born videos are a prefix of the catalog.
+  while (next_birth_ < videos.size() && videos[next_birth_].birth_time <= window_mid) {
+    live_.push_back(static_cast<uint32_t>(next_birth_++));
+  }
+
+  active_.clear();
+  active_weights_.clear();
+  size_t kept = 0;
+  for (const uint32_t index : live_) {
+    const VideoMeta& v = videos[index];
+    const double w = WorkloadGenerator::VideoWeightAt(v, window_mid, config_);
+    const double weight_floor = config_.weight_floor_fraction * v.base_weight;
+    if (w > weight_floor && w > 0.0) {
+      active_.push_back(index);
+      active_weights_.push_back(w);
+    }
+    // Past its ramp a transient's weight only decays. Below half the floor
+    // -- a margin far above exp's rounding error -- it never passes the
+    // floor again.
+    if (v.video_class == VideoClass::kTransient &&
+        window_mid - v.birth_time >= config_.new_video_ramp_seconds && w < 0.5 * weight_floor) {
+      continue;
+    }
+    live_[kept++] = index;
+  }
+  live_.resize(kept);
+  if (!active_.empty()) {
+    table_.Rebuild(active_weights_);
+  }
+}
+
+void WindowedWorkload::DrawArrivals(double window_end) {
+  const ServerProfile& profile = config_.profile;
+  arrivals_.clear();
+  // Non-homogeneous Poisson process sampled by thinning against the maximum
+  // rate.
+  double t = window_start_;
+  for (;;) {
+    t += util::SampleExponential(arrival_rng_, 1.0 / lambda_max_);
+    if (t >= window_end) {
+      break;
+    }
+    // Arrival times never decrease, across windows too, so t lies in the
+    // current slice until it reaches the slice's end.
+    if (t >= slice_end_) {
+      StartSlice(t);
+    }
+    // The acceptance probability lies in (0, 1), so NextBool(accept) would
+    // draw exactly this uniform and accept when it is below accept.
+    const double u = arrival_rng_.NextDouble();
+    bool accepted = u < accept_lo_;
+    if (!accepted && u < accept_hi_) {
+      accepted =
+          u < profile.base_request_rate * WorkloadGenerator::DiurnalFactor(profile, t) / lambda_max_;
+    }
+    if (accepted) {
+      arrivals_.push_back(t);
+    }
+  }
+}
+
+void WindowedWorkload::StartSlice(double t) {
+  const ServerProfile& profile = config_.profile;
+  const double end = t + kThinningSliceSeconds;
+  // Between two points, a function whose second derivative is at most M in
+  // magnitude strays from its chord by at most M * width^2 / 8.
+  const double day_rate = 2.0 * M_PI / kSecondsPerDay;
+  const double week_rate = 2.0 * M_PI / kSecondsPerWeek;
+  const double curvature =
+      profile.diurnal_amplitude * day_rate * day_rate + kWeeklySwing * week_rate * week_rate;
+  const double slack =
+      curvature * kThinningSliceSeconds * kThinningSliceSeconds / 8.0 + kThinningBoundSlack;
+  const double a = DiurnalShape(profile, t);
+  const double b = DiurnalShape(profile, end);
+  const double lo = std::max(std::min(a, b) - slack, kMinDiurnalFactor);
+  const double hi = std::max(std::max(a, b) + slack, kMinDiurnalFactor);
+  // The exact acceptance rounds the same monotone operations on a factor in
+  // [lo, hi], so it lies in [accept_lo_, accept_hi_].
+  accept_lo_ = profile.base_request_rate * lo / lambda_max_;
+  accept_hi_ = profile.base_request_rate * hi / lambda_max_;
+  VCDN_CHECK(accept_lo_ > 0.0 && accept_hi_ < 1.0);
+  slice_end_ = end;
+}
+
 double WorkloadGenerator::DiurnalFactor(const ServerProfile& profile, double t) {
-  // Server-local time-of-day; demand peaks at ~20:00 local and bottoms out at
-  // ~08:00 local. A mild weekly swing is superimposed.
-  double local = t + profile.timezone_offset_hours * 3600.0;
-  double day_phase = 2.0 * M_PI * (local / kSecondsPerDay);
-  // sin peaks when local time-of-day == 20h: shift by 14h (sin peaks at
-  // phase pi/2, i.e. 6h after the shifted origin).
-  double daily = std::sin(day_phase - 2.0 * M_PI * 14.0 / 24.0);
-  double weekly = 0.08 * std::sin(2.0 * M_PI * local / kSecondsPerWeek);
-  double factor = 1.0 + profile.diurnal_amplitude * daily + weekly;
-  return std::max(factor, 0.05);
+  return std::max(DiurnalShape(profile, t), kMinDiurnalFactor);
 }
 
 double WorkloadGenerator::VideoWeightAt(const VideoMeta& video, double t,

@@ -32,6 +32,7 @@
 #include "src/trace/catalog.h"
 #include "src/trace/request.h"
 #include "src/trace/server_profile.h"
+#include "src/util/distributions.h"
 #include "src/util/rng.h"
 
 namespace vcdn::trace {
@@ -85,6 +86,13 @@ class WindowedWorkload {
   Catalog TakeCatalog() { return std::move(catalog_); }
 
  private:
+  // Rebuilds active_ and table_ from demand weights at `window_mid`.
+  void RefreshActive(double window_mid);
+  // Fills arrivals_ with the window's accepted arrival times.
+  void DrawArrivals(double window_end);
+  // Re-bounds the thinning acceptance over the slice starting at `t`.
+  void StartSlice(double t);
+
   WorkloadConfig config_;
   Catalog catalog_;
   util::Pcg32 arrival_rng_;
@@ -92,9 +100,23 @@ class WindowedWorkload {
   util::Pcg32 range_rng_;
   double lambda_max_;
   double window_start_ = 0.0;
-  // Scratch reused across windows to avoid per-window allocation.
-  std::vector<VideoId> active_ids_;
+  // Catalog indices that can still carry weight, in catalog order: a video
+  // joins once a window midpoint reaches its birth and a transient leaves
+  // once it has decayed for good. next_birth_ is the first index not joined.
+  std::vector<uint32_t> live_;
+  size_t next_birth_ = 0;
+  // The window's sampling table and, per column, its catalog index and
+  // weight.
+  std::vector<uint32_t> active_;
   std::vector<double> active_weights_;
+  util::AliasTable table_;
+  // The window's accepted arrivals and their picks (indices into active_).
+  std::vector<double> arrivals_;
+  std::vector<uint32_t> picks_;
+  // Bounds on the thinning acceptance over [slice start, slice_end_).
+  double slice_end_ = -1.0;
+  double accept_lo_ = 0.0;
+  double accept_hi_ = 0.0;
 };
 
 class WorkloadGenerator {

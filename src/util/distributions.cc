@@ -2,19 +2,15 @@
 
 #include "src/util/distributions.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <limits>
 
+#include "src/container/prefetch.h"
 #include "src/util/check.h"
 
 namespace vcdn::util {
-
-double SampleExponential(Pcg32& rng, double mean) {
-  VCDN_CHECK(mean > 0.0);
-  // 1 - u in (0, 1] avoids log(0).
-  double u = 1.0 - rng.NextDouble();
-  return -mean * std::log(u);
-}
 
 double SampleStandardNormal(Pcg32& rng) {
   // Box-Muller, cosine branch only so that exactly two uniforms are consumed
@@ -36,63 +32,12 @@ double SamplePareto(Pcg32& rng, double x_m, double alpha) {
   return x_m / std::pow(u, 1.0 / alpha);
 }
 
-// --- ZipfDistribution ------------------------------------------------------
-//
-// Rejection-inversion sampling for the Zipf distribution (W. Hoermann and
-// G. Derflinger, "Rejection-inversion to generate variates from monotone
-// discrete distributions", 1996). H below is the integral of the density
-// 1/x^s, extended continuously; sampling inverts H over [H(1.5), H(n+0.5)]
-// and rejects to correct for discretization.
-
-ZipfDistribution::ZipfDistribution(uint64_t n, double s) : n_(n), s_(s) {
-  VCDN_CHECK(n >= 1);
-  VCDN_CHECK(s >= 0.0);
-  h_x1_ = H(1.5) - 1.0;
-  h_n_ = H(static_cast<double>(n) + 0.5);
-  threshold_ = 2.0 - HInverse(H(2.5) - std::pow(2.0, -s));
-}
-
-double ZipfDistribution::H(double x) const {
-  if (s_ == 1.0) {
-    return std::log(x);
-  }
-  return std::pow(x, 1.0 - s_) / (1.0 - s_);
-}
-
-double ZipfDistribution::HInverse(double x) const {
-  if (s_ == 1.0) {
-    return std::exp(x);
-  }
-  return std::pow((1.0 - s_) * x, 1.0 / (1.0 - s_));
-}
-
-uint64_t ZipfDistribution::Sample(Pcg32& rng) const {
-  if (n_ == 1) {
-    return 1;
-  }
-  for (;;) {
-    double u = h_x1_ + rng.NextDouble() * (h_n_ - h_x1_);
-    double x = HInverse(u);
-    auto k = static_cast<uint64_t>(x + 0.5);
-    if (k < 1) {
-      k = 1;
-    } else if (k > n_) {
-      k = n_;
-    }
-    double kd = static_cast<double>(k);
-    if (kd - x <= threshold_ || u >= H(kd + 0.5) - std::pow(kd, -s_)) {
-      return k;
-    }
-  }
-}
-
 // --- AliasTable -------------------------------------------------------------
 
-AliasTable::AliasTable(const std::vector<double>& weights) {
+void AliasTable::Rebuild(const std::vector<double>& weights) {
   VCDN_CHECK(!weights.empty());
-  size_t n = weights.size();
-  probability_.resize(n);
-  alias_.resize(n);
+  VCDN_CHECK(weights.size() <= std::numeric_limits<uint32_t>::max());
+  const size_t n = weights.size();
 
   double total = 0.0;
   for (double w : weights) {
@@ -101,50 +46,65 @@ AliasTable::AliasTable(const std::vector<double>& weights) {
   }
   VCDN_CHECK(total > 0.0);
 
-  // Scaled probabilities; Vose's stable partition into small/large stacks.
-  std::vector<double> scaled(n);
-  std::vector<uint32_t> small;
-  std::vector<uint32_t> large;
-  small.reserve(n);
-  large.reserve(n);
-  double scale = static_cast<double>(n) / total;
+  // Vose's stable partition into small/large worklists. Each column holds its
+  // scaled weight until it leaves the small list, which is exactly the
+  // probability it keeps. The small list grows up from the front of
+  // worklists_ and the large one down from the back; an index is on at most
+  // one list, so they never meet.
+  columns_.resize(n);
+  worklists_.resize(n);
+  size_t small = 0;  // small list: worklists_[0, small), top at small - 1
+  size_t large = n;  // large list: worklists_[large, n), top at large
+  const double scale = static_cast<double>(n) / total;
   for (size_t i = 0; i < n; ++i) {
-    scaled[i] = weights[i] * scale;
-    if (scaled[i] < 1.0) {
-      small.push_back(static_cast<uint32_t>(i));
+    columns_[i].probability = weights[i] * scale;
+    if (columns_[i].probability < 1.0) {
+      worklists_[small++] = static_cast<uint32_t>(i);
     } else {
-      large.push_back(static_cast<uint32_t>(i));
+      worklists_[--large] = static_cast<uint32_t>(i);
     }
   }
 
-  while (!small.empty() && !large.empty()) {
-    uint32_t s = small.back();
-    small.pop_back();
-    uint32_t l = large.back();
-    large.pop_back();
-    probability_[s] = scaled[s];
-    alias_[s] = l;
-    scaled[l] = (scaled[l] + scaled[s]) - 1.0;
-    if (scaled[l] < 1.0) {
-      small.push_back(l);
+  while (small > 0 && large < n) {
+    const uint32_t s = worklists_[--small];
+    const uint32_t l = worklists_[large++];
+    columns_[s].alias = l;
+    double& scaled_l = columns_[l].probability;
+    scaled_l = (scaled_l + columns_[s].probability) - 1.0;
+    if (scaled_l < 1.0) {
+      worklists_[small++] = l;
     } else {
-      large.push_back(l);
+      worklists_[--large] = l;
     }
   }
   // Numerical leftovers all get probability 1.
-  for (uint32_t l : large) {
-    probability_[l] = 1.0;
-    alias_[l] = l;
+  for (size_t i = large; i < n; ++i) {
+    columns_[worklists_[i]] = {1.0, worklists_[i]};
   }
-  for (uint32_t s : small) {
-    probability_[s] = 1.0;
-    alias_[s] = s;
+  for (size_t i = 0; i < small; ++i) {
+    columns_[worklists_[i]] = {1.0, worklists_[i]};
   }
 }
 
-size_t AliasTable::Sample(Pcg32& rng) const {
-  auto column = static_cast<size_t>(rng.NextBounded(static_cast<uint32_t>(probability_.size())));
-  return rng.NextDouble() < probability_[column] ? column : alias_[column];
+void AliasTable::SampleMany(Pcg32& rng, uint32_t* out, size_t count) const {
+  constexpr size_t kBlock = 64;
+  const auto n = static_cast<uint32_t>(columns_.size());
+  uint32_t column[kBlock];
+  double u[kBlock];
+  for (size_t begin = 0; begin < count; begin += kBlock) {
+    const size_t len = std::min(kBlock, count - begin);
+    // Sample() draws the column, then the uniform; neither depends on the
+    // table, so a block's draws can all precede its reads.
+    for (size_t j = 0; j < len; ++j) {
+      column[j] = rng.NextBounded(n);
+      u[j] = rng.NextDouble();
+      container::PrefetchForRead(&columns_[column[j]]);
+    }
+    for (size_t j = 0; j < len; ++j) {
+      const Column& c = columns_[column[j]];
+      out[begin + j] = u[j] < c.probability ? column[j] : c.alias;
+    }
+  }
 }
 
 }  // namespace vcdn::util

@@ -7,16 +7,24 @@
 #ifndef VCDN_SRC_UTIL_DISTRIBUTIONS_H_
 #define VCDN_SRC_UTIL_DISTRIBUTIONS_H_
 
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
 
+#include "src/util/check.h"
 #include "src/util/rng.h"
 
 namespace vcdn::util {
 
-// Exponential variate with the given mean (mean > 0).
-double SampleExponential(Pcg32& rng, double mean);
+// Exponential variate with the given mean (mean > 0). Inline: the workload
+// generator draws one per arrival candidate and one per request.
+inline double SampleExponential(Pcg32& rng, double mean) {
+  VCDN_CHECK(mean > 0.0);
+  // 1 - u in (0, 1] avoids log(0).
+  double u = 1.0 - rng.NextDouble();
+  return -mean * std::log(u);
+}
 
 // Standard normal variate (Box-Muller; one value per call, no caching so the
 // draw count is deterministic).
@@ -28,45 +36,43 @@ double SampleLogNormal(Pcg32& rng, double mu, double sigma);
 // Pareto variate with scale x_m > 0 and shape alpha > 0: values >= x_m.
 double SamplePareto(Pcg32& rng, double x_m, double alpha);
 
-// Zipf distribution over ranks {1, ..., n} with exponent s >= 0:
-// P(k) proportional to 1 / k^s. Uses Hoermann's rejection-inversion method,
-// O(1) per sample after O(1) setup, exact for all s (s == 1 handled).
-class ZipfDistribution {
- public:
-  ZipfDistribution(uint64_t n, double s);
-
-  // Returns a rank in [1, n].
-  uint64_t Sample(Pcg32& rng) const;
-
-  uint64_t n() const { return n_; }
-  double s() const { return s_; }
-
- private:
-  double H(double x) const;
-  double HInverse(double x) const;
-
-  uint64_t n_;
-  double s_;
-  double h_x1_;
-  double h_n_;
-  double threshold_;  // s_ applied to x = 1.5 boundary helper
-};
-
 // Walker alias table for O(1) sampling from an arbitrary discrete
 // distribution. Weights need not be normalized; they must be non-negative and
-// have a positive sum.
+// have a positive sum. Rebuild() reuses the table's storage, so a table
+// rebuilt every popularity window stops allocating once it has held its
+// largest distribution.
 class AliasTable {
  public:
-  explicit AliasTable(const std::vector<double>& weights);
+  AliasTable() = default;
+  explicit AliasTable(const std::vector<double>& weights) { Rebuild(weights); }
+
+  // Replaces the distribution (Vose's method).
+  void Rebuild(const std::vector<double>& weights);
 
   // Returns an index in [0, size()).
-  size_t Sample(Pcg32& rng) const;
+  size_t Sample(Pcg32& rng) const {
+    const auto column = rng.NextBounded(static_cast<uint32_t>(columns_.size()));
+    const Column& c = columns_[column];
+    return rng.NextDouble() < c.probability ? column : c.alias;
+  }
 
-  size_t size() const { return probability_.size(); }
+  // Writes `count` indices to `out`: the values `count` Sample() calls would
+  // return, from the same draws in the same order. Each block's columns are
+  // drawn and prefetched before any is read, so the table misses overlap.
+  void SampleMany(Pcg32& rng, uint32_t* out, size_t count) const;
+
+  size_t size() const { return columns_.size(); }
 
  private:
-  std::vector<double> probability_;
-  std::vector<uint32_t> alias_;
+  // One sample reads one column: its probability and its alias share a line.
+  struct Column {
+    double probability;
+    uint32_t alias;
+  };
+
+  std::vector<Column> columns_;
+  // Vose's small and large worklists, sharing one buffer; used by Rebuild.
+  std::vector<uint32_t> worklists_;
 };
 
 }  // namespace vcdn::util

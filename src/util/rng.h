@@ -13,6 +13,8 @@
 
 #include <cstdint>
 
+#include "src/util/check.h"
+
 namespace vcdn::util {
 
 // SplitMix64: tiny generator used to expand a single 64-bit seed into the
@@ -49,28 +51,64 @@ inline uint64_t SplitSeed(uint64_t seed, uint64_t stream_id) {
 }
 
 // PCG32 (pcg_xsh_rr_64_32): small, fast, statistically strong generator with
-// independent streams. Reference: O'Neill (2014).
+// independent streams. Reference: O'Neill (2014). Defined in the header so
+// that the workload generator's per-request loops inline the draws.
 class Pcg32 {
  public:
   // Distinct (seed, stream) pairs yield independent sequences.
-  explicit Pcg32(uint64_t seed, uint64_t stream = 0);
+  explicit Pcg32(uint64_t seed, uint64_t stream = 0) : state_(0), inc_((stream << 1u) | 1u) {
+    (void)Next();
+    state_ += seed;
+    (void)Next();
+  }
 
   // Uniform 32-bit value.
-  uint32_t Next();
+  uint32_t Next() {
+    uint64_t old = state_;
+    state_ = old * kMultiplier + inc_;
+    auto xorshifted = static_cast<uint32_t>(((old >> 18u) ^ old) >> 27u);
+    auto rot = static_cast<uint32_t>(old >> 59u);
+    return (xorshifted >> rot) | (xorshifted << ((32u - rot) & 31u));
+  }
 
   // Uniform 64-bit value (two draws).
-  uint64_t Next64();
+  uint64_t Next64() {
+    uint64_t hi = Next();
+    uint64_t lo = Next();
+    return (hi << 32) | lo;
+  }
 
   // Uniform double in [0, 1) with 53 bits of precision.
-  double NextDouble();
+  double NextDouble() { return static_cast<double>(Next64() >> 11) * 0x1.0p-53; }
 
   // Uniform integer in [0, bound) without modulo bias. bound must be > 0.
-  uint32_t NextBounded(uint32_t bound);
+  uint32_t NextBounded(uint32_t bound) {
+    VCDN_CHECK(bound > 0);
+    // Lemire-style rejection to avoid modulo bias.
+    uint32_t threshold = static_cast<uint32_t>(-bound) % bound;
+    for (;;) {
+      uint32_t r = Next();
+      if (r >= threshold) {
+        return r % bound;
+      }
+    }
+  }
 
-  // Bernoulli draw with probability p (clamped to [0, 1]).
-  bool NextBool(double p);
+  // Bernoulli draw with probability p (clamped to [0, 1]). Draws one uniform
+  // when p lies in (0, 1), none otherwise.
+  bool NextBool(double p) {
+    if (p <= 0.0) {
+      return false;
+    }
+    if (p >= 1.0) {
+      return true;
+    }
+    return NextDouble() < p;
+  }
 
  private:
+  static constexpr uint64_t kMultiplier = 6364136223846793005ULL;
+
   uint64_t state_;
   uint64_t inc_;
 };

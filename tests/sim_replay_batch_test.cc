@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <sstream>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -18,6 +19,8 @@
 #include "src/core/cache_factory.h"
 #include "src/fault/fault.h"
 #include "src/obs/metrics.h"
+#include "src/obs/run_metadata.h"
+#include "src/obs/time_series.h"
 #include "src/sim/parallel_fleet.h"
 #include "src/sim/replay.h"
 #include "src/trace/server_profile.h"
@@ -85,12 +88,14 @@ class ReplayBatchTest : public ::testing::Test {
   // outcome stream and the replay result.
   std::pair<std::vector<OutcomeRecord>, ReplayResult> Run(
       core::CacheKind kind, size_t trace_index, size_t batch_size,
-      const fault::FaultSchedule* faults = nullptr, obs::MetricsRegistry* metrics = nullptr) {
+      const fault::FaultSchedule* faults = nullptr, obs::MetricsRegistry* metrics = nullptr,
+      obs::TimeSeriesRecorder* series = nullptr) {
     auto cache = core::MakeCache(kind, config_);
     ReplayOptions options;
     options.batch_size = batch_size;
     options.faults = faults;
     options.metrics = metrics;
+    options.series = series;
     std::vector<OutcomeRecord> outcomes;
     outcomes.reserve(traces_[trace_index].requests.size());
     options.on_outcome = [&](const trace::Request& request,
@@ -150,21 +155,26 @@ TEST_F(ReplayBatchTest, FleetDigestIsIdenticalAtEveryBatchSize) {
 }
 
 TEST_F(ReplayBatchTest, ObsCountersAreIdenticalAtEveryBatchSize) {
-  // Deferring RecordOutcome to the end of a batch must not change any counter
-  // value at snapshot points: batches drain before every bucket flush.
-  auto filtered = [](const obs::MetricsRegistry& registry) {
-    return std::make_pair(registry.CounterSamples(), registry.GaugeSamples());
-  };
-  obs::MetricsRegistry reference_registry;
-  Run(core::CacheKind::kCafe, 3, 1, nullptr, &reference_registry);
-  auto reference = filtered(reference_registry);
-  EXPECT_FALSE(reference.first.empty());
-  for (size_t batch : {size_t{7}, size_t{33}}) {
+  // A cache records a batch's outcomes once, after the batch, and the replay
+  // loop adds a drained batch to its request counter once. Neither may change
+  // any instrument at a snapshot point: batches drain before every bucket
+  // flush. The series holds every snapshot; the registry holds the last.
+  auto observe = [&](core::CacheKind kind, size_t batch) {
     obs::MetricsRegistry registry;
-    Run(core::CacheKind::kCafe, 3, batch, nullptr, &registry);
-    auto got = filtered(registry);
-    EXPECT_EQ(got.first, reference.first) << "batch " << batch;
-    EXPECT_EQ(got.second, reference.second) << "batch " << batch;
+    obs::TimeSeriesRecorder series(&registry);
+    Run(kind, 3, batch, nullptr, &registry, &series);
+    std::ostringstream jsonl;
+    series.WriteJsonl(jsonl, obs::RunMetadata{});
+    return std::make_tuple(registry.CounterSamples(), registry.GaugeSamples(), jsonl.str());
+  };
+  for (core::CacheKind kind : {core::CacheKind::kCafe, core::CacheKind::kXlru}) {
+    const auto reference = observe(kind, 1);
+    EXPECT_FALSE(std::get<0>(reference).empty());
+    EXPECT_GT(std::get<2>(reference).size(), 1000u);
+    for (size_t batch : {size_t{7}, size_t{16}, size_t{33}}) {
+      EXPECT_TRUE(observe(kind, batch) == reference)
+          << "kind " << static_cast<int>(kind) << " batch " << batch;
+    }
   }
 }
 

@@ -216,6 +216,26 @@ TEST(WorkloadGeneratorTest, SizesRespectProfileClamps) {
   }
 }
 
+TEST(WorkloadGeneratorDeathTest, RejectsBadVideoSizeClamps) {
+  // std::clamp with lo > hi is undefined, so construction refuses it.
+  WorkloadConfig config = SmallConfig();
+  config.profile.min_video_bytes = 64ull << 20;
+  config.profile.max_video_bytes = 8ull << 20;
+  EXPECT_DEATH(WorkloadGenerator{config}, "min_video_bytes <= profile.max_video_bytes");
+  config.profile.min_video_bytes = 0;
+  EXPECT_DEATH(WorkloadGenerator{config}, "0 < profile.min_video_bytes");
+}
+
+TEST(WorkloadGeneratorDeathTest, RejectsNonPositiveMeanViewFraction) {
+  // Caught where the stream is built, not on the first request (which a
+  // pooled GeneratedStream draws on a generator thread).
+  WorkloadConfig config = SmallConfig();
+  config.profile.mean_view_fraction = 0.0;
+  EXPECT_DEATH(WindowedWorkload{config}, "mean_view_fraction > 0");
+  config.profile.mean_view_fraction = -0.3;
+  EXPECT_DEATH(WorkloadGenerator{config}, "mean_view_fraction > 0");
+}
+
 TEST(WorkloadGeneratorTest, EvergreenFractionZeroMakesAllTransient) {
   WorkloadConfig config = SmallConfig(6);
   config.profile.evergreen_fraction = 0.0;

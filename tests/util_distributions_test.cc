@@ -67,50 +67,6 @@ TEST(ParetoTest, SupportAndMedian) {
   EXPECT_NEAR(samples[kSamples / 2], 2.0 * std::pow(2.0, 1.0 / 1.5), 0.1);
 }
 
-class ZipfParamTest : public ::testing::TestWithParam<std::tuple<uint64_t, double>> {};
-
-TEST_P(ZipfParamTest, EmpiricalFrequenciesMatchTheory) {
-  auto [n, s] = GetParam();
-  Pcg32 rng(42);
-  ZipfDistribution zipf(n, s);
-  constexpr int kSamples = 200000;
-  std::vector<int> counts(n + 1, 0);
-  for (int i = 0; i < kSamples; ++i) {
-    uint64_t k = zipf.Sample(rng);
-    ASSERT_GE(k, 1u);
-    ASSERT_LE(k, n);
-    ++counts[k];
-  }
-  // Normalization constant.
-  double h = 0.0;
-  for (uint64_t k = 1; k <= n; ++k) {
-    h += 1.0 / std::pow(static_cast<double>(k), s);
-  }
-  // Check the head ranks (tail ranks are individually too rare to test).
-  for (uint64_t k = 1; k <= std::min<uint64_t>(n, 5); ++k) {
-    double expected = 1.0 / std::pow(static_cast<double>(k), s) / h;
-    double observed = static_cast<double>(counts[k]) / kSamples;
-    EXPECT_NEAR(observed, expected, expected * 0.08 + 0.002)
-        << "rank " << k << " n=" << n << " s=" << s;
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(ZipfSweep, ZipfParamTest,
-                         ::testing::Values(std::make_tuple(10ull, 0.8),
-                                           std::make_tuple(100ull, 1.0),
-                                           std::make_tuple(1000ull, 1.2),
-                                           std::make_tuple(50ull, 0.5),
-                                           std::make_tuple(5ull, 2.0),
-                                           std::make_tuple(1ull, 1.0)));
-
-TEST(ZipfTest, SingleElementAlwaysRankOne) {
-  Pcg32 rng(9);
-  ZipfDistribution zipf(1, 1.0);
-  for (int i = 0; i < 100; ++i) {
-    EXPECT_EQ(zipf.Sample(rng), 1u);
-  }
-}
-
 TEST(AliasTableTest, MatchesWeights) {
   Pcg32 rng(5);
   std::vector<double> weights = {1.0, 2.0, 3.0, 4.0};
@@ -159,6 +115,58 @@ TEST(AliasTableTest, HeavyTailedWeights) {
   }
   double expected = 1000.0 / (1000.0 + 0.999);
   EXPECT_NEAR(static_cast<double>(head) / kSamples, expected, 0.005);
+}
+
+// Samples `count` indices from `table` with a fresh generator seeded `seed`.
+std::vector<size_t> Draw(const AliasTable& table, uint64_t seed, int count) {
+  Pcg32 rng(seed);
+  std::vector<size_t> out;
+  for (int i = 0; i < count; ++i) {
+    out.push_back(table.Sample(rng));
+  }
+  return out;
+}
+
+std::vector<double> RandomWeights(Pcg32& rng, size_t n) {
+  std::vector<double> weights(n);
+  for (double& w : weights) {
+    w = SamplePareto(rng, 1.0, 1.05);
+  }
+  if (n > 1) {
+    weights[n / 2] = 0.0;  // a column that only its alias can return
+  }
+  return weights;
+}
+
+TEST(AliasTableTest, RebuildMatchesFreshTableWhileShrinkingAndGrowing) {
+  // Rebuild reuses the table's storage; whatever a larger distribution left
+  // behind must not leak into a smaller one, nor the reverse.
+  Pcg32 weight_rng(10);
+  AliasTable reused;
+  for (size_t n : {1000u, 7u, 1u, 300u, 2500u}) {
+    const std::vector<double> weights = RandomWeights(weight_rng, n);
+    reused.Rebuild(weights);
+    const AliasTable fresh(weights);
+    ASSERT_EQ(reused.size(), n);
+    EXPECT_EQ(Draw(reused, n, 20000), Draw(fresh, n, 20000)) << "n=" << n;
+  }
+}
+
+TEST(AliasTableTest, SampleManyMatchesRepeatedSample) {
+  Pcg32 weight_rng(11);
+  const AliasTable table(RandomWeights(weight_rng, 5000));
+  // Counts below, at and across the internal block size.
+  for (size_t count : {0u, 1u, 63u, 64u, 65u, 1000u}) {
+    Pcg32 many_rng(12);
+    Pcg32 one_rng = many_rng;
+    std::vector<uint32_t> many(count);
+    table.SampleMany(many_rng, many.data(), count);
+    for (size_t i = 0; i < count; ++i) {
+      ASSERT_EQ(many[i], table.Sample(one_rng)) << "count=" << count << " i=" << i;
+    }
+    // Both generators consumed the same draws.
+    EXPECT_EQ(many_rng.Next(), one_rng.Next()) << "count=" << count;
+  }
 }
 
 }  // namespace
