@@ -1,24 +1,15 @@
 // Copyright (c) 2026 libvcdn authors. Apache-2.0 license.
 //
-// Minimal join primitives for the executor layer (see docs/PARALLELISM.md):
-//
-//   * Promise<T> / Future<T> -- one-shot, single-producer value handoff.
-//     Deliberately smaller than std::future: no exceptions-in-transit, no
-//     shared_future fan-out, no continuations. ThreadPool::Async and
-//     Strand::Async build on it.
-//   * Latch -- single-use count-down barrier for fan-out/fan-in task chains
-//     (one CountDown per shard, one Wait at the join point).
-//
-// All blocking is mutex + condition variable; nothing here spins.
+// Latch: the executor layer's one join primitive (see docs/PARALLELISM.md).
+// A single-use count-down barrier for fan-out/fan-in task batches: one
+// CountDown per task, one Wait at the join point. Mutex + condition
+// variable; nothing here spins.
 
 #ifndef VCDN_SRC_EXEC_FUTURE_H_
 #define VCDN_SRC_EXEC_FUTURE_H_
 
 #include <condition_variable>
-#include <memory>
 #include <mutex>
-#include <optional>
-#include <utility>
 
 #include "src/util/check.h"
 
@@ -55,114 +46,6 @@ class Latch {
   std::mutex mu_;
   std::condition_variable cv_;
   size_t count_;
-};
-
-namespace internal {
-
-template <typename T>
-struct FutureState {
-  std::mutex mu;
-  std::condition_variable cv;
-  std::optional<T> value;
-};
-
-template <>
-struct FutureState<void> {
-  std::mutex mu;
-  std::condition_variable cv;
-  bool ready = false;
-};
-
-}  // namespace internal
-
-template <typename T>
-class Promise;
-
-// Read side of a one-shot handoff. Get() blocks until the promise is set and
-// moves the value out (call it once); Wait()/Ready() observe without
-// consuming. Default-constructed futures are invalid until assigned.
-template <typename T>
-class Future {
- public:
-  Future() = default;
-
-  bool valid() const { return state_ != nullptr; }
-
-  bool Ready() const {
-    VCDN_CHECK(valid());
-    std::lock_guard<std::mutex> lock(state_->mu);
-    return IsReady();
-  }
-
-  void Wait() const {
-    VCDN_CHECK(valid());
-    std::unique_lock<std::mutex> lock(state_->mu);
-    state_->cv.wait(lock, [this] { return IsReady(); });
-  }
-
-  T Get() {
-    Wait();
-    if constexpr (!std::is_void_v<T>) {
-      std::lock_guard<std::mutex> lock(state_->mu);
-      T out = std::move(*state_->value);
-      return out;
-    }
-  }
-
- private:
-  friend class Promise<T>;
-  explicit Future(std::shared_ptr<internal::FutureState<T>> state) : state_(std::move(state)) {}
-
-  bool IsReady() const {
-    if constexpr (std::is_void_v<T>) {
-      return state_->ready;
-    } else {
-      return state_->value.has_value();
-    }
-  }
-
-  std::shared_ptr<internal::FutureState<T>> state_;
-};
-
-// Write side; Set exactly once.
-template <typename T>
-class Promise {
- public:
-  Promise() : state_(std::make_shared<internal::FutureState<T>>()) {}
-
-  Future<T> GetFuture() { return Future<T>(state_); }
-
-  void Set(T value) {
-    {
-      std::lock_guard<std::mutex> lock(state_->mu);
-      VCDN_CHECK(!state_->value.has_value());
-      state_->value.emplace(std::move(value));
-    }
-    state_->cv.notify_all();
-  }
-
- private:
-  std::shared_ptr<internal::FutureState<T>> state_;
-};
-
-template <>
-class Promise<void> {
- public:
-  Promise() : state_(std::make_shared<internal::FutureState<void>>()) {}
-
-  Future<void> GetFuture() { return Future<void>(state_); }
-
-  void Set() {
-    {
-      std::lock_guard<std::mutex> lock(state_->mu);
-      VCDN_CHECK(!state_->ready);
-      state_->ready = true;
-    }
-    state_->cv.notify_all();
-  }
-
- private:
-  std::shared_ptr<internal::FutureState<void>> state_;
 };
 
 }  // namespace vcdn::exec

@@ -13,7 +13,9 @@
 //
 // Shutdown() (and the destructor) runs every task already submitted before
 // returning -- the pool never drops work. Tasks may Submit further tasks
-// during shutdown; they run too.
+// during shutdown; they run too. Callers that need a batch finished before
+// they go on join it with exec::Latch (future.h): one CountDown per task,
+// one Wait.
 //
 // Observability: with a MetricsRegistry attached, workers maintain
 // "exec.pool.*" counters (submitted/executed/stolen) and a queue-depth
@@ -27,7 +29,6 @@
 #define VCDN_SRC_EXEC_THREAD_POOL_H_
 
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -35,8 +36,6 @@
 #include <memory>
 #include <mutex>
 #include <thread>
-#include <type_traits>
-#include <utility>
 #include <vector>
 
 #include "src/exec/future.h"
@@ -44,63 +43,6 @@
 #include "src/obs/trace_event.h"
 
 namespace vcdn::exec {
-
-namespace internal {
-
-// Shared control block of one deferred task. The three-way phase makes the
-// fire/cancel race a single CAS: whoever moves the task out of kPending owns
-// its fate, the loser observes that it lost.
-struct DeferredState {
-  enum Phase : int { kPending = 0, kFired = 1, kCancelled = 2 };
-  std::atomic<int> phase{kPending};
-  std::function<void()> fn;
-  const char* label = nullptr;
-  std::chrono::steady_clock::time_point deadline;
-  uint64_t seq = 0;  // tie-break so equal deadlines fire in SubmitAfter order
-
-  // True exactly once, for the thread that transitions kPending -> kFired.
-  bool TryFire() {
-    int expected = kPending;
-    return phase.compare_exchange_strong(expected, kFired, std::memory_order_acq_rel);
-  }
-};
-
-}  // namespace internal
-
-// Handle to a task scheduled with ThreadPool::SubmitAfter. Copyable; all
-// copies address the same task. A default-constructed handle is inert.
-class DeferredHandle {
- public:
-  DeferredHandle() = default;
-
-  // Attempts to keep the task from ever running. Returns true when this call
-  // won the race (the task had not fired and will never run); false when the
-  // task already fired -- or was already cancelled -- or the handle is empty.
-  // Safe to call from any thread, any number of times, including while the
-  // timer is concurrently firing the task.
-  bool Cancel() {
-    if (state_ == nullptr) {
-      return false;
-    }
-    int expected = internal::DeferredState::kPending;
-    return state_->phase.compare_exchange_strong(expected, internal::DeferredState::kCancelled,
-                                                 std::memory_order_acq_rel);
-  }
-
-  // True while the task has neither fired nor been cancelled.
-  bool pending() const {
-    return state_ != nullptr &&
-           state_->phase.load(std::memory_order_acquire) == internal::DeferredState::kPending;
-  }
-
-  bool valid() const { return state_ != nullptr; }
-
- private:
-  friend class ThreadPool;
-  explicit DeferredHandle(std::shared_ptr<internal::DeferredState> state)
-      : state_(std::move(state)) {}
-  std::shared_ptr<internal::DeferredState> state_;
-};
 
 struct ThreadPoolOptions {
   // 0 selects std::thread::hardware_concurrency() (at least 1).
@@ -129,43 +71,8 @@ class ThreadPool {
   // joining on the tasks is enough since no task starts after the join).
   void Submit(std::function<void()> task, const char* label = nullptr);
 
-  // Submit + a Future for the callable's result. The callable must be
-  // copyable (it is stored in a std::function).
-  template <typename F>
-  auto Async(F&& fn, const char* label = nullptr) {
-    using R = std::invoke_result_t<std::decay_t<F>>;
-    Promise<R> promise;
-    Future<R> future = promise.GetFuture();
-    Submit(
-        [promise, fn = std::forward<F>(fn)]() mutable {
-          if constexpr (std::is_void_v<R>) {
-            fn();
-            promise.Set();
-          } else {
-            promise.Set(fn());
-          }
-        },
-        label);
-    return future;
-  }
-
-  // Schedules `task` to be submitted to the pool once `delay` has elapsed
-  // (the deferred-task facility behind net's deadline timers). The task runs
-  // on a pool worker like any Submit-ed task; the returned handle cancels it
-  // (DeferredHandle::Cancel) as long as it has not fired. Timers are driven
-  // by one lazily started timer thread; granularity is the OS wait
-  // granularity, not a real-time guarantee. A non-positive delay fires as
-  // soon as the timer thread runs.
-  //
-  // Shutdown semantics: deferred tasks that fired before Shutdown run to
-  // completion like any submitted task; tasks still pending at Shutdown are
-  // cancelled and never run.
-  DeferredHandle SubmitAfter(std::chrono::nanoseconds delay, std::function<void()> task,
-                             const char* label = nullptr);
-
   // Runs all submitted tasks to completion, joins the workers and flushes
-  // buffered worker spans to the trace sink. Pending (not yet due) deferred
-  // tasks are cancelled. Idempotent.
+  // buffered worker spans to the trace sink. Idempotent.
   void Shutdown();
 
   // Lifetime task totals (consistent after Shutdown; a relaxed view while
@@ -176,12 +83,6 @@ class ThreadPool {
     uint64_t stolen = 0;  // executed tasks that were taken from another worker
   };
   Stats stats() const;
-
-  // True when the calling thread is one of this pool's workers.
-  bool InWorker() const;
-
-  obs::MetricsRegistry* metrics() const { return metrics_; }
-  obs::TraceEventSink* trace_sink() const { return sink_; }
 
  private:
   struct Task {
@@ -203,8 +104,6 @@ class ThreadPool {
   bool PopOwn(size_t self, Task* out);
   bool Steal(size_t self, Task* out);
   void Enqueue(Task task);
-  void TimerLoop();
-  void StopTimerThread();
 
   // unique_ptr: Worker holds a mutex and is neither movable nor copyable.
   std::vector<std::unique_ptr<Worker>> workers_;
@@ -222,22 +121,6 @@ class ThreadPool {
   std::atomic<uint64_t> stolen_{0};
   std::atomic<size_t> next_worker_{0};  // round-robin target for external submits
 
-  // Deferred-task machinery (SubmitAfter). The heap is a min-heap on
-  // (deadline, seq), guarded by timer_mu_; the timer thread starts lazily on
-  // the first SubmitAfter and is joined (after cancelling everything still
-  // pending) at the top of Shutdown, before the workers stop -- so a firing
-  // timer can never Submit into a joined pool.
-  std::mutex timer_mu_;
-  std::condition_variable timer_cv_;
-  std::vector<std::shared_ptr<internal::DeferredState>> timer_heap_;
-  std::thread timer_thread_;
-  bool timer_stop_ = false;
-  uint64_t timer_seq_ = 0;
-  std::atomic<uint64_t> timers_scheduled_{0};
-  std::atomic<uint64_t> timers_fired_{0};
-  std::atomic<uint64_t> timers_cancelled_{0};
-
-  obs::MetricsRegistry* metrics_ = nullptr;
   obs::TraceEventSink* sink_ = nullptr;
   obs::Counter submitted_counter_;
   obs::Counter executed_counter_;

@@ -48,7 +48,6 @@ EdgeServer::EdgeServer(exec::ThreadPool& pool, EdgeServerOptions options)
   for (size_t i = 0; i < options_.num_shards; ++i) {
     auto shard = std::make_unique<Shard>();
     shard->cache = core::MakeCache(options_.cache_kind, options_.cache_config);
-    shard->strand = std::make_unique<exec::Strand>(pool_);
     if (options_.flight_recorder_capacity > 0) {
       shard->flight = std::make_unique<obs::FlightRecorder>(options_.flight_recorder_capacity);
     }
@@ -109,7 +108,6 @@ util::Status EdgeServer::Start() {
   stopping_.store(false, std::memory_order_release);
   running_.store(true, std::memory_order_release);
   loop_thread_ = std::thread([this] { LoopMain(); });
-  ArmIdleSweep();
   return util::OkStatus();
 }
 
@@ -122,32 +120,24 @@ void EdgeServer::Stop() {
   if (loop_thread_.joinable()) {
     loop_thread_.join();
   }
-  {
-    std::lock_guard<std::mutex> lock(idle_mu_);
-    if (idle_sweep_.valid()) {
-      idle_sweep_.Cancel();
-    }
-  }
-  // Drain: the loop no longer produces, so destroying each strand blocks
-  // until the last scheduled drain has handled its inbox and queued the
-  // responses.
+  // Drain: the loop no longer produces, so once a shard's flag falls its
+  // last drain has handled the inbox and queued the responses, and no task
+  // of this server is left on the pool.
   for (auto& shard : shards_) {
-    shard->strand.reset();
+    std::unique_lock<std::mutex> lock(shard->inbox_mu);
+    shard->drained_cv.wait(lock, [&shard] { return !shard->drain_scheduled; });
   }
   // Best-effort flush of queued responses, bounded: clients that already
   // read everything (the normal case) make this a no-op.
   const auto flush_deadline = std::chrono::steady_clock::now() + std::chrono::milliseconds(250);
   for (;;) {
     bool pending = false;
-    {
-      std::lock_guard<std::mutex> lock(conns_mu_);
-      for (auto& [fd, conn] : conns_) {
-        FlushConnection(*conn);
-        std::lock_guard<std::mutex> out_lock(conn->out_mu);
-        if (!conn->closed && !conn->kill.load(std::memory_order_relaxed) &&
-            conn->out.ReadableBytes() > 0) {
-          pending = true;
-        }
+    for (auto& [fd, conn] : conns_) {
+      FlushConnection(*conn);
+      std::lock_guard<std::mutex> out_lock(conn->out_mu);
+      if (!conn->closed && !conn->kill.load(std::memory_order_relaxed) &&
+          conn->out.ReadableBytes() > 0) {
+        pending = true;
       }
     }
     if (!pending || std::chrono::steady_clock::now() >= flush_deadline) {
@@ -155,17 +145,14 @@ void EdgeServer::Stop() {
     }
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  {
-    std::lock_guard<std::mutex> lock(conns_mu_);
-    for (auto& [fd, conn] : conns_) {
-      std::lock_guard<std::mutex> out_lock(conn->out_mu);
-      conn->closed = true;
-      conn->sock.Close();
-      closed_total_.Increment();
-    }
-    conns_.clear();
-    active_connections_.Set(0.0);
+  for (auto& [fd, conn] : conns_) {
+    std::lock_guard<std::mutex> out_lock(conn->out_mu);
+    conn->closed = true;
+    conn->sock.Close();
+    closed_total_.Increment();
   }
+  conns_.clear();
+  active_connections_.Set(0.0);
   listener_.Close();
   if (epoll_fd_ >= 0) {
     ::close(epoll_fd_);
@@ -199,9 +186,23 @@ void EdgeServer::WakeLoop() {
 
 void EdgeServer::LoopMain() {
   constexpr int kMaxEvents = 64;
+  constexpr std::chrono::milliseconds kMaxWait{100};
   epoll_event events[kMaxEvents];
+  // Sweep at half the timeout so a connection is closed at most 1.5x the
+  // configured idle time after its last byte.
+  const bool sweep_idle = options_.idle_timeout.count() > 0;
+  const auto sweep_period = options_.idle_timeout / 2 + std::chrono::milliseconds(1);
+  auto now = std::chrono::steady_clock::now();
+  auto next_sweep = now + sweep_period;
   while (!stopping_.load(std::memory_order_acquire)) {
-    const int n = ::epoll_wait(epoll_fd_, events, kMaxEvents, 100);
+    // The wait is capped at the time left to the next sweep, so the sweep
+    // keeps its period however the events arrive.
+    std::chrono::milliseconds wait = kMaxWait;
+    if (sweep_idle) {
+      wait = std::clamp(std::chrono::ceil<std::chrono::milliseconds>(next_sweep - now),
+                        std::chrono::milliseconds(0), kMaxWait);
+    }
+    const int n = ::epoll_wait(epoll_fd_, events, kMaxEvents, static_cast<int>(wait.count()));
     if (n < 0) {
       if (errno == EINTR) {
         continue;
@@ -219,17 +220,11 @@ void EdgeServer::LoopMain() {
         [[maybe_unused]] ssize_t r = ::read(wake_fd_, &drain, sizeof(drain));
         continue;
       }
-      std::shared_ptr<Connection> conn;
-      {
-        std::lock_guard<std::mutex> lock(conns_mu_);
-        auto it = conns_.find(fd);
-        if (it != conns_.end()) {
-          conn = it->second;
-        }
-      }
-      if (conn == nullptr) {
+      auto it = conns_.find(fd);
+      if (it == conns_.end()) {
         continue;  // already closed this iteration
       }
+      const std::shared_ptr<Connection> conn = it->second;
       if ((events[i].events & (EPOLLHUP | EPOLLERR)) != 0) {
         conn->kill.store(true, std::memory_order_release);
         continue;
@@ -242,7 +237,15 @@ void EdgeServer::LoopMain() {
       }
     }
     FlushStagedRequests();
-    SweepKilled();
+    int64_t idle_cutoff_ns = 0;
+    if (sweep_idle) {
+      now = std::chrono::steady_clock::now();
+      if (now >= next_sweep) {
+        idle_cutoff_ns = (now - options_.idle_timeout).time_since_epoch().count();
+        next_sweep = now + sweep_period;
+      }
+    }
+    SweepConnections(idle_cutoff_ns);
   }
 }
 
@@ -262,20 +265,15 @@ void EdgeServer::HandleAccept() {
     const int fd = sock.fd();
     auto conn = std::make_shared<Connection>(std::move(sock));
     conn->id = next_conn_id_++;
-    conn->last_activity_ns.store(
-        std::chrono::steady_clock::now().time_since_epoch().count(),
-        std::memory_order_relaxed);
+    conn->last_activity_ns = std::chrono::steady_clock::now().time_since_epoch().count();
     epoll_event ev{};
     ev.events = EPOLLIN;
     ev.data.fd = fd;
     if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev) < 0) {
       continue;  // Socket closes on scope exit
     }
-    {
-      std::lock_guard<std::mutex> lock(conns_mu_);
-      conns_.emplace(fd, std::move(conn));
-      active_connections_.Set(static_cast<double>(conns_.size()));
-    }
+    conns_.emplace(fd, std::move(conn));
+    active_connections_.Set(static_cast<double>(conns_.size()));
     accepted_total_.Increment();
   }
 }
@@ -297,8 +295,7 @@ void EdgeServer::HandleReadable(const std::shared_ptr<Connection>& conn) {
     peer_closed = true;
     break;
   }
-  conn->last_activity_ns.store(std::chrono::steady_clock::now().time_since_epoch().count(),
-                               std::memory_order_relaxed);
+  conn->last_activity_ns = std::chrono::steady_clock::now().time_since_epoch().count();
   if (!ParseFrames(conn)) {
     protocol_errors_total_.Increment();
     conn->kill.store(true, std::memory_order_release);
@@ -356,20 +353,24 @@ void EdgeServer::FlushStagedRequests() {
     if (schedule) {
       // [this, i] is 16 trivially-copyable bytes: fits std::function's
       // small-object buffer, so scheduling a drain does not allocate.
-      shard.strand->Post([this, i] { DrainShard(i); });
+      pool_.Submit([this, i] { DrainShard(i); }, "net.shard.drain");
     }
   }
 }
 
 void EdgeServer::DrainShard(size_t shard_index) {
   Shard& shard = *shards_[shard_index];
-  util::AllocScope alloc_scope;
   for (;;) {
+    util::AllocScope alloc_scope;
     {
       std::lock_guard<std::mutex> lock(shard.inbox_mu);
       if (shard.inbox.empty()) {
+        // Clearing the flag hands the shard back: Stop() may return and
+        // destroy the server once it sees the flag down, so the notify
+        // under inbox_mu is this drain's last access to the server.
         shard.drain_scheduled = false;
-        break;
+        shard.drained_cv.notify_all();
+        return;
       }
       shard.inbox.swap(shard.working);
     }
@@ -400,19 +401,8 @@ void EdgeServer::DrainShard(size_t shard_index) {
       const core::RequestOutcome& outcome = shard.outcomes[j];
       shard.digest.Fold(outcome);
       if (shard.flight != nullptr) {
-        obs::DecisionRecord record;
-        record.time = shard.requests[j].arrival_time;
-        record.key = shard.requests[j].video;
-        record.requested_bytes = static_cast<uint32_t>(
-            std::min<uint64_t>(outcome.requested_bytes, UINT32_MAX));
-        record.filled_chunks = static_cast<uint16_t>(std::min<uint32_t>(
-            outcome.filled_chunks, UINT16_MAX));
-        record.evicted_chunks = static_cast<uint16_t>(std::min<uint32_t>(
-            outcome.evicted_chunks, UINT16_MAX));
-        record.hit_chunks = static_cast<uint16_t>(std::min<uint32_t>(
-            outcome.hit_chunks, UINT16_MAX));
-        record.decision = static_cast<uint8_t>(outcome.decision);
-        shard.flight->Record(record);
+        shard.flight->Record(sim::MakeDecisionRecord(shard.requests[j], outcome,
+                                                     /*fault_state=*/0));
       }
       ResponseFrame response;
       response.request_id = shard.working[j].frame.request_id;
@@ -442,8 +432,8 @@ void EdgeServer::DrainShard(size_t shard_index) {
     shard.working.clear();
     shard.digest_value.store(shard.digest.value(), std::memory_order_release);
     shard.digest_count.store(shard.digest.count(), std::memory_order_release);
+    serve_allocs_total_.Increment(alloc_scope.Delta().allocations);
   }
-  serve_allocs_total_.Increment(alloc_scope.Delta().allocations);
 }
 
 void EdgeServer::FlushConnection(Connection& conn) {
@@ -485,17 +475,13 @@ void EdgeServer::FlushConnection(Connection& conn) {
 }
 
 void EdgeServer::CloseConnection(int fd) {
-  std::shared_ptr<Connection> conn;
-  {
-    std::lock_guard<std::mutex> lock(conns_mu_);
-    auto it = conns_.find(fd);
-    if (it == conns_.end()) {
-      return;
-    }
-    conn = std::move(it->second);
-    conns_.erase(it);
-    active_connections_.Set(static_cast<double>(conns_.size()));
+  auto it = conns_.find(fd);
+  if (it == conns_.end()) {
+    return;
   }
+  const std::shared_ptr<Connection> conn = std::move(it->second);
+  conns_.erase(it);
+  active_connections_.Set(static_cast<double>(conns_.size()));
   {
     std::lock_guard<std::mutex> out_lock(conn->out_mu);
     conn->closed = true;
@@ -505,16 +491,20 @@ void EdgeServer::CloseConnection(int fd) {
   closed_total_.Increment();
 }
 
-void EdgeServer::SweepKilled() {
+void EdgeServer::SweepConnections(int64_t idle_cutoff_ns) {
   // Small working copy: closing mutates conns_, so collect first.
   std::vector<int> doomed;
-  {
-    std::lock_guard<std::mutex> lock(conns_mu_);
-    for (const auto& [fd, conn] : conns_) {
-      if (conn->kill.load(std::memory_order_acquire)) {
-        doomed.push_back(fd);
-      }
+  size_t idle = 0;
+  for (const auto& [fd, conn] : conns_) {
+    if (conn->kill.load(std::memory_order_acquire)) {
+      doomed.push_back(fd);
+    } else if (conn->last_activity_ns < idle_cutoff_ns) {
+      doomed.push_back(fd);
+      ++idle;
     }
+  }
+  if (idle > 0) {
+    idle_closed_total_.Increment(idle);
   }
   for (int fd : doomed) {
     CloseConnection(fd);
@@ -523,46 +513,6 @@ void EdgeServer::SweepKilled() {
 
 double EdgeServer::StampArrival() const {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - start_time_).count();
-}
-
-void EdgeServer::ArmIdleSweep() {
-  if (options_.idle_timeout.count() <= 0) {
-    return;
-  }
-  std::lock_guard<std::mutex> lock(idle_mu_);
-  if (stopping_.load(std::memory_order_acquire)) {
-    return;
-  }
-  // Sweep at half the timeout so a connection is closed at most 1.5x the
-  // configured idle time after its last byte.
-  const auto period = std::chrono::duration_cast<std::chrono::nanoseconds>(
-      options_.idle_timeout / 2 + std::chrono::milliseconds(1));
-  idle_sweep_ = pool_.SubmitAfter(period, [this] { IdleSweep(); }, "net.idle_sweep");
-}
-
-void EdgeServer::IdleSweep() {
-  if (stopping_.load(std::memory_order_acquire)) {
-    return;
-  }
-  const int64_t now_ns = std::chrono::steady_clock::now().time_since_epoch().count();
-  const int64_t timeout_ns =
-      std::chrono::duration_cast<std::chrono::nanoseconds>(options_.idle_timeout).count();
-  size_t killed = 0;
-  {
-    std::lock_guard<std::mutex> lock(conns_mu_);
-    for (const auto& [fd, conn] : conns_) {
-      const int64_t last = conn->last_activity_ns.load(std::memory_order_relaxed);
-      if (now_ns - last > timeout_ns && !conn->kill.load(std::memory_order_relaxed)) {
-        conn->kill.store(true, std::memory_order_release);
-        ++killed;
-      }
-    }
-  }
-  if (killed > 0) {
-    idle_closed_total_.Increment(killed);
-    WakeLoop();
-  }
-  ArmIdleSweep();
 }
 
 }  // namespace vcdn::net

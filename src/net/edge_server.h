@@ -10,12 +10,13 @@
 //   * one event-loop thread owns epoll, the listener, and every
 //     Connection's inbound buffer: accept, read, parse, route;
 //   * requests are routed by video id to one of `num_shards` shards; each
-//     shard owns a CacheAlgorithm serialized through an exec::Strand, so
-//     cache state is single-writer without a dedicated thread;
-//   * a shard drain (on a pool worker, inside the strand) swaps the shard
-//     inbox, runs the batch through CacheAlgorithm::HandleRequestBatch,
-//     folds the outcome digest, encodes responses into each connection's
-//     outbound buffer and flushes them;
+//     shard owns a CacheAlgorithm, and its drain_scheduled flag admits one
+//     drain at a time, so cache state is single-writer without a dedicated
+//     thread;
+//   * a shard drain (one pool task, net.shard.drain) swaps the shard inbox,
+//     runs the batch through CacheAlgorithm::HandleRequestBatch, folds the
+//     outcome digest, encodes responses into each connection's outbound
+//     buffer and flushes them, until the inbox is empty;
 //   * write-side backpressure: a flush that would block parks the residue
 //     in the connection's grow-once out buffer and arms EPOLLOUT; the
 //     event loop completes it.
@@ -31,15 +32,15 @@
 // sim::OutcomeDigest. With one shard, requests are handled in exactly the
 // order they arrive on the wire, so for a single-connection replay of a
 // trace the shard digest must equal sim::ReplayOutcomeDigest of the same
-// trace -- at any pool thread count. Timeouts ride on
-// exec::ThreadPool::SubmitAfter (a cancellable rearming sweep closes
-// connections idle past `idle_timeout`).
+// trace -- at any pool thread count. The event loop also sweeps for
+// connections idle past `idle_timeout`, so the daemon needs no timer.
 
 #ifndef VCDN_SRC_NET_EDGE_SERVER_H_
 #define VCDN_SRC_NET_EDGE_SERVER_H_
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -50,7 +51,6 @@
 
 #include "src/core/cache_algorithm.h"
 #include "src/core/cache_factory.h"
-#include "src/exec/strand.h"
 #include "src/exec/thread_pool.h"
 #include "src/net/protocol.h"
 #include "src/net/socket.h"
@@ -75,8 +75,8 @@ struct EdgeServerOptions {
   // time (seconds since Start), for live traffic with no meaningful client
   // clock.
   bool use_client_time = true;
-  // Connections with no complete frame for this long are closed by the
-  // idle sweep (0 disables the sweep).
+  // Connections that receive no bytes for this long are closed by the
+  // event loop's idle sweep (0 disables the sweep).
   std::chrono::milliseconds idle_timeout{30000};
   obs::MetricsRegistry* metrics = nullptr;       // optional; also attached to caches
   size_t flight_recorder_capacity = 0;           // >0: per-shard flight recorders
@@ -84,7 +84,7 @@ struct EdgeServerOptions {
 
 class EdgeServer {
  public:
-  // The pool must outlive the server. Strands and timers run on it.
+  // The pool must outlive the server. Shard drains run on it.
   EdgeServer(exec::ThreadPool& pool, EdgeServerOptions options);
   ~EdgeServer();  // Stop()
 
@@ -94,9 +94,9 @@ class EdgeServer {
   // Binds, registers with epoll and launches the event-loop thread.
   util::Status Start();
 
-  // Graceful drain: stop accepting, let every shard drain its inbox, flush
-  // pending responses (bounded), close connections, join the loop.
-  // Idempotent.
+  // Graceful drain: stop accepting, join the loop, wait for every shard's
+  // drain to empty its inbox, flush pending responses (bounded), close
+  // connections. Idempotent.
   void Stop();
 
   bool running() const { return running_.load(std::memory_order_acquire); }
@@ -132,7 +132,8 @@ class EdgeServer {
     // Set by any thread to ask the event loop to close this connection.
     std::atomic<bool> kill{false};
     // steady_clock ticks of the last received byte, for the idle sweep.
-    std::atomic<int64_t> last_activity_ns{0};
+    // Event-loop thread only.
+    int64_t last_activity_ns = 0;
   };
 
   // One routed request waiting in a shard inbox.
@@ -143,14 +144,17 @@ class EdgeServer {
 
   struct Shard {
     std::unique_ptr<core::CacheAlgorithm> cache;
-    std::unique_ptr<exec::Strand> strand;
     std::unique_ptr<obs::FlightRecorder> flight;
 
     std::mutex inbox_mu;
     std::vector<PendingRequest> inbox;  // producer side (event loop)
-    bool drain_scheduled = false;       // guarded by inbox_mu
+    // Guarded by inbox_mu. Set when the loop submits a drain, cleared by
+    // that drain once it finds the inbox empty: at most one drain per shard
+    // is queued or running, and it owns everything below.
+    bool drain_scheduled = false;
+    std::condition_variable drained_cv;  // notified when drain_scheduled falls
 
-    // Strand-confined working state, reused across drains (grow-once).
+    // Drain-confined working state, reused across drains (grow-once).
     std::vector<PendingRequest> working;
     std::vector<trace::Request> requests;
     std::vector<core::RequestOutcome> outcomes;
@@ -173,17 +177,15 @@ class EdgeServer {
   bool ParseFrames(const std::shared_ptr<Connection>& conn);
   void FlushStagedRequests();
   void CloseConnection(int fd);
-  void SweepKilled();
+  // Closes every connection marked for kill and, with `idle_cutoff_ns`
+  // nonzero, every connection whose last byte arrived before it.
+  void SweepConnections(int64_t idle_cutoff_ns);
   double StampArrival() const;
 
-  // --- shard side (strand-confined) ---
+  // --- shard side (one drain per shard at a time) ---
   void DrainShard(size_t shard_index);
   // Flushes conn->out; arms EPOLLOUT on short write, sets kill on error.
   void FlushConnection(Connection& conn);
-
-  // --- idle sweep (pool timer) ---
-  void ArmIdleSweep();
-  void IdleSweep();
 
   exec::ThreadPool& pool_;
   EdgeServerOptions options_;
@@ -201,12 +203,9 @@ class EdgeServer {
   // shard.
   std::vector<std::vector<PendingRequest>> staged_;
 
-  mutable std::mutex conns_mu_;
+  // Event-loop thread only (and Stop, after the loop has joined).
   std::unordered_map<int, std::shared_ptr<Connection>> conns_;
   uint64_t next_conn_id_ = 1;
-
-  exec::DeferredHandle idle_sweep_;
-  std::mutex idle_mu_;  // serializes ArmIdleSweep vs Stop
 
   // net.server.* instruments (no-ops when options_.metrics == nullptr).
   obs::Counter accepted_total_;

@@ -3,7 +3,7 @@
 // Closed-loop socket load generator: replays a trace::Trace against a live
 // EdgeServer (or any speaker of the src/net/protocol.h wire format) over
 // real TCP connections and measures what the offline replayer cannot --
-// end-to-end request latency through sockets, parsing, strand scheduling
+// end-to-end request latency through sockets, parsing, drain scheduling
 // and the cache itself.
 //
 // Closed-loop means each connection keeps at most `pipeline_depth` requests

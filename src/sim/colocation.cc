@@ -8,19 +8,6 @@
 
 namespace vcdn::sim {
 
-namespace {
-
-// Stable 64-bit mix of the video id (splitmix-style finalizer), so shard
-// assignment is reproducible and uncorrelated with id locality.
-uint64_t MixVideoId(trace::VideoId id) {
-  uint64_t z = id + 0x9E3779B97F4A7C15ULL;
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-  return z ^ (z >> 31);
-}
-
-}  // namespace
-
 ColocationResult RunColocated(const trace::Trace& site_trace, const ColocationConfig& config) {
   VCDN_CHECK(config.num_servers > 0);
   util::Pcg32 rng(config.seed, /*stream=*/77);
@@ -33,7 +20,9 @@ ColocationResult RunColocated(const trace::Trace& site_trace, const ColocationCo
   for (const trace::Request& r : site_trace.requests) {
     size_t server;
     if (config.policy == ColocationPolicy::kHashMod) {
-      server = static_cast<size_t>(MixVideoId(r.video) % config.num_servers);
+      // SplitMix64's first output is a stable 64-bit mix of the id, so shard
+      // assignment is reproducible and uncorrelated with id locality.
+      server = static_cast<size_t>(util::SplitMix64(r.video).Next() % config.num_servers);
     } else {
       server = static_cast<size_t>(rng.NextBounded(static_cast<uint32_t>(config.num_servers)));
     }
@@ -48,23 +37,7 @@ ColocationResult RunColocated(const trace::Trace& site_trace, const ColocationCo
     ReplayResult server_result = Replay(*cache, shards[s], config.replay);
     max_requested = std::max(max_requested, server_result.steady.requested_bytes);
     total_requested += server_result.steady.requested_bytes;
-
-    // Aggregate steady-state counters.
-    ReplayTotals& c = result.combined;
-    const ReplayTotals& t = server_result.steady;
-    c.requests += t.requests;
-    c.served_requests += t.served_requests;
-    c.redirected_requests += t.redirected_requests;
-    c.requested_bytes += t.requested_bytes;
-    c.served_bytes += t.served_bytes;
-    c.redirected_bytes += t.redirected_bytes;
-    c.filled_bytes += t.filled_bytes;
-    c.evicted_chunks += t.evicted_chunks;
-    c.requested_chunks += t.requested_chunks;
-    c.filled_chunks += t.filled_chunks;
-    c.redirected_chunks += t.redirected_chunks;
-    c.proactive_filled_chunks += t.proactive_filled_chunks;
-
+    result.combined.Add(server_result.steady);
     result.servers.push_back(std::move(server_result));
   }
 

@@ -17,10 +17,13 @@
 #ifndef VCDN_SRC_SIM_DECISION_DIGEST_H_
 #define VCDN_SRC_SIM_DECISION_DIGEST_H_
 
+#include <algorithm>
 #include <cstdint>
+#include <limits>
 
 #include "src/core/cache_algorithm.h"
 #include "src/core/cache_factory.h"
+#include "src/obs/flight_recorder.h"
 #include "src/trace/request.h"
 #include "src/util/fnv1a.h"
 
@@ -46,6 +49,29 @@ inline ServedTier ServedTierOf(const core::RequestOutcome& outcome) {
       return ServedTier::kUnavailable;
   }
   return ServedTier::kUnavailable;
+}
+
+// The flight-recorder record of one decision, each count clamped to its
+// field's width. sim::Replay and the daemon's shard drains both record
+// through this, so their rings compare byte for byte. `fault_state` is the
+// caller's byte (sim: 0 normal, 1 degraded, 2 outage; the daemon: 0).
+inline obs::DecisionRecord MakeDecisionRecord(const trace::Request& request,
+                                              const core::RequestOutcome& outcome,
+                                              uint8_t fault_state) {
+  obs::DecisionRecord record;
+  record.time = request.arrival_time;
+  record.key = request.video;
+  record.requested_bytes = static_cast<uint32_t>(
+      std::min<uint64_t>(outcome.requested_bytes, std::numeric_limits<uint32_t>::max()));
+  record.filled_chunks = static_cast<uint16_t>(
+      std::min<uint32_t>(outcome.filled_chunks, std::numeric_limits<uint16_t>::max()));
+  record.evicted_chunks = static_cast<uint16_t>(
+      std::min<uint32_t>(outcome.evicted_chunks, std::numeric_limits<uint16_t>::max()));
+  record.hit_chunks = static_cast<uint16_t>(
+      std::min<uint32_t>(outcome.hit_chunks, std::numeric_limits<uint16_t>::max()));
+  record.decision = static_cast<uint8_t>(outcome.decision);
+  record.fault_state = fault_state;
+  return record;
 }
 
 // Order-sensitive FNV-1a accumulator over outcome streams. Fold the fields

@@ -8,7 +8,7 @@
 #include <string>
 #include <utility>
 
-#include "src/exec/strand.h"
+#include "src/exec/future.h"
 #include "src/sim/shard_telemetry.h"
 #include "src/util/stats.h"
 
@@ -185,42 +185,35 @@ HierarchyResult RunHierarchyImpl(const std::vector<EdgeSource>& edge_sources,
   }
   parent_trace.duration = max_duration;
 
+  // The parent replays on the calling thread in every mode: the edges have
+  // joined, so it runs alone.
   double parent_origin_cost = 0.0;
-  auto run_parent = [&] {
-    auto parent = core::MakeCache(config.parent_kind, config.parent_config);
-    ReplayOptions options = config.replay;  // shared obs: parent runs alone
-    // The series stays edge-tier-only: the caller's recorder baselines the
-    // shared registry, which at this point already holds the merged edge
-    // counts -- snapshotting it from the parent replay would fold the whole
-    // edge tier into the parent's first window.
-    options.series = nullptr;
-    // The shared flight ring is safe here (the parent runs alone, after the
-    // edge rings merged), so parent decisions land at the tail -- exactly
-    // where a sequential two-tier replay would put them.
-    options.flight_label = "parent";
-    if (config.faults != nullptr) {
-      options.faults = config.faults;
-      options.fault_target = fault::kParentTarget;
-      // Charge planned parent->origin redirects at the schedule's inflation
-      // (no outage penalty: these are the normal third line of defense).
-      options.on_outcome = [&](const trace::Request& request,
-                               const core::RequestOutcome& outcome) {
-        if (outcome.decision == core::Decision::kRedirect &&
-            request.arrival_time >= parent_steady_start) {
-          parent_origin_cost += static_cast<double>(outcome.requested_bytes) *
-                                config.faults->OriginCostFactor(request.arrival_time);
-        }
-      };
-    }
-    result.parent = Replay(*parent, parent_trace, options);
-  };
-  if (pool == nullptr) {
-    run_parent();
-  } else {
-    // The second tier stays strand-serialized in parallel mode.
-    exec::Strand parent_strand(*pool);
-    parent_strand.Async(run_parent).Get();
+  auto parent = core::MakeCache(config.parent_kind, config.parent_config);
+  ReplayOptions parent_options = config.replay;  // shared obs: parent runs alone
+  // The series stays edge-tier-only: the caller's recorder baselines the
+  // shared registry, which at this point already holds the merged edge
+  // counts -- snapshotting it from the parent replay would fold the whole
+  // edge tier into the parent's first window.
+  parent_options.series = nullptr;
+  // The shared flight ring is safe here (the parent runs alone, after the
+  // edge rings merged), so parent decisions land at the tail -- exactly
+  // where a sequential two-tier replay would put them.
+  parent_options.flight_label = "parent";
+  if (config.faults != nullptr) {
+    parent_options.faults = config.faults;
+    parent_options.fault_target = fault::kParentTarget;
+    // Charge planned parent->origin redirects at the schedule's inflation
+    // (no outage penalty: these are the normal third line of defense).
+    parent_options.on_outcome = [&](const trace::Request& request,
+                                    const core::RequestOutcome& outcome) {
+      if (outcome.decision == core::Decision::kRedirect &&
+          request.arrival_time >= parent_steady_start) {
+        parent_origin_cost += static_cast<double>(outcome.requested_bytes) *
+                              config.faults->OriginCostFactor(request.arrival_time);
+      }
+    };
   }
+  result.parent = Replay(*parent, parent_trace, parent_options);
   if (owned_pool.has_value()) {
     owned_pool->Shutdown();
   }

@@ -14,10 +14,10 @@
 //
 // Parallel mode (threads != 1): the independent edge replays shard across an
 // exec::ThreadPool; everything that touches the shared second tier -- the
-// redirect accumulator and the parent replay itself -- is serialized through
-// an exec::Strand. Results are bit-identical to the sequential run for any
-// thread count: redirects are tagged (edge, sequence) and merged by
-// (arrival time, edge, sequence), exactly the order the sequential
+// redirect merge and the parent replay itself -- runs on the calling thread
+// once the edges have joined. Results are bit-identical to the sequential
+// run for any thread count: redirects are tagged (edge, sequence) and merged
+// by (arrival time, edge, sequence), exactly the order the sequential
 // stable_sort produces. See docs/PARALLELISM.md.
 //
 // Fault injection (config.faults, see docs/FAULTS.md): the defense lines

@@ -5,9 +5,10 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <limits>
 #include <optional>
 #include <utility>
+
+#include "src/sim/decision_digest.h"
 
 namespace vcdn::sim {
 
@@ -88,32 +89,14 @@ ReplayResult ReplayLoop(core::CacheAlgorithm& cache, trace::RequestStream& strea
   core::RequestBatch batch;
   batch.outcomes.resize(batch_size);
 
-  // Flight-recorder state: the per-request fault byte (0 normal, 1 degraded,
-  // 2 outage) is constant within a batch because batches are cut at every
-  // fault boundary and outage window.
-  auto record_flight = [&](const trace::Request& request, const core::RequestOutcome& outcome,
-                           uint8_t fault_state) {
-    obs::DecisionRecord record;
-    record.time = request.arrival_time;
-    record.key = request.video;
-    record.requested_bytes = static_cast<uint32_t>(
-        std::min<uint64_t>(outcome.requested_bytes, std::numeric_limits<uint32_t>::max()));
-    record.filled_chunks = static_cast<uint16_t>(
-        std::min<uint32_t>(outcome.filled_chunks, std::numeric_limits<uint16_t>::max()));
-    record.evicted_chunks = static_cast<uint16_t>(
-        std::min<uint32_t>(outcome.evicted_chunks, std::numeric_limits<uint16_t>::max()));
-    record.hit_chunks = static_cast<uint16_t>(
-        std::min<uint32_t>(outcome.hit_chunks, std::numeric_limits<uint16_t>::max()));
-    record.decision = static_cast<uint8_t>(outcome.decision);
-    record.fault_state = fault_state;
-    options.flight->Record(record);
-  };
-
   auto drain = [&] {
     if (batch.count == 0) {
       return;
     }
     cache.HandleRequestBatch(batch);
+    // The flight recorder's fault byte (0 normal, 1 degraded, 2 outage) is
+    // constant within a batch because batches are cut at every fault
+    // boundary and outage window.
     const uint8_t fault_state =
         fault_driver.has_value() && fault_driver->Degraded() ? uint8_t{1} : uint8_t{0};
     for (size_t i = 0; i < batch.count; ++i) {
@@ -121,7 +104,7 @@ ReplayResult ReplayLoop(core::CacheAlgorithm& cache, trace::RequestStream& strea
       const core::RequestOutcome& outcome = batch.outcomes[i];
       collector.Record(request.arrival_time, outcome);
       if (options.flight != nullptr) {
-        record_flight(request, outcome, fault_state);
+        options.flight->Record(MakeDecisionRecord(request, outcome, fault_state));
       }
       if (options.on_outcome) {
         options.on_outcome(request, outcome);
@@ -192,7 +175,7 @@ ReplayResult ReplayLoop(core::CacheAlgorithm& cache, trace::RequestStream& strea
           fault_driver->RecordUnavailable(outcome);
           collector.Record(request.arrival_time, outcome);
           if (options.flight != nullptr) {
-            record_flight(request, outcome, /*fault_state=*/2);
+            options.flight->Record(MakeDecisionRecord(request, outcome, /*fault_state=*/2));
           }
           if (options.on_outcome) {
             options.on_outcome(request, outcome);

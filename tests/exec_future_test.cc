@@ -4,7 +4,6 @@
 
 #include <gtest/gtest.h>
 
-#include <string>
 #include <thread>
 #include <vector>
 
@@ -37,48 +36,6 @@ TEST(LatchTest, ReleasesBlockedWaiters) {
     t.join();
   }
   EXPECT_TRUE(latch.TryWait());
-}
-
-TEST(FutureTest, DefaultConstructedIsInvalid) {
-  Future<int> future;
-  EXPECT_FALSE(future.valid());
-}
-
-TEST(FutureTest, GetReturnsTheSetValue) {
-  Promise<int> promise;
-  Future<int> future = promise.GetFuture();
-  EXPECT_TRUE(future.valid());
-  EXPECT_FALSE(future.Ready());
-  promise.Set(42);
-  EXPECT_TRUE(future.Ready());
-  EXPECT_EQ(future.Get(), 42);
-}
-
-TEST(FutureTest, MoveOnlyValuePassesThrough) {
-  Promise<std::unique_ptr<std::string>> promise;
-  Future<std::unique_ptr<std::string>> future = promise.GetFuture();
-  promise.Set(std::make_unique<std::string>("payload"));
-  std::unique_ptr<std::string> value = future.Get();
-  ASSERT_NE(value, nullptr);
-  EXPECT_EQ(*value, "payload");
-}
-
-TEST(FutureTest, GetBlocksUntilSetFromAnotherThread) {
-  Promise<int> promise;
-  Future<int> future = promise.GetFuture();
-  std::thread setter([&promise] { promise.Set(7); });
-  EXPECT_EQ(future.Get(), 7);
-  setter.join();
-}
-
-TEST(FutureTest, VoidFutureSignalsCompletion) {
-  Promise<void> promise;
-  Future<void> future = promise.GetFuture();
-  EXPECT_FALSE(future.Ready());
-  std::thread setter([&promise] { promise.Set(); });
-  future.Get();
-  EXPECT_TRUE(future.Ready());
-  setter.join();
 }
 
 }  // namespace

@@ -42,25 +42,6 @@ TEST(ThreadPoolTest, ShutdownIsIdempotentAndCountsMatch) {
   EXPECT_LE(stats.stolen, stats.executed);
 }
 
-TEST(ThreadPoolTest, AsyncDeliversResults) {
-  ThreadPool pool(2);
-  std::vector<Future<int>> futures;
-  for (int i = 0; i < 64; ++i) {
-    futures.push_back(pool.Async([i] { return i * i; }));
-  }
-  for (int i = 0; i < 64; ++i) {
-    EXPECT_EQ(futures[static_cast<size_t>(i)].Get(), i * i);
-  }
-}
-
-TEST(ThreadPoolTest, InWorkerDistinguishesPools) {
-  ThreadPool pool(2);
-  ThreadPool other(1);
-  EXPECT_FALSE(pool.InWorker());
-  EXPECT_TRUE(pool.Async([&pool] { return pool.InWorker(); }).Get());
-  EXPECT_FALSE(pool.Async([&other] { return other.InWorker(); }).Get());
-}
-
 TEST(ThreadPoolTest, TasksMaySubmitSubtasks) {
   // Recursive fan-out: every task spawns children until a depth budget runs
   // out; the pool must run them all, including ones submitted during

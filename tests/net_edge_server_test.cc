@@ -4,13 +4,16 @@
 // determinism bridge (daemon-served outcome digest == offline sim::Replay
 // digest, at more than one pool thread count, and pinned to a recorded
 // constant on the bridge trace), multi-connection accounting,
-// protocol-error handling, idle timeouts, and graceful shutdown.
+// protocol-error handling, idle timeouts, graceful shutdown, and the flight
+// ring against the offline replay's.
 
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <cstdint>
+#include <cstring>
 #include <thread>
+#include <vector>
 
 #include "src/core/cache_factory.h"
 #include "src/exec/thread_pool.h"
@@ -18,8 +21,10 @@
 #include "src/net/load_gen.h"
 #include "src/net/protocol.h"
 #include "src/net/socket.h"
+#include "src/net/wire_buffer.h"
 #include "src/obs/metrics.h"
 #include "src/sim/decision_digest.h"
+#include "src/sim/replay.h"
 #include "src/trace/server_profile.h"
 #include "src/trace/workload_generator.h"
 
@@ -60,7 +65,7 @@ EdgeServer::DigestSnapshot WaitForDigest(const EdgeServer& server, size_t shard,
 // The tentpole acceptance criterion: a seeded workload replayed over a real
 // loopback socket against a one-shard daemon produces a bit-identical
 // decision-stream digest to the offline replayer -- at multiple pool thread
-// counts, since a strand serializes the shard regardless of workers.
+// counts, since a shard runs one drain at a time regardless of workers.
 TEST(NetEdgeServerTest, DigestBridgeMatchesOfflineReplay) {
   const trace::Trace trace = MakeTrace(99);
   ASSERT_GT(trace.requests.size(), 1000u);
@@ -287,6 +292,55 @@ TEST(NetEdgeServerTest, StopWithLiveConnectionsDrainsGracefully) {
   pool.Shutdown();
 }
 
+// Stop() finishes every request the event loop has routed: a client
+// pipelines a burst and reads nothing, and Stop() starts as soon as the
+// last frame is parsed, while the shard drains are still working through
+// their inboxes.
+TEST(NetEdgeServerTest, StopFinishesEveryRoutedRequest) {
+  const trace::Trace trace = MakeTrace(31);
+  const uint64_t n = trace.requests.size();
+  exec::ThreadPool pool(2);
+  obs::MetricsRegistry registry;
+  EdgeServerOptions options;
+  options.cache_config = SmallCacheConfig();
+  options.num_shards = 2;
+  options.metrics = &registry;
+  EdgeServer server(pool, options);
+  ASSERT_TRUE(server.Start().ok());
+
+  util::Result<Socket> connected = ConnectTcp("127.0.0.1", server.port());
+  ASSERT_TRUE(connected.ok());
+  Socket sock = std::move(connected).value();
+  WireBuffer frames;
+  for (size_t i = 0; i < trace.requests.size(); ++i) {
+    const trace::Request& request = trace.requests[i];
+    RequestFrame frame;
+    frame.request_id = i;
+    frame.video = request.video;
+    frame.byte_begin = request.byte_begin;
+    frame.byte_end = request.byte_end;
+    frame.arrival_time = request.arrival_time;
+    AppendRequest(frames, frame);
+  }
+  ASSERT_TRUE(sock.WriteFull(frames.ReadPtr(), frames.ReadableBytes()).ok());
+
+  obs::Counter requests = registry.GetCounter("net.server.requests_total");
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (requests.value() < n && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(requests.value(), n);
+  server.Stop();
+
+  uint64_t folded = 0;
+  for (size_t s = 0; s < server.num_shards(); ++s) {
+    folded += server.ShardDigest(s).count;
+  }
+  EXPECT_EQ(folded, n);
+  EXPECT_EQ(registry.GetCounter("net.server.responses_total").value(), n);
+  pool.Shutdown();
+}
+
 TEST(NetEdgeServerTest, FlightRecorderCapturesTheTailOfTheStream) {
   const trace::Trace trace = MakeTrace(5, 900.0);
   exec::ThreadPool pool(2);
@@ -307,6 +361,19 @@ TEST(NetEdgeServerTest, FlightRecorderCapturesTheTailOfTheStream) {
   ASSERT_NE(flight, nullptr);
   EXPECT_EQ(flight->total_recorded(), trace.requests.size());
   EXPECT_EQ(flight->size(), std::min<size_t>(256, trace.requests.size()));
+
+  // The daemon packs its records exactly as the offline replay does, so
+  // the two rings are byte-identical.
+  obs::FlightRecorder offline(256);
+  sim::ReplayOptions replay;
+  replay.flight = &offline;
+  auto cache = core::MakeCache(options.cache_kind, options.cache_config);
+  sim::Replay(*cache, trace, replay);
+  const std::vector<obs::DecisionRecord> served = flight->Snapshot();
+  const std::vector<obs::DecisionRecord> replayed = offline.Snapshot();
+  ASSERT_EQ(served.size(), replayed.size());
+  EXPECT_EQ(std::memcmp(served.data(), replayed.data(), served.size() * sizeof(obs::DecisionRecord)),
+            0);
   pool.Shutdown();
 }
 

@@ -65,7 +65,7 @@ TEST(NetSoakTest, EveryResponseAccountedAndServePathAllocFree) {
   EdgeServerOptions options;
   // xLRU runs on the flat containers whose steady state is proven
   // allocation-free in container_flat_differential_test; the soak extends
-  // that proof across sockets, parser, strand and encoder.
+  // that proof across sockets, parser, shard drain and encoder.
   options.cache_kind = core::CacheKind::kXlru;
   options.cache_config.disk_capacity_chunks = 4096;
   options.num_shards = 2;

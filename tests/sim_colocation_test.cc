@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/fault/fault.h"
 #include "src/trace/server_profile.h"
 #include "src/trace/workload_generator.h"
 #include "tests/cache_test_util.h"
@@ -89,14 +90,32 @@ TEST(ColocationTest, HashModBeatsRandomSplit) {
 
 TEST(ColocationTest, SingleServerDegeneratesToPlainReplay) {
   trace::Trace site = SiteTrace();
-  ColocationConfig config = TestConfig(ColocationPolicy::kHashMod, /*servers=*/1);
-  ColocationResult result = RunColocated(site, config);
-  auto cache = core::MakeCache(config.kind, config.per_server_config);
-  ReplayResult plain = Replay(*cache, site, config.replay);
-  ASSERT_EQ(result.servers.size(), 1u);
-  EXPECT_EQ(result.servers[0].totals.filled_bytes, plain.totals.filled_bytes);
-  EXPECT_NEAR(result.combined_efficiency, plain.efficiency, 1e-12);
-  EXPECT_DOUBLE_EQ(result.load_imbalance, 1.0);
+  // Second input: a half-day outage of the one server inside the steady
+  // window, so the combined totals must carry its unavailable traffic.
+  fault::FaultSchedule outage;
+  fault::FaultEvent event;
+  event.kind = fault::FaultKind::kEdgeOutage;
+  event.target = 0;
+  event.start = 4.0 * 86400.0;
+  event.end = 4.5 * 86400.0;
+  outage.Add(event);
+  ASSERT_TRUE(outage.Validate().ok());
+
+  const fault::FaultSchedule* inputs[] = {nullptr, &outage};
+  for (const fault::FaultSchedule* faults : inputs) {
+    SCOPED_TRACE(faults == nullptr ? "no faults" : "edge outage");
+    ColocationConfig config = TestConfig(ColocationPolicy::kHashMod, /*servers=*/1);
+    config.replay.faults = faults;
+    ColocationResult result = RunColocated(site, config);
+    auto cache = core::MakeCache(config.kind, config.per_server_config);
+    ReplayResult plain = Replay(*cache, site, config.replay);
+    ASSERT_EQ(result.servers.size(), 1u);
+    EXPECT_EQ(result.servers[0].totals.filled_bytes, plain.totals.filled_bytes);
+    EXPECT_EQ(result.combined.unavailable_bytes, plain.steady.unavailable_bytes);
+    EXPECT_EQ(plain.steady.unavailable_bytes > 0, faults != nullptr);
+    EXPECT_NEAR(result.combined_efficiency, plain.efficiency, 1e-12);
+    EXPECT_DOUBLE_EQ(result.load_imbalance, 1.0);
+  }
 }
 
 TEST(ColocationTest, MoreServersSameTotalDiskKeepsEfficiency) {
