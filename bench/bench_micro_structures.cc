@@ -1,8 +1,9 @@
 // Copyright (c) 2026 libvcdn authors. Apache-2.0 license.
 //
 // Micro-benchmarks of the hot data structures and cache request paths: the
-// O(1) LRU map (Sec. 5's linked list + hash map as one flat slab), the
-// indexed ScoreHeap that stands in for Sec. 6's binary tree + hash map, and
+// hash index under every flat container (hit, miss, and insert+erase churn
+// at a steady size), the O(1) LRU map (Sec. 5's linked list + hash map as
+// one flat slab), the indexed ScoreHeap that stands in for Sec. 6's binary tree + hash map, and
 // end-to-end HandleRequest throughput of xLRU and Cafe. These verify the
 // complexity claims (O(1) / O(log n)) hold in practice at cache-server
 // scale; end-to-end replay speed is measured by the repository benchmark
@@ -10,6 +11,9 @@
 
 #include <benchmark/benchmark.h>
 
+#include <vector>
+
+#include "src/container/flat_index.h"
 #include "src/container/flat_lru_map.h"
 #include "src/container/score_heap.h"
 #include "src/core/cafe_cache.h"
@@ -19,6 +23,69 @@
 
 namespace vcdn {
 namespace {
+
+// FlatIndex over a slab of `n` dense ids (handle i holds id i), reserved for
+// `n` entries as the caches reserve theirs. Ids are hashed per operation, as
+// the containers do.
+struct IndexFixture {
+  explicit IndexFixture(uint64_t n) : ids(n) {
+    index.Reserve(n);
+    for (uint64_t i = 0; i < n; ++i) {
+      ids[i] = i;
+      index.Insert(index.HashOf(i), static_cast<uint32_t>(i));
+    }
+  }
+  struct IdAt {
+    const std::vector<uint64_t>* ids;
+    uint64_t operator()(uint32_t h) const { return (*ids)[h]; }
+  };
+  IdAt id_at() const { return IdAt{&ids}; }
+
+  std::vector<uint64_t> ids;
+  container::FlatIndex<uint64_t> index;
+};
+
+void BM_FlatIndexHit(benchmark::State& state) {
+  const uint64_t n = static_cast<uint64_t>(state.range(0));
+  IndexFixture f(n);
+  util::Pcg32 rng(11);
+  for (auto _ : state) {
+    const uint64_t id = rng.Next64() % n;
+    benchmark::DoNotOptimize(f.index.Find(f.index.HashOf(id), id, f.id_at()));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_FlatIndexHit)->Arg(1 << 10)->Arg(1 << 16)->Arg(1 << 20);
+
+void BM_FlatIndexMiss(benchmark::State& state) {
+  const uint64_t n = static_cast<uint64_t>(state.range(0));
+  IndexFixture f(n);
+  util::Pcg32 rng(12);
+  for (auto _ : state) {
+    const uint64_t id = n + rng.Next64() % n;  // never inserted
+    benchmark::DoNotOptimize(f.index.Find(f.index.HashOf(id), id, f.id_at()));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_FlatIndexMiss)->Arg(1 << 10)->Arg(1 << 16)->Arg(1 << 20);
+
+// One iteration erases the oldest id and inserts a new one into its handle,
+// so the index stays at `n` entries (the history-trim shape).
+void BM_FlatIndexChurn(benchmark::State& state) {
+  const uint64_t n = static_cast<uint64_t>(state.range(0));
+  IndexFixture f(n);
+  uint64_t next_id = n;
+  uint32_t oldest = 0;
+  for (auto _ : state) {
+    f.index.Erase(f.index.HashOf(f.ids[oldest]), oldest);
+    f.ids[oldest] = next_id++;
+    f.index.Insert(f.index.HashOf(f.ids[oldest]), oldest);
+    oldest = oldest + 1 == n ? 0 : oldest + 1;
+  }
+  benchmark::DoNotOptimize(f.index.size());
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_FlatIndexChurn)->Arg(1 << 10)->Arg(1 << 16)->Arg(1 << 20);
 
 void BM_FlatLruMapInsertTouch(benchmark::State& state) {
   container::FlatLruMap<uint64_t, double> map;

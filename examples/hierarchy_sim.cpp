@@ -28,21 +28,30 @@ int main(int argc, char** argv) {
   double scale = 0.08;
   uint64_t seed = 1;
   uint64_t threads = 0;  // hardware concurrency
-  for (int i = 1; i + 1 < argc; i += 2) {
+  for (int i = 1; i < argc; i += 2) {
     std::string flag = argv[i];
+    if (i + 1 >= argc) {
+      std::fprintf(stderr, "missing value for %s\n", flag.c_str());
+      return 1;
+    }
     std::string value = argv[i + 1];
+    bool ok = true;
     if (flag == "--edge-cache") {
       edge_cache = value;
     } else if (flag == "--days") {
-      util::ParseDouble(value, &days);
+      ok = util::ParseDouble(value, &days);
     } else if (flag == "--scale") {
-      util::ParseDouble(value, &scale);
+      ok = util::ParseDouble(value, &scale);
     } else if (flag == "--seed") {
-      util::ParseUint64(value, &seed);
+      ok = util::ParseUint64(value, &seed);
     } else if (flag == "--threads") {
-      util::ParseUint64(value, &threads);
+      ok = util::ParseUint64(value, &threads);
     } else {
       std::fprintf(stderr, "unknown flag %s\n", flag.c_str());
+      return 1;
+    }
+    if (!ok) {
+      std::fprintf(stderr, "bad value for %s: %s\n", flag.c_str(), value.c_str());
       return 1;
     }
   }

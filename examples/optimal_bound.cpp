@@ -33,19 +33,28 @@ int main(int argc, char** argv) {
   uint64_t num_files = 25;
   uint64_t max_requests = 120;
   uint64_t seed = 1;
-  for (int i = 1; i + 1 < argc; i += 2) {
+  for (int i = 1; i < argc; i += 2) {
     std::string flag = argv[i];
+    if (i + 1 >= argc) {
+      std::fprintf(stderr, "missing value for %s\n", flag.c_str());
+      return 1;
+    }
     std::string value = argv[i + 1];
+    bool ok = true;
     if (flag == "--alpha") {
-      util::ParseDouble(value, &alpha);
+      ok = util::ParseDouble(value, &alpha);
     } else if (flag == "--files") {
-      util::ParseUint64(value, &num_files);
+      ok = util::ParseUint64(value, &num_files);
     } else if (flag == "--requests") {
-      util::ParseUint64(value, &max_requests);
+      ok = util::ParseUint64(value, &max_requests);
     } else if (flag == "--seed") {
-      util::ParseUint64(value, &seed);
+      ok = util::ParseUint64(value, &seed);
     } else {
       std::fprintf(stderr, "unknown flag %s\n", flag.c_str());
+      return 1;
+    }
+    if (!ok) {
+      std::fprintf(stderr, "bad value for %s: %s\n", flag.c_str(), value.c_str());
       return 1;
     }
   }

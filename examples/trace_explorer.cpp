@@ -96,30 +96,32 @@ int main(int argc, char** argv) {
   uint64_t seed = 1;
   std::string out_csv;
   std::string out_bin;
-  for (int i = 1; i + 1 < argc + 1; ++i) {
-    std::string flag = i < argc ? argv[i] : "";
-    if (flag.empty()) {
-      break;
-    }
+  for (int i = 1; i < argc; i += 2) {
+    std::string flag = argv[i];
     if (i + 1 >= argc) {
       std::fprintf(stderr, "missing value for %s\n", flag.c_str());
       return 1;
     }
-    std::string value = argv[++i];
+    std::string value = argv[i + 1];
+    bool ok = true;
     if (flag == "--server") {
       server = value;
     } else if (flag == "--days") {
-      util::ParseDouble(value, &days);
+      ok = util::ParseDouble(value, &days);
     } else if (flag == "--scale") {
-      util::ParseDouble(value, &scale);
+      ok = util::ParseDouble(value, &scale);
     } else if (flag == "--seed") {
-      util::ParseUint64(value, &seed);
+      ok = util::ParseUint64(value, &seed);
     } else if (flag == "--out-csv") {
       out_csv = value;
     } else if (flag == "--out-bin") {
       out_bin = value;
     } else {
       std::fprintf(stderr, "unknown flag %s\n", flag.c_str());
+      return 1;
+    }
+    if (!ok) {
+      std::fprintf(stderr, "bad value for %s: %s\n", flag.c_str(), value.c_str());
       return 1;
     }
   }

@@ -12,8 +12,7 @@
 //                 video id and the head of its member list;
 //   * nodes_   -- one slot per cached chunk: the member id and the next
 //                 link of its video's singly-linked list;
-//   * index_   -- FlatIndex video -> entry handle (open addressing,
-//                 backshift deletion).
+//   * index_   -- FlatIndex video -> entry handle (flat_index.h).
 //
 // Freed entries and nodes recycle through free lists, so a warm cache
 // performs zero heap allocations per request. A video's entry is dropped the
@@ -58,8 +57,8 @@ class FlatChunkSetMap {
   // and hasher, so callers sharing keys across containers hash once.
   uint32_t HashOf(uint64_t video) const { return index_.HashOf(video); }
 
-  // Prefetches the index bucket for `video`'s entry. Pure hint.
-  void PrefetchVideo(uint32_t hash) const { index_.PrefetchBucket(hash); }
+  // Prefetches the index line for `video`'s entry. Pure hint.
+  void PrefetchVideo(uint32_t hash) const { index_.PrefetchLine(hash); }
 
   // Adds `member` to `video`'s set. It must not already be present (Cafe
   // only inserts chunks that just transitioned to cached). `hash` must equal
@@ -92,7 +91,7 @@ class FlatChunkSetMap {
     *link = nodes_[n].next;
     FreeNode(n);
     if (entries_[e].head == kNil) {
-      index_.Erase(hash, video, VideoAt());
+      index_.Erase(hash, e);
       FreeEntry(e);
     }
   }

@@ -13,8 +13,8 @@
 //   * the recency list is a pair of uint32_t prev/next indices inside the
 //     slots (4+4 bytes instead of two 8-byte pointers plus a list node
 //     allocation), spliced by index assignment;
-//   * the key -> slot index is a FlatIndex: open addressing, linear probing,
-//     backshift deletion, 8 bytes per bucket.
+//   * the key -> slot index is a FlatIndex: 64-byte lines of 7 (hash, slot)
+//     pairs, one line read per probe.
 //
 // Disk capacity in chunks is known when a cache is constructed, so callers
 // Reserve() up front and the steady state never rehashes or grows the slab.
@@ -32,6 +32,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -80,9 +81,9 @@ class FlatLruMap {
   // PrefetchSlot and the hash-taking InsertOrTouch below.
   uint32_t HashOf(const Key& key) const { return index_.HashOf(key); }
 
-  // Prefetches the index bucket a subsequent operation on this key/hash will
+  // Prefetches the index line a subsequent operation on this key/hash will
   // probe first. Pure hint (see prefetch.h).
-  void PrefetchSlot(uint32_t hash) const { index_.PrefetchBucket(hash); }
+  void PrefetchSlot(uint32_t hash) const { index_.PrefetchLine(hash); }
 
   // Prefetches the least-recently-used slot (what Oldest/PopOldest read
   // next). The LRU tail is cold by definition, so cleanup scans that poll it
@@ -110,29 +111,23 @@ class FlatLruMap {
       MoveToFront(s);
       return false;
     }
-    s = AllocSlot(key, std::move(value));
-    index_.Insert(hash, s);
-    LinkFront(s);
-    ++size_;
+    InsertNew(key, std::move(value), hash);
     return true;
   }
 
-  // Overload that avoids constructing a Value when the key is already
-  // present (the xLRU-tracker hot path: most requests touch an existing
-  // video): touches the entry if present, default-inserts otherwise, and
-  // returns the value for in-place assignment.
-  Value* InsertOrTouch(const Key& key) {
-    uint32_t hash = index_.HashOf(key);
-    uint32_t s = index_.Find(hash, key, KeyAt());
+  // Stores `value` for `key` and makes the entry most-recent, with one hash
+  // and one probe. Returns the value it replaced, or nullopt if `key` was
+  // new (the xLRU tracker's read-then-record step).
+  std::optional<Value> Exchange(const Key& key, Value value) {
+    const uint32_t hash = index_.HashOf(key);
+    const uint32_t s = index_.Find(hash, key, KeyAt());
     if (s != kNil) {
+      std::optional<Value> previous(std::exchange(slots_[s].value, std::move(value)));
       MoveToFront(s);
-      return &slots_[s].value;
+      return previous;
     }
-    s = AllocSlot(key, Value());
-    index_.Insert(hash, s);
-    LinkFront(s);
-    ++size_;
-    return &slots_[s].value;
+    InsertNew(key, std::move(value), hash);
+    return std::nullopt;
   }
 
   // Returns the value without changing recency, or nullptr if absent.
@@ -173,10 +168,7 @@ class FlatLruMap {
   Entry PopOldest() {
     VCDN_CHECK(size_ > 0);
     uint32_t s = tail_;
-    // Erase from the index before moving the key out: probe comparisons read
-    // the slab key in place.
-    uint32_t hash = index_.HashOf(slots_[s].key);
-    index_.Erase(hash, slots_[s].key, KeyAt());
+    index_.Erase(index_.HashOf(slots_[s].key), s);
     Entry e{std::move(slots_[s].key), std::move(slots_[s].value)};
     Unlink(s);
     FreeSlot(s);
@@ -186,10 +178,12 @@ class FlatLruMap {
 
   // Removes a specific key. Returns true if it was present.
   bool Erase(const Key& key) {
-    uint32_t s = index_.Erase(index_.HashOf(key), key, KeyAt());
+    const uint32_t hash = index_.HashOf(key);
+    const uint32_t s = index_.Find(hash, key, KeyAt());
     if (s == kNil) {
       return false;
     }
+    index_.Erase(hash, s);
     Unlink(s);
     FreeSlot(s);
     --size_;
@@ -242,6 +236,13 @@ class FlatLruMap {
 
   uint32_t FindSlot(const Key& key) const {
     return index_.Find(index_.HashOf(key), key, KeyAt());
+  }
+
+  void InsertNew(const Key& key, Value value, uint32_t hash) {
+    const uint32_t s = AllocSlot(key, std::move(value));
+    index_.Insert(hash, s);
+    LinkFront(s);
+    ++size_;
   }
 
   uint32_t AllocSlot(const Key& key, Value value) {

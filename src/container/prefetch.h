@@ -3,8 +3,8 @@
 // Best-effort software prefetch for the flat hot-path containers.
 //
 // The flat containers trade pointer chasing for index chasing, but a probe
-// still begins with one data-dependent cache line (the home bucket, then the
-// slab slot). A replay batch knows its next few keys ahead of time, so the
+// still begins with one data-dependent cache line (the home index line, then
+// the slab slot). A replay batch knows its next few keys ahead of time, so the
 // batched admission path (CacheAlgorithm::HandleRequestBatch) issues these
 // hints for request i+k while the cost model evaluates request i, overlapping
 // the independent misses instead of serializing them.

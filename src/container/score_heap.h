@@ -14,7 +14,7 @@
 //                 through a free list, zero allocations in steady state;
 //   * heap_    -- HandleHeap (handle_heap.h) of uint32_t node handles,
 //                 ordered by (score, id) toward the configured end;
-//   * index_   -- FlatIndex id -> handle (open addressing, backshift).
+//   * index_   -- FlatIndex id -> handle (flat_index.h).
 //
 // Update/Erase are O(log n) sift operations on the handle array; Top is
 // O(1). Tie-breaking is deterministic and bit-identical to the ordered set:
@@ -84,10 +84,12 @@ class ScoreHeap {
   }
 
   bool Erase(const Id& id) {
-    uint32_t n = index_.Erase(index_.HashOf(id), id, IdAt());
+    const uint32_t hash = index_.HashOf(id);
+    const uint32_t n = index_.Find(hash, id, IdAt());
     if (n == kNil) {
       return false;
     }
+    index_.Erase(hash, n);
     heap_.Remove(nodes_[n].heap_pos, Ops());
     FreeNode(n);
     return true;
@@ -99,9 +101,7 @@ class ScoreHeap {
   // Removes and returns the best item. Must be non-empty.
   Item PopTop() {
     uint32_t n = heap_.top();
-    // Erase from the index before moving the item out: probes compare the
-    // slab id in place.
-    index_.Erase(index_.HashOf(nodes_[n].item.second), nodes_[n].item.second, IdAt());
+    index_.Erase(index_.HashOf(nodes_[n].item.second), n);
     Item item = std::move(nodes_[n].item);
     heap_.Remove(0, Ops());
     FreeNode(n);

@@ -22,9 +22,11 @@ CafeCache::CafeCache(const CacheConfig& config, const CafeOptions& options)
   VCDN_CHECK(options_.gamma > 0.0 && options_.gamma <= 1.0);
   VCDN_CHECK(options_.history_retention_factor > 0.0);
   const auto capacity = static_cast<size_t>(config.disk_capacity_chunks);
-  // The table holds the cached chunks plus the history, which tracks
-  // roughly as many uncached ones (the cleanup horizon scales with cache
-  // age).
+  // The table holds the cached chunks plus the history. The history's
+  // cleanup horizon scales with cache age, so it tracks several times as
+  // many uncached chunks as the disk caches (4-16x at 1 paper-TB by the end
+  // of the month); the table and its index grow past this reservation
+  // during warm-up, and allocate nothing after that.
   slots_.reserve(2 * capacity);
   index_.Reserve(2 * capacity);
   cached_.Reserve(capacity);
@@ -112,8 +114,7 @@ uint32_t CafeCache::NewSlot(const ChunkId& chunk, uint32_t chunk_hash, const Chu
 }
 
 void CafeCache::FreeSlot(uint32_t h) {
-  const ChunkId chunk = slots_[h].id();
-  index_.Erase(index_.HashOf(chunk), chunk, IdAt());
+  index_.Erase(index_.HashOf(slots_[h].id()), h);
   slots_[h].next = free_;
   free_ = h;
 }
@@ -286,7 +287,7 @@ void CafeCache::ComputeHashes(const trace::Request& request, RequestHashes& out)
 
 void CafeCache::PrefetchFor(const RequestHashes& hashes) const {
   for (uint32_t h : hashes.chunk_hashes) {
-    index_.PrefetchBucket(h);
+    index_.PrefetchLine(h);
   }
   video_seen_.PrefetchSlot(hashes.video_hash);
   video_chunks_.PrefetchVideo(hashes.video_hash);

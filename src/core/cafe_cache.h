@@ -126,7 +126,7 @@ class CafeCache : public CacheAlgorithm {
  protected:
   RequestOutcome HandleRequestImpl(const trace::Request& request) override;
   // Software-pipelined batch admission: pre-hashes every chunk id in the
-  // batch and prefetches request i+k's index buckets while request i runs
+  // batch and prefetches request i+k's index lines while request i runs
   // the Eq. 6-7 cost model. Bit-identical to the base loop at any batch size
   // -- prefetching and hash reuse are pure scheduling.
   void HandleRequestBatchImpl(const trace::Request* requests, size_t count,

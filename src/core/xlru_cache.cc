@@ -3,6 +3,7 @@
 #include "src/core/xlru_cache.h"
 
 #include <algorithm>
+#include <optional>
 #include <vector>
 
 namespace vcdn::core {
@@ -69,10 +70,9 @@ RequestOutcome XlruCache::HandleRequestImpl(const trace::Request& request) {
 
   // Popularity test (Fig. 1 lines 1-4): read the previous access time, then
   // record this access.
-  const double* last = tracker_.Peek(request.video);
-  bool seen_before = last != nullptr;
-  double last_time = seen_before ? *last : 0.0;
-  *tracker_.InsertOrTouch(request.video) = now;
+  const std::optional<double> last = tracker_.Exchange(request.video, now);
+  const bool seen_before = last.has_value();
+  const double last_time = seen_before ? *last : 0.0;
   CleanupTracker(now);
 
   bool disk_full = disk_.size() >= config_.disk_capacity_chunks;

@@ -15,7 +15,7 @@
 // returning -- the pool never drops work. Tasks may Submit further tasks
 // during shutdown; they run too. Callers that need a batch finished before
 // they go on join it with exec::Latch (future.h): one CountDown per task,
-// one Wait.
+// one Wait. RunLargestFirst (fan_out.h) does both for an indexed batch.
 //
 // Observability: with a MetricsRegistry attached, workers maintain
 // "exec.pool.*" counters (submitted/executed/stolen) and a queue-depth

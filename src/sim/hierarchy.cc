@@ -8,7 +8,7 @@
 #include <string>
 #include <utility>
 
-#include "src/exec/future.h"
+#include "src/exec/fan_out.h"
 #include "src/sim/shard_telemetry.h"
 #include "src/util/stats.h"
 
@@ -121,16 +121,19 @@ HierarchyResult RunHierarchyImpl(const std::vector<EdgeSource>& edge_sources,
       RunEdge(edge_sources[i], config, i, telemetry, result.edges[i], captures[i]);
     }
   } else {
-    exec::Latch done(num_edges);
-    for (size_t i = 0; i < num_edges; ++i) {
-      pool->Submit(
-          [&, i] {
-            RunEdge(edge_sources[i], config, i, telemetry, result.edges[i], captures[i]);
-            done.CountDown();
-          },
-          "hierarchy.edge");
+    // A streamed edge's length is unknown until it has been replayed.
+    std::vector<double> sizes;
+    sizes.reserve(num_edges);
+    for (const EdgeSource& source : edge_sources) {
+      sizes.push_back(source.trace != nullptr ? static_cast<double>(source.trace->requests.size())
+                                              : 0.0);
     }
-    done.Wait();
+    exec::RunLargestFirst(
+        *pool, sizes,
+        [&](size_t i) {
+          RunEdge(edge_sources[i], config, i, telemetry, result.edges[i], captures[i]);
+        },
+        [](size_t) { return "hierarchy.edge"; });
   }
   // Known only now for streamed edges (each reported its stream's span).
   double max_duration = 0.0;

@@ -8,6 +8,7 @@
 #include <string>
 #include <utility>
 
+#include "src/exec/fan_out.h"
 #include "src/sim/shard_telemetry.h"
 #include "src/util/fnv1a.h"
 
@@ -77,16 +78,16 @@ FleetResult RunFleet(const std::vector<FleetServer>& servers, const FleetOptions
     for (const FleetServer& server : servers) {
       labels.push_back("fleet." + (server.name.empty() ? "server" : server.name));
     }
-    exec::Latch done(servers.size());
-    for (size_t i = 0; i < servers.size(); ++i) {
-      pool->Submit(
-          [&servers, &telemetry, &result, &done, i] {
-            RunShard(servers[i], telemetry, i, result.servers[i]);
-            done.CountDown();
-          },
-          labels[i].c_str());
+    // A stream's length is unknown until it has been replayed.
+    std::vector<double> sizes;
+    sizes.reserve(servers.size());
+    for (const FleetServer& server : servers) {
+      sizes.push_back(server.trace != nullptr ? static_cast<double>(server.trace->requests.size())
+                                              : 0.0);
     }
-    done.Wait();
+    exec::RunLargestFirst(
+        *pool, sizes, [&](size_t i) { RunShard(servers[i], telemetry, i, result.servers[i]); },
+        [&labels](size_t i) { return labels[i].c_str(); });
   }
   // Flush worker spans before appending shard lanes so the event order is
   // (workers, then shards) -- deterministic either way, but only for a pool

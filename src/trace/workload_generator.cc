@@ -9,6 +9,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/exec/fan_out.h"
 #include "src/util/check.h"
 #include "src/util/distributions.h"
 
@@ -364,16 +365,15 @@ std::vector<GeneratedWorkload> GenerateWorkloads(const std::vector<WorkloadConfi
       out[i] = WorkloadGenerator(shard_config(i)).Generate();
     }
   } else {
-    exec::Latch done(configs.size());
-    for (size_t i = 0; i < configs.size(); ++i) {
-      pool->Submit(
-          [&, i] {
-            out[i] = WorkloadGenerator(shard_config(i)).Generate();
-            done.CountDown();
-          },
-          "workload.generate");
+    // Expected request counts, before diurnal modulation.
+    std::vector<double> sizes;
+    sizes.reserve(configs.size());
+    for (const WorkloadConfig& config : configs) {
+      sizes.push_back(config.profile.base_request_rate * config.duration_seconds);
     }
-    done.Wait();
+    exec::RunLargestFirst(
+        *pool, sizes, [&](size_t i) { out[i] = WorkloadGenerator(shard_config(i)).Generate(); },
+        [](size_t) { return "workload.generate"; });
   }
 
   for (size_t i = 0; i < configs.size(); ++i) {

@@ -15,6 +15,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -62,10 +63,13 @@ TEST(FlatDifferentialTest, LruMapMatchesReferenceThroughMixedOps) {
       uint64_t value = rng.Next64();
       ASSERT_EQ(flat.InsertOrTouch(key, value), ref.InsertOrTouch(key, value));
     } else if (op < 50) {
-      // Default-construct overload: both sides get the same in-place write.
+      // Exchange: the oracle reads the previous value, then records.
       uint64_t value = rng.Next64();
-      *flat.InsertOrTouch(key) = value;
+      const uint64_t* before = ref.Peek(key);
+      const std::optional<uint64_t> expected =
+          before != nullptr ? std::optional<uint64_t>(*before) : std::nullopt;
       *ref.InsertOrTouch(key) = value;
+      ASSERT_EQ(flat.Exchange(key, value), expected);
     } else if (op < 68) {
       uint64_t* a = flat.GetAndTouch(key);
       uint64_t* b = ref.GetAndTouch(key);

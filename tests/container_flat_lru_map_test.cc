@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -66,18 +67,17 @@ TEST(FlatLruMapTest, PopOldestEvictionOrder) {
   EXPECT_FALSE(map.Contains(1));
 }
 
-TEST(FlatLruMapTest, DefaultInsertOrTouchReturnsValueSlot) {
+TEST(FlatLruMapTest, ExchangeReturnsPreviousValueAndTouches) {
   FlatLruMap<int, double> map;
-  double* v = map.InsertOrTouch(7);
-  ASSERT_NE(v, nullptr);
-  *v = 1.5;
+  EXPECT_EQ(map.Exchange(7, 1.5), std::nullopt);
   EXPECT_EQ(*map.Peek(7), 1.5);
   map.InsertOrTouch(8, 2.5);
-  // Touching via the default overload moves to front without clobbering.
-  double* again = map.InsertOrTouch(7);
-  EXPECT_EQ(*again, 1.5);
+  // Exchanging an existing key hands back its value and moves it to front.
+  EXPECT_EQ(map.Exchange(7, 3.5), std::optional<double>(1.5));
+  EXPECT_EQ(*map.Peek(7), 3.5);
   EXPECT_EQ(map.Newest().key, 7);
   EXPECT_EQ(map.Oldest().key, 8);
+  EXPECT_EQ(map.size(), 2u);
 }
 
 TEST(FlatLruMapTest, EraseUnlinksAndRecyclesSlot) {

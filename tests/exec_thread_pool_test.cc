@@ -10,6 +10,7 @@
 #include <thread>
 #include <vector>
 
+#include "src/exec/fan_out.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace_event.h"
 
@@ -133,6 +134,16 @@ TEST(ThreadPoolTest, LabeledTasksFlushSpansToSinkOnShutdown) {
     EXPECT_GE(tid, 2);
     EXPECT_LT(tid, 5);
   }
+}
+
+TEST(RunLargestFirstTest, OneWorkerStartsLongestFirstWithTiesInIndexOrder) {
+  ThreadPool pool(1);
+  // Size 0 is unknown: those tasks keep index order after the known ones.
+  const std::vector<double> sizes = {3, 0, 7, 3, 10, 0};
+  std::vector<size_t> started;  // written by the one worker, read after the join
+  RunLargestFirst(
+      pool, sizes, [&started](size_t i) { started.push_back(i); }, nullptr);
+  EXPECT_EQ(started, (std::vector<size_t>{4, 2, 0, 3, 1, 5}));
 }
 
 }  // namespace
