@@ -15,27 +15,57 @@ namespace vcdn::bench {
 
 namespace {
 
-double EnvDouble(const char* name, double fallback) {
-  const char* value = std::getenv(name);
-  if (value == nullptr) {
-    return fallback;
-  }
-  double parsed = 0.0;
-  if (!util::ParseDouble(value, &parsed) || parsed <= 0.0) {
-    std::fprintf(stderr, "warning: ignoring invalid %s=%s\n", name, value);
-    return fallback;
+// A setting that does not parse is an error, never a silent default: `what`
+// names the flag or environment variable.
+[[noreturn]] void ExitInvalid(const char* value, const std::string& what, const char* need) {
+  std::fprintf(stderr, "error: invalid value '%s' for %s (need %s)\n", value, what.c_str(), need);
+  std::exit(2);
+}
+
+uint64_t ParseCount(const char* value, const std::string& what, uint64_t min) {
+  uint64_t parsed = 0;
+  if (!util::ParseUint64(value, &parsed) || parsed < min) {
+    ExitInvalid(value, what, min == 0 ? "an unsigned integer" : "a positive integer");
   }
   return parsed;
 }
 
+double ParsePositive(const char* value, const std::string& what) {
+  double parsed = 0.0;
+  if (!util::ParseDouble(value, &parsed) || !std::isfinite(parsed) || parsed <= 0.0) {
+    ExitInvalid(value, what, "a positive number");
+  }
+  return parsed;
+}
+
+double EnvPositive(const char* name, double fallback) {
+  const char* value = std::getenv(name);
+  return value == nullptr ? fallback : ParsePositive(value, name);
+}
+
 }  // namespace
+
+uint64_t EnvCount(const char* name, uint64_t fallback, uint64_t min) {
+  const char* value = std::getenv(name);
+  return value == nullptr ? fallback : ParseCount(value, name, min);
+}
+
+uint64_t FlagCount(int argc, char** argv, const char* flag, uint64_t fallback, uint64_t min) {
+  uint64_t count = fallback;
+  for (int i = 1; i + 1 < argc; i += 2) {
+    if (std::string(argv[i]) == flag) {
+      count = ParseCount(argv[i + 1], std::string("flag '") + flag + "'", min);
+    }
+  }
+  return count;
+}
 
 BenchScale ScaleFromEnv() {
   BenchScale scale;
-  scale.workload_scale = EnvDouble("VCDN_BENCH_SCALE", scale.workload_scale);
-  scale.days = EnvDouble("VCDN_BENCH_DAYS", scale.days);
-  scale.chunks_per_paper_tb = EnvDouble("VCDN_BENCH_DISK_SCALE", scale.chunks_per_paper_tb);
-  scale.seed = static_cast<uint64_t>(EnvDouble("VCDN_BENCH_SEED", 1.0));
+  scale.workload_scale = EnvPositive("VCDN_BENCH_SCALE", scale.workload_scale);
+  scale.days = EnvPositive("VCDN_BENCH_DAYS", scale.days);
+  scale.chunks_per_paper_tb = EnvPositive("VCDN_BENCH_DISK_SCALE", scale.chunks_per_paper_tb);
+  scale.seed = EnvCount("VCDN_BENCH_SEED", scale.seed);
   return scale;
 }
 
@@ -90,11 +120,7 @@ BenchFlags FlagsFromArgs(int argc, char** argv,
     // BenchObs) must be valid unsigned integers; a typo must not silently
     // fall back to a default.
     if (arg == "--threads" || arg == "--repeat" || arg == "--batch" || arg == "--flight") {
-      uint64_t parsed = 0;
-      if (!util::ParseUint64(value, &parsed)) {
-        std::fprintf(stderr, "error: invalid value '%s' for flag '%s'\n", value, arg.c_str());
-        std::exit(2);
-      }
+      const uint64_t parsed = ParseCount(value, "flag '" + arg + "'", 0);
       if (arg == "--threads") {
         flags.threads = static_cast<size_t>(parsed);
       } else if (arg == "--repeat") {
@@ -103,13 +129,7 @@ BenchFlags FlagsFromArgs(int argc, char** argv,
         flags.batch = std::max<size_t>(1, static_cast<size_t>(parsed));
       }
     } else if (arg == "--scale") {
-      double parsed = 0.0;
-      if (!util::ParseDouble(value, &parsed) || !std::isfinite(parsed) || parsed <= 0.0) {
-        std::fprintf(stderr, "error: invalid value '%s' for flag '--scale' (need a positive number)\n",
-                     value);
-        std::exit(2);
-      }
-      flags.scale = parsed;
+      flags.scale = ParsePositive(value, "flag '--scale'");
     }
   }
   return flags;

@@ -14,7 +14,10 @@
 //                          calibrated so the default-scale Europe workload
 //                          reproduces the paper's absolute efficiency levels
 //                          (xLRU ~59/62%, Cafe ~61/73% at alpha = 1/2).
-//   VCDN_BENCH_SEED        workload seed. Default 1.
+//   VCDN_BENCH_SEED        workload seed, any uint64 (0 included). Default 1.
+//
+// Like the flags below, a variable that is set must parse: an invalid value
+// prints an error naming it and exits with status 2.
 //
 // Every bench prints the measured table next to the paper's reported claim so
 // EXPERIMENTS.md can record paper-vs-measured side by side.
@@ -56,6 +59,10 @@ struct BenchScale {
 
 // Reads the scale from the environment (defaults above).
 BenchScale ScaleFromEnv();
+
+// Reads environment variable `name` as an unsigned integer of at least `min`
+// (`fallback` when unset); an invalid value exits 2, naming the variable.
+uint64_t EnvCount(const char* name, uint64_t fallback, uint64_t min = 0);
 
 struct BenchFlags;
 
@@ -99,6 +106,11 @@ struct BenchFlags {
 };
 BenchFlags FlagsFromArgs(int argc, char** argv,
                          const std::vector<std::string>& extra_value_flags = {});
+
+// The value of `flag`, one of the bench's extra_value_flags, as an unsigned
+// integer of at least `min` (`fallback` when absent); an invalid value exits
+// 2 like the shared flags. Call after FlagsFromArgs has validated argv.
+uint64_t FlagCount(int argc, char** argv, const char* flag, uint64_t fallback, uint64_t min = 0);
 
 // Optional observability sinks shared by the experiment binaries:
 //

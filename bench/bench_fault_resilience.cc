@@ -139,7 +139,7 @@ int main(int argc, char** argv) {
   hierarchy.parent_config = bench::PaperConfig(2.0, 1.0, scale);
   hierarchy.replay = obs.replay_options();
   hierarchy.replay.bucket_seconds = duration / 20.0;
-  hierarchy.faults = &parent_schedule;
+  hierarchy.replay.faults = &parent_schedule;
   hierarchy.threads = parallel_threads;
   sim::HierarchyResult result = sim::RunHierarchy(edge_traces, hierarchy);
 

@@ -17,7 +17,6 @@
 // the paper's setting).
 
 #include <cstdio>
-#include <cstdlib>
 #include <unordered_set>
 
 #include "bench/bench_common.h"
@@ -27,30 +26,15 @@
 #include "src/util/stats.h"
 #include "src/util/str_util.h"
 
-namespace {
-
-size_t EnvSize(const char* name, size_t fallback) {
-  const char* value = std::getenv(name);
-  if (value == nullptr) {
-    return fallback;
-  }
-  uint64_t parsed = 0;
-  if (!vcdn::util::ParseUint64(value, &parsed)) {
-    return fallback;
-  }
-  return static_cast<size_t>(parsed);
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   using namespace vcdn;
   bench::BenchFlags flags = bench::FlagsFromArgs(argc, argv);
   bench::BenchScale scale = bench::ResolveScale(flags);
   bench::BenchObs obs(argc, argv);
   obs.SetWorkload("fig2 optimal vs psychic", scale.seed);
-  size_t num_files = EnvSize("VCDN_FIG2_FILES", 40);
-  size_t max_requests = EnvSize("VCDN_FIG2_REQUESTS", 160);
+  const auto num_files = static_cast<size_t>(bench::EnvCount("VCDN_FIG2_FILES", 40, /*min=*/1));
+  // 0 leaves the request count uncapped.
+  const auto max_requests = static_cast<size_t>(bench::EnvCount("VCDN_FIG2_REQUESTS", 160));
   bench::PrintHeader(
       "Figure 2: Psychic vs LP-relaxed Optimal (downsampled two-day traces)",
       "Psychic efficiency is on average within 5-6% of the LP-relaxed optimal bound",
@@ -111,9 +95,7 @@ int main(int argc, char** argv) {
       double alpha = alphas[ai];
       config.alpha_f2r = alpha;
 
-      core::OptimalOptions opt_options;
-      opt_options.formulation = core::OptimalFormulation::kIntervalReduced;
-      core::OptimalCacheSolver solver(config, opt_options);
+      core::OptimalCacheSolver solver(config);
       core::OptimalBound bound = solver.SolveBound(down.trace);
 
       core::PsychicCache psychic(config);

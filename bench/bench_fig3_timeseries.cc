@@ -20,12 +20,9 @@
 
 namespace {
 
-void WriteSeriesCsv(const std::vector<vcdn::sim::ReplayResult>& results, const char* path) {
+// Returns false, after an error on stderr, when the file cannot be written.
+bool WriteSeriesCsv(const std::vector<vcdn::sim::ReplayResult>& results, const char* path) {
   std::ofstream out(path);
-  if (!out) {
-    std::fprintf(stderr, "warning: cannot write %s\n", path);
-    return;
-  }
   out << "hour";
   for (const auto& r : results) {
     out << "," << r.cache_name << "_ingress_pct," << r.cache_name << "_redirect_pct,"
@@ -56,7 +53,13 @@ void WriteSeriesCsv(const std::vector<vcdn::sim::ReplayResult>& results, const c
     }
     out << "\n";
   }
+  out.close();
+  if (!out) {
+    std::fprintf(stderr, "error: cannot write %s\n", path);
+    return false;
+  }
   std::printf("Hourly series written to %s\n", path);
+  return true;
 }
 
 }  // namespace
@@ -132,7 +135,8 @@ int main(int argc, char** argv) {
   }
   std::printf("%s\n", daily.ToString().c_str());
 
-  WriteSeriesCsv(results, "fig3_series.csv");
+  // A dropped dump is an error (docs/OBSERVABILITY.md), reported at exit.
+  const bool csv_written = WriteSeriesCsv(results, "fig3_series.csv");
 
   // Diurnal check: hour-of-day profile of requested bytes (second half).
   std::printf("\nHour-of-day demand profile (should be diurnal):\n");
@@ -148,5 +152,5 @@ int main(int argc, char** argv) {
     int bar = peak > 0 ? static_cast<int>(by_hour[static_cast<size_t>(hod)] / peak * 50) : 0;
     std::printf("%02d:00 %s\n", hod, std::string(static_cast<size_t>(bar), '#').c_str());
   }
-  return obs.WriteIfRequested().ok() ? 0 : 1;
+  return obs.WriteIfRequested().ok() && csv_written ? 0 : 1;
 }

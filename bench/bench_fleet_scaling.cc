@@ -23,22 +23,6 @@
 #include "src/util/check.h"
 #include "src/util/str_util.h"
 
-namespace {
-
-size_t ArgSize(int argc, char** argv, const char* name, size_t fallback) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::string(argv[i]) == name) {
-      uint64_t parsed = 0;
-      if (vcdn::util::ParseUint64(argv[i + 1], &parsed) && parsed > 0) {
-        return static_cast<size_t>(parsed);
-      }
-    }
-  }
-  return fallback;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   using namespace vcdn;
   bench::BenchFlags flags = bench::FlagsFromArgs(argc, argv, {"--max-threads"});
@@ -46,7 +30,8 @@ int main(int argc, char** argv) {
   bench::BenchObs obs(argc, argv);
   obs.SetWorkload("fleet scaling", scale.seed);
   const size_t hardware = std::max<size_t>(1, std::thread::hardware_concurrency());
-  const size_t max_threads = ArgSize(argc, argv, "--max-threads", std::min<size_t>(hardware, 8));
+  const auto max_threads = static_cast<size_t>(
+      bench::FlagCount(argc, argv, "--max-threads", std::min<size_t>(hardware, 8), /*min=*/1));
   bench::PrintHeader(
       "Fleet scaling: Fig. 7 fleet (6 servers x 3 algorithms) on 1..N threads",
       "parallel replay is bit-identical to sequential for any thread count "

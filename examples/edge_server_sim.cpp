@@ -171,6 +171,12 @@ int main(int argc, char** argv) {
             << r.series[h].filled_bytes << "\n";
       }
     }
+    out.close();
+    // A dropped dump is an error, not a success message (docs/OBSERVABILITY.md).
+    if (!out) {
+      std::fprintf(stderr, "error: cannot write %s\n", args.csv.c_str());
+      return 1;
+    }
     std::printf("\nHourly series written to %s\n", args.csv.c_str());
   }
   return 0;

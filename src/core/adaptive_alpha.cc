@@ -6,6 +6,14 @@
 
 namespace vcdn::core {
 
+namespace {
+// Multiplicative alpha step per adjustment.
+constexpr double kStep = 1.15;
+// Tolerance band around the target within which alpha is left alone:
+// +-20% of the target.
+constexpr double kDeadband = 0.2;
+}  // namespace
+
 AdaptiveAlphaCache::AdaptiveAlphaCache(std::unique_ptr<CacheAlgorithm> inner,
                                        const AdaptiveAlphaOptions& options)
     : CacheAlgorithm(inner->config()),
@@ -14,7 +22,6 @@ AdaptiveAlphaCache::AdaptiveAlphaCache(std::unique_ptr<CacheAlgorithm> inner,
       alpha_(inner_->config().alpha_f2r) {
   VCDN_CHECK(options_.min_alpha > 0.0);
   VCDN_CHECK(options_.min_alpha <= options_.max_alpha);
-  VCDN_CHECK(options_.step > 1.0);
   VCDN_CHECK(options_.target_ingress_fraction > 0.0);
   VCDN_CHECK(options_.adjust_interval_seconds > 0.0);
   name_ = "Adaptive(" + std::string(inner_->name()) + ")";
@@ -46,14 +53,14 @@ void AdaptiveAlphaCache::MaybeAdjust(double now) {
                                        static_cast<double>(window_served_bytes_)
                                  : 0.0;
     double target = options_.target_ingress_fraction;
-    if (ingress_fraction > target * (1.0 + options_.deadband)) {
+    if (ingress_fraction > target * (1.0 + kDeadband)) {
       // Too much ingress: fill more conservatively.
-      SetAlphaF2r(alpha_ * options_.step);
+      SetAlphaF2r(alpha_ * kStep);
       ++adjustments_;
       adjustments_total_.Increment();
-    } else if (ingress_fraction < target * (1.0 - options_.deadband)) {
+    } else if (ingress_fraction < target * (1.0 - kDeadband)) {
       // Spare ingress budget: fill more eagerly.
-      SetAlphaF2r(alpha_ / options_.step);
+      SetAlphaF2r(alpha_ / kStep);
       ++adjustments_;
       adjustments_total_.Increment();
     }

@@ -29,11 +29,8 @@ struct AdaptiveAlphaOptions {
   // Control range; the paper recommends keeping it small.
   double min_alpha = 1.0;
   double max_alpha = 4.0;
-  // Control cadence and multiplicative step.
+  // Control cadence.
   double adjust_interval_seconds = 3600.0;
-  double step = 1.15;
-  // Tolerance band around the target within which alpha is left alone.
-  double deadband = 0.2;  // +-20% of the target
 };
 
 class AdaptiveAlphaCache : public CacheAlgorithm {

@@ -94,8 +94,6 @@ struct CafeOptions {
   bool proactive = false;
   double proactive_rate_threshold = 0.6;
   uint32_t proactive_fills_per_request = 2;
-  // Smoothing for the request-rate estimate and decay of the peak tracker.
-  double proactive_rate_smoothing = 0.02;
   // How much a spare (off-peak) ingress byte costs relative to C_F. The
   // point of Sec. 10's proactive caching is that night-time uplink capacity
   // is otherwise wasted, so its effective cost is below the C_F charged at
@@ -103,6 +101,10 @@ struct CafeOptions {
   // C_F * this discount (1.0 = spare ingress is not actually cheaper).
   double proactive_cost_discount = 0.5;
 };
+
+// Smoothing for the request-rate estimate behind proactive caching, and the
+// decay of its peak tracker (shared with the reference oracle in tests/).
+inline constexpr double kProactiveRateSmoothing = 0.02;
 
 class CafeCache : public CacheAlgorithm {
  public:

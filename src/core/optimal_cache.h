@@ -4,21 +4,14 @@
 // LP-relaxed to obtain "a guaranteed, theoretical lower bound on the
 // achievable cost -- equivalently, an upper bound on cache efficiency".
 //
-// Two equivalent LP formulations are provided:
-//
-//  * kPaperExact -- the formulation of Eqs. (10)-(12) verbatim: per-chunk,
-//    per-time presence variables x_{j,t}, fill counters y_{j,t} >= |dx| and
-//    admission variables a_t, with fills costed as |dx|/2 * C_F (each fill
-//    plus its eventual eviction contributes two half-units; chunks still
-//    cached at the horizon keep half a unit of credit). O(J*T) variables --
-//    usable for small instances and as the reference in tests.
-//
-//  * kIntervalReduced -- an equivalent formulation over chunk-request
-//    intervals: per request of chunk j, a presence variable p_{j,i} (at the
-//    request) and a keep variable w_{j,i} (through the following interval).
-//    Optimal solutions of (10) change x only at request times of the chunk,
-//    so both LPs have the same optimum (asserted by tests); this one has
-//    ~3 rows per chunk-request incidence instead of ~3*J rows per time step.
+// The LP is the interval formulation: per request of chunk j, a presence
+// variable p_{j,i} (at the request) and a keep variable w_{j,i} (through the
+// following interval). An optimal solution of the paper's Eqs. (10)-(12)
+// changes a chunk's presence x_{j,t} only at that chunk's request times, so
+// both LPs have the same optimum; this one has ~3 rows per chunk-request
+// incidence instead of ~3*J rows per time step. The paper's per-chunk,
+// per-time formulation is the test oracle (tests/oracles/paper_exact_lp.h)
+// that tests/core_optimal_test.cc checks this one against.
 //
 // The LP cost is measured in chunks (|R_t|_c in Eq. (10a)), so the matching
 // cache-efficiency metric is ReplayTotals::ChunkEfficiency.
@@ -35,13 +28,7 @@
 
 namespace vcdn::core {
 
-enum class OptimalFormulation {
-  kPaperExact,
-  kIntervalReduced,
-};
-
 struct OptimalOptions {
-  OptimalFormulation formulation = OptimalFormulation::kIntervalReduced;
   // Objective accounting for fills:
   //   false (default): each fill costs a full C_F -- the same accounting the
   //     online algorithms are measured under (ReplayTotals), so bounds and
@@ -96,9 +83,6 @@ class OptimalCacheSolver {
   OptimalExactResult SolveExact(const trace::Trace& trace, int64_t max_nodes = 100000) const;
 
  private:
-  OptimalBound SolvePaperExact(const trace::Trace& trace) const;
-  OptimalBound SolveIntervalReduced(const trace::Trace& trace) const;
-
   CacheConfig config_;
   CostModel cost_;
   OptimalOptions options_;

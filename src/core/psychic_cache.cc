@@ -13,12 +13,14 @@ constexpr double kInfinity = std::numeric_limits<double>::infinity();
 // Floor on (t - now) when weighting future requests; a same-instant future
 // request is "infinitely urgent" only up to this resolution.
 constexpr double kMinLookahead = 1e-3;
+// EWMA weight of each evicted chunk's residence time in the average that
+// sets the window T of Eqs. 13-14 (the cache age).
+constexpr double kAgeSmoothing = 0.05;
 }  // namespace
 
 PsychicCache::PsychicCache(const CacheConfig& config, const PsychicOptions& options)
     : CacheAlgorithm(config), options_(options) {
   VCDN_CHECK(options_.future_horizon > 0);
-  VCDN_CHECK(options_.age_smoothing > 0.0 && options_.age_smoothing <= 1.0);
   const auto capacity = static_cast<size_t>(config.disk_capacity_chunks);
   cached_.Reserve(capacity);
   fill_time_.Reserve(capacity);
@@ -170,8 +172,8 @@ RequestOutcome PsychicCache::HandleRequestImpl(const trace::Request& request) {
         average_residence_ = residence;
         residence_initialized_ = true;
       } else {
-        average_residence_ = options_.age_smoothing * residence +
-                             (1.0 - options_.age_smoothing) * average_residence_;
+        average_residence_ =
+            kAgeSmoothing * residence + (1.0 - kAgeSmoothing) * average_residence_;
       }
       ++outcome.evicted_chunks;
     }

@@ -34,8 +34,6 @@ struct PsychicOptions {
   // How many future requests per chunk enter the cost sums ("N = 10 has
   // proven sufficient in our experiments -- no gain with higher values").
   size_t future_horizon = 10;
-  // Smoothing for the evicted-chunk residence-time average (cache age).
-  double age_smoothing = 0.05;
 };
 
 class PsychicCache : public CacheAlgorithm {

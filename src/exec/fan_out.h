@@ -1,8 +1,8 @@
 // Copyright (c) 2026 libvcdn authors. Apache-2.0 license.
 //
-// RunLargestFirst: the fan-out and join shared by sim::RunFleet,
-// sim::RunHierarchy's edge tier and trace::GenerateWorkloads (see
-// docs/PARALLELISM.md).
+// RunLargestFirst: the fan-out and join shared by sim::RunFleet (which also
+// replays sim::RunHierarchy's edge tier and sim::RunColocated's servers) and
+// trace::GenerateWorkloads (see docs/PARALLELISM.md).
 
 #ifndef VCDN_SRC_EXEC_FAN_OUT_H_
 #define VCDN_SRC_EXEC_FAN_OUT_H_
@@ -21,10 +21,12 @@ namespace vcdn::exec {
 // sizes[i] is task i's known amount of work, in any one unit (a trace's
 // requests, a generator's rate x duration), or 0 when unknown. Tasks are
 // submitted largest first, ties and unknown sizes in index order. Each
-// worker runs external submissions first in, first out, and thieves take
-// the oldest, so the largest task starts first instead of whenever a worker
-// runs out of work. Callers write results into per-index slots and merge
-// them in index order, so the order changes no result.
+// worker runs its external submissions first in, first out, so the largest
+// task starts first instead of whenever a worker runs out of work. A thief
+// takes another worker's newest external submission, so on several workers
+// the smallest tasks may start before mid-sized ones (thread_pool.h).
+// Callers write results into per-index slots and merge them in index order,
+// so the order changes no result.
 //
 // label(i), when `label` is set, names task i's span in the pool's trace; it
 // must stay valid until the task starts.

@@ -2,11 +2,12 @@
 //
 // Fixed-size work-stealing thread pool (see docs/PARALLELISM.md).
 //
-// Each worker owns a deque of tasks: the owner pushes and pops at the back
-// (LIFO, keeps freshly spawned subtasks hot), thieves take from the front
-// (FIFO, steals the oldest -- typically largest -- work first). External
-// Submit calls distribute round-robin across workers; Submit from inside a
-// worker enqueues to that worker's own deque. Tasks are coarse here (a whole
+// Each worker owns a deque of tasks. Submit from inside a worker pushes onto
+// the back of that worker's own deque; external Submit calls distribute
+// round-robin across workers and push onto the front. The owner pops at the
+// back: its own subtasks LIFO (keeps them hot), external submissions first
+// in, first out. Thieves take from the front, which for external
+// submissions is the newest one. Tasks are coarse here (a whole
 // server replay, a whole trace generation), so queues are mutex-guarded
 // rather than lock-free -- contention is on the order of one lock per task,
 // not per request.

@@ -104,6 +104,11 @@ double FaultSchedule::OriginCostFactor(double t) const {
   return factor;
 }
 
+// Each random disk-degrade window lasts this fraction of the duration and
+// leaves this fraction of the disk.
+constexpr double kDegradeFraction = 0.1;
+constexpr double kDegradeCapacityFactor = 0.5;
+
 FaultSchedule MakeRandomFaultSchedule(uint64_t seed, const RandomFaultOptions& options) {
   VCDN_CHECK(options.duration > 0.0);
   FaultSchedule schedule;
@@ -123,10 +128,9 @@ FaultSchedule MakeRandomFaultSchedule(uint64_t seed, const RandomFaultOptions& o
       schedule.Add({FaultKind::kEdgeOutage, s, e, edge, 1.0, 1.0});
     });
     windows(rng, options.degrades_per_edge,
-            options.degrade_fraction * static_cast<double>(options.degrades_per_edge),
+            kDegradeFraction * static_cast<double>(options.degrades_per_edge),
             [&](double s, double e) {
-              schedule.Add(
-                  {FaultKind::kDiskDegrade, s, e, edge, options.degrade_capacity_factor, 1.0});
+              schedule.Add({FaultKind::kDiskDegrade, s, e, edge, kDegradeCapacityFactor, 1.0});
             });
     for (size_t k = 0; k < options.restarts_per_edge; ++k) {
       double at = rng.NextDouble() * options.duration;

@@ -115,9 +115,7 @@ struct RandomFaultOptions {
   size_t outages_per_edge = 1;
   double outage_fraction = 0.05;  // total outage time per edge, of duration
   size_t restarts_per_edge = 0;
-  size_t degrades_per_edge = 0;
-  double degrade_fraction = 0.1;  // length of each degrade window, of duration
-  double degrade_capacity_factor = 0.5;
+  size_t degrades_per_edge = 0;  // each 10% of duration, at half capacity
   size_t parent_outages = 0;
   double parent_outage_fraction = 0.02;  // total parent downtime, of duration
 };

@@ -13,6 +13,8 @@ namespace vcdn::lp {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
+// |x - round(x)| <= kIntegralityTolerance counts as integral.
+constexpr double kIntegralityTolerance = 1e-6;
 
 struct Node {
   // Tightened bounds for the integer columns only (parallel arrays with the
@@ -22,10 +24,9 @@ struct Node {
 };
 
 // Index of the most fractional integer column, or -1 if all integral.
-int32_t MostFractional(const Solution& lp, const std::vector<int32_t>& integer_columns,
-                       double tolerance) {
+int32_t MostFractional(const Solution& lp, const std::vector<int32_t>& integer_columns) {
   int32_t best = -1;
-  double best_distance = tolerance;
+  double best_distance = kIntegralityTolerance;
   for (size_t k = 0; k < integer_columns.size(); ++k) {
     double v = lp.primal[static_cast<size_t>(integer_columns[k])];
     double distance = std::fabs(v - std::round(v));
@@ -110,7 +111,7 @@ MipSolution SolveMip(const Model& model, const std::vector<int32_t>& integer_col
     if (lp.objective >= incumbent - 1e-9) {
       continue;  // pruned by bound
     }
-    int32_t branch = MostFractional(lp, integer_columns, options.integrality_tolerance);
+    int32_t branch = MostFractional(lp, integer_columns);
     if (branch < 0) {
       // Integral: new incumbent.
       incumbent = lp.objective;

@@ -26,8 +26,6 @@ namespace vcdn::lp {
 
 struct BranchAndBoundOptions {
   SimplexOptions simplex;
-  // Integrality tolerance: |x - round(x)| <= tolerance counts as integral.
-  double integrality_tolerance = 1e-6;
   // Search budget; exceeding it returns the incumbent with kIterationLimit.
   int64_t max_nodes = 100000;
 };

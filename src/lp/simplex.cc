@@ -12,6 +12,12 @@ namespace vcdn::lp {
 
 namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
+// Primal feasibility / dual optimality tolerance.
+constexpr double kTolerance = 1e-7;
+// Smallest acceptable pivot magnitude.
+constexpr double kPivotTolerance = 1e-9;
+// Iterations without objective progress before switching to Bland's rule.
+constexpr int64_t kStallThreshold = 2000;
 }  // namespace
 
 const char* SolveStatusName(SolveStatus status) {
@@ -80,10 +86,10 @@ class SimplexSolver::Impl {
     double v = value_[static_cast<size_t>(var)];
     double lo = LowerOf(var);
     double hi = UpperOf(var);
-    if (v < lo - options_.tolerance) {
+    if (v < lo - kTolerance) {
       return lo - v;
     }
-    if (v > hi + options_.tolerance) {
+    if (v > hi + kTolerance) {
       return v - hi;
     }
     return 0.0;
@@ -238,7 +244,7 @@ bool SimplexSolver::Impl::Refactorize() {
         pivot_row = r;
       }
     }
-    if (best < options_.pivot_tolerance) {
+    if (best < kPivotTolerance) {
       return false;  // singular basis
     }
     if (pivot_row != c) {
@@ -322,7 +328,7 @@ double SimplexSolver::Impl::TotalInfeasibility() const {
 
 SimplexSolver::Impl::StepResult SimplexSolver::Impl::Iterate(bool phase1, bool bland) {
   size_t m = static_cast<size_t>(m_);
-  const double tol = options_.tolerance;
+  const double tol = kTolerance;
 
   // Phase-dependent basic costs.
   cost_b_.assign(m, 0.0);
@@ -387,7 +393,7 @@ SimplexSolver::Impl::StepResult SimplexSolver::Impl::Iterate(bool phase1, bool b
   double best_pivot = 0.0;
   for (size_t i = 0; i < m; ++i) {
     double coef = entering_dir * ftran_[i];
-    if (std::fabs(coef) < options_.pivot_tolerance) {
+    if (std::fabs(coef) < kPivotTolerance) {
       continue;
     }
     int32_t var = basic_var_[i];
@@ -492,7 +498,7 @@ SimplexSolver::Impl::StepResult SimplexSolver::Impl::Iterate(bool phase1, bool b
 
   // Update Binv: eliminate so that column(entering) becomes e_{blocking_pos}.
   double pivot = ftran_[static_cast<size_t>(blocking_pos)];
-  if (std::fabs(pivot) < options_.pivot_tolerance) {
+  if (std::fabs(pivot) < kPivotTolerance) {
     return StepResult::kNumericalFailure;
   }
   size_t bp = static_cast<size_t>(blocking_pos);
@@ -553,7 +559,7 @@ Solution SimplexSolver::Impl::Run() {
                          ? options_.max_iterations
                          : 200 * static_cast<int64_t>(m_ + n_) + 20000;
 
-  bool phase1 = TotalInfeasibility() > options_.tolerance;
+  bool phase1 = TotalInfeasibility() > kTolerance;
   int64_t stall = 0;
   double last_objective = kInf;
   bool bland = false;
@@ -586,7 +592,7 @@ Solution SimplexSolver::Impl::Run() {
     }
     if (step == StepResult::kNoDirection) {
       if (phase1) {
-        if (TotalInfeasibility() > options_.tolerance * 10.0) {
+        if (TotalInfeasibility() > kTolerance * 10.0) {
           solution.status = SolveStatus::kInfeasible;
           break;
         }
@@ -601,7 +607,7 @@ Solution SimplexSolver::Impl::Run() {
     }
 
     // Phase transition check: once feasible, switch to phase 2.
-    if (phase1 && TotalInfeasibility() <= options_.tolerance) {
+    if (phase1 && TotalInfeasibility() <= kTolerance) {
       phase1 = false;
       bland = false;
       stall = 0;
@@ -620,7 +626,7 @@ Solution SimplexSolver::Impl::Run() {
       last_objective = obj;
       stall = 0;
       bland = false;
-    } else if (++stall > options_.stall_threshold) {
+    } else if (++stall > kStallThreshold) {
       bland = true;
     }
   }

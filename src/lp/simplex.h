@@ -40,17 +40,11 @@ enum class SolveStatus {
 const char* SolveStatusName(SolveStatus status);
 
 struct SimplexOptions {
-  // Primal feasibility / dual optimality tolerance.
-  double tolerance = 1e-7;
-  // Smallest acceptable pivot magnitude.
-  double pivot_tolerance = 1e-9;
   // 0 = automatic (scales with model size).
   int64_t max_iterations = 0;
   // Residual check cadence (iterations); a failed check triggers dense
   // refactorization of the basis inverse.
   int64_t residual_check_interval = 512;
-  // Iterations without objective progress before switching to Bland's rule.
-  int64_t stall_threshold = 2000;
   // Optional instrument registry: each Solve accumulates into
   // "lp.simplex.solves_total" / "lp.simplex.iterations_total" /
   // "lp.simplex.refactorizations_total". Not owned; may be null.

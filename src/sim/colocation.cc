@@ -3,7 +3,9 @@
 #include "src/sim/colocation.h"
 
 #include <algorithm>
+#include <utility>
 
+#include "src/sim/parallel_fleet.h"
 #include "src/util/rng.h"
 
 namespace vcdn::sim {
@@ -29,16 +31,25 @@ ColocationResult RunColocated(const trace::Trace& site_trace, const ColocationCo
     shards[server].requests.push_back(r);
   }
 
-  ColocationResult result;
-  uint64_t max_requested = 0;
-  uint64_t total_requested = 0;
+  // The co-located servers are a fleet replayed inline: server i is fault
+  // target i, like every other shard set.
+  std::vector<FleetServer> servers(config.num_servers);
   for (size_t s = 0; s < config.num_servers; ++s) {
-    auto cache = core::MakeCache(config.kind, config.per_server_config);
-    ReplayResult server_result = Replay(*cache, shards[s], config.replay);
-    max_requested = std::max(max_requested, server_result.steady.requested_bytes);
-    total_requested += server_result.steady.requested_bytes;
-    result.combined.Add(server_result.steady);
-    result.servers.push_back(std::move(server_result));
+    servers[s].kind = config.kind;
+    servers[s].config = config.per_server_config;
+    servers[s].trace = &shards[s];
+  }
+  FleetOptions options;
+  options.threads = 1;
+  options.replay = config.replay;
+  FleetResult fleet = RunFleet(servers, options);
+
+  ColocationResult result;
+  result.servers = std::move(fleet.servers);
+  result.combined = fleet.steady;
+  uint64_t max_requested = 0;
+  for (const ReplayResult& server : result.servers) {
+    max_requested = std::max(max_requested, server.steady.requested_bytes);
   }
 
   core::CostModel cost(config.per_server_config.alpha_f2r);
@@ -47,8 +58,8 @@ ColocationResult RunColocated(const trace::Trace& site_trace, const ColocationCo
     result.combined_ingress_fraction = result.combined.IngressFraction();
     result.combined_redirect_fraction = result.combined.RedirectFraction();
   }
-  double mean_requested =
-      static_cast<double>(total_requested) / static_cast<double>(config.num_servers);
+  double mean_requested = static_cast<double>(result.combined.requested_bytes) /
+                          static_cast<double>(config.num_servers);
   result.load_imbalance =
       mean_requested > 0.0 ? static_cast<double>(max_requested) / mean_requested : 1.0;
   return result;

@@ -34,6 +34,9 @@ struct ColocationConfig {
   core::CacheKind kind = core::CacheKind::kCafe;
   // Per-server cache config; total site disk = num_servers * this capacity.
   core::CacheConfig per_server_config;
+  // Applied to every server as a sim::RunFleet fleet replayed inline:
+  // on_outcome must be unset, and with replay.faults set server i is fault
+  // target i (docs/FAULTS.md).
   ReplayOptions replay;
   uint64_t seed = 1;  // for the random policy
 };

@@ -12,19 +12,19 @@
 // served by the origin. The CDN-wide cost charges edge fills, parent fills
 // and origin-served bytes with configurable per-tier costs.
 //
-// Parallel mode (threads != 1): the independent edge replays shard across an
-// exec::ThreadPool; everything that touches the shared second tier -- the
-// redirect merge and the parent replay itself -- runs on the calling thread
-// once the edges have joined. Results are bit-identical to the sequential
-// run for any thread count: redirects are tagged (edge, sequence) and merged
-// by (arrival time, edge, sequence), exactly the order the sequential
-// stable_sort produces. See docs/PARALLELISM.md.
+// The edge tier is a sim::RunFleet fleet (threads != 1 shards it across a
+// pool); everything that touches the shared second tier -- the redirect
+// merge and the parent replay itself -- runs on the calling thread once the
+// edges have joined. Results are bit-identical to the sequential run for any
+// thread count: each edge captures its own redirects, and after the join
+// they are concatenated in edge order and stably sorted by arrival time, so
+// ties resolve in (edge, sequence) order. See docs/PARALLELISM.md.
 //
-// Fault injection (config.faults, see docs/FAULTS.md): the defense lines
+// Fault injection (replay.faults, see docs/FAULTS.md): the defense lines
 // degrade tier by tier. An edge-outage window turns that edge's requests
-// into Decision::kUnavailable -- origin-served directly, charged
-// outage_penalty per byte. A parent-outage window makes edge redirects fall
-// through to the origin at the merge step (they never enter the parent
+// into Decision::kUnavailable -- origin-served directly, charged a fixed
+// outage penalty (2x) per byte. A parent-outage window makes edge redirects
+// fall through to the origin at the merge step (they never enter the parent
 // cache), same penalty. Disk-degrade windows Resize() the target cache and
 // cold restarts DropContents() it, both inside the per-edge replay. Origin
 // inflation scales the cost of every origin-served byte during its window.
@@ -40,7 +40,6 @@
 
 #include "src/core/cache_algorithm.h"
 #include "src/core/cache_factory.h"
-#include "src/exec/thread_pool.h"
 #include "src/sim/replay.h"
 #include "src/trace/request.h"
 
@@ -53,22 +52,13 @@ struct HierarchyConfig {
   core::CacheConfig parent_config;  // typically a deeper cache, lower alpha
   // on_outcome must be unset (the hierarchy owns the replay loop);
   // metrics/trace_sink/flight receive the edge recordings merged in edge
-  // order, then the parent's; series records the edge tier only.
+  // order, then the parent's; series records the edge tier only. With
+  // replay.faults set (it must outlive the run), edge i is fault target i
+  // and the parent is fault::kParentTarget.
   ReplayOptions replay;
   // Edge-replay worker count: 1 (default) runs sequentially on the calling
   // thread, 0 selects hardware concurrency.
   size_t threads = 1;
-  // Run on an existing pool instead of building one (threads then ignored).
-  exec::ThreadPool* pool = nullptr;
-
-  // Optional fault schedule (must outlive the run). Edge index i is fault
-  // target i; the parent is fault::kParentTarget. replay.faults must stay
-  // unset -- the hierarchy owns the wiring.
-  const fault::FaultSchedule* faults = nullptr;
-  // Cost multiplier for each byte the origin serves because a CDN tier was
-  // down (relative to a normal origin byte): emergency origin capacity is
-  // more expensive than planned redirects.
-  double outage_penalty = 2.0;
 };
 
 struct HierarchyResult {
@@ -99,8 +89,8 @@ struct HierarchyResult {
   double availability = 1.0;
   // Steady-state origin cost: every origin-served byte weighted by the
   // schedule's origin inflation at its arrival time, outage fallbacks
-  // additionally by outage_penalty. (requested-byte units; 1.0 per normal
-  // origin byte.)
+  // additionally by the outage penalty. (requested-byte units; 1.0 per
+  // normal origin byte.)
   double origin_cost = 0.0;
   // Whole-run, per replay bucket: origin bytes due to outage fallbacks
   // (edge outages + parent fallthrough). Shows the origin absorbing a

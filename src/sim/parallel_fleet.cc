@@ -9,23 +9,77 @@
 #include <utility>
 
 #include "src/exec/fan_out.h"
-#include "src/sim/shard_telemetry.h"
+#include "src/obs/flight_recorder.h"
+#include "src/obs/metrics.h"
+#include "src/obs/time_series.h"
+#include "src/obs/trace_event.h"
 #include "src/util/fnv1a.h"
 
 namespace vcdn::sim {
 
 namespace {
 
-void RunShard(const FleetServer& server, ShardTelemetry& telemetry, size_t shard_index,
-              ReplayResult& out) {
+// One shard's private sinks, for whichever of them the caller's
+// ReplayOptions attaches: shards never share a sink while they run. After
+// the join each shard folds its sinks into the caller's, in shard order,
+// which is what makes the merged telemetry identical at every thread count
+// (docs/PARALLELISM.md).
+struct ShardSinks {
+  std::optional<obs::MetricsRegistry> metrics;
+  // Over `metrics`, so a ShardSinks never moves once its sinks exist.
+  std::optional<obs::TimeSeriesRecorder> series;
+  std::optional<obs::TraceEventSink> trace;
+  std::optional<obs::FlightRecorder> flight;
+  // Deferred fault-boundary dumps; shards never touch a shared file.
+  std::vector<obs::FlightCapture> captures;
+
+  // `options` pointed at sinks of this shard's own.
+  ReplayOptions Attach(ReplayOptions options) {
+    if (options.metrics != nullptr) {
+      options.metrics = &metrics.emplace();
+    }
+    if (options.series != nullptr) {
+      options.series = &series.emplace(options.metrics);
+    }
+    if (options.trace_sink != nullptr) {
+      options.trace_sink = &trace.emplace();
+    }
+    if (options.flight != nullptr) {
+      options.flight = &flight.emplace(options.flight->capacity());
+    }
+    options.flight_captures = flight.has_value() ? &captures : nullptr;
+    return options;
+  }
+
+  // Registries and series merge, events land on trace lane
+  // obs::kFleetTidBase + shard, ring records are re-recorded (the merged
+  // ring holds the tail of the concatenated shard streams) and captures are
+  // appended.
+  void MergeInto(const ReplayOptions& base, size_t shard) {
+    if (metrics.has_value()) {
+      base.metrics->MergeFrom(*metrics);
+    }
+    if (series.has_value()) {
+      base.series->MergeFrom(*series);
+    }
+    if (trace.has_value()) {
+      base.trace_sink->Append(*trace, obs::kFleetTidBase + static_cast<int>(shard));
+    }
+    if (flight.has_value()) {
+      for (const obs::DecisionRecord& record : flight->Snapshot()) {
+        base.flight->Record(record);
+      }
+      if (base.flight_captures != nullptr) {
+        for (obs::FlightCapture& capture : captures) {
+          base.flight_captures->push_back(std::move(capture));
+        }
+      }
+    }
+  }
+};
+
+void RunShard(const FleetServer& server, const ReplayOptions& options, ReplayResult& out) {
   auto cache = core::MakeCache(server.kind, server.config);
-  ReplayOptions options = telemetry.ShardOptions(shard_index);
-  options.flight_label =
-      server.name.empty() ? "server" + std::to_string(shard_index) : server.name;
-  // Shard i is fault target i: a shared FaultSchedule applies each server's
-  // own outage/degrade windows, and stays deterministic because the schedule
-  // is read-only and each driver is replay-local.
-  options.fault_target = shard_index;
   if (server.trace != nullptr) {
     out = Replay(*cache, *server.trace, options);
   } else {
@@ -44,13 +98,32 @@ FleetResult RunFleet(const std::vector<FleetServer>& servers, const FleetOptions
     VCDN_CHECK_MSG((server.trace != nullptr) != static_cast<bool>(server.stream),
                    "FleetServer needs exactly one of trace or stream");
   }
-  // Per-shard callbacks would run concurrently on pool workers; the fleet
-  // API deliberately has no per-request hook.
+  // One callback for every shard would run concurrently on pool workers;
+  // on_shard_outcome is the per-shard form.
   VCDN_CHECK(options.replay.on_outcome == nullptr);
+  // A series records over the registry.
+  VCDN_CHECK(options.replay.series == nullptr || options.replay.metrics != nullptr);
 
   FleetResult result;
   result.servers.resize(servers.size());
-  ShardTelemetry telemetry(options.replay, servers.size());
+  // Every shard's sinks are made here, together, so their trace lanes share
+  // one time origin.
+  std::vector<ShardSinks> sinks(servers.size());
+  std::vector<ReplayOptions> shard_options;
+  for (size_t i = 0; i < servers.size(); ++i) {
+    ReplayOptions& shard = shard_options.emplace_back(sinks[i].Attach(options.replay));
+    shard.flight_label = servers[i].name.empty() ? "server" + std::to_string(i) : servers[i].name;
+    // Shard i is fault target i: a shared FaultSchedule applies each
+    // server's own outage/degrade windows, and stays deterministic because
+    // the schedule is read-only and each driver is replay-local.
+    shard.fault_target = i;
+    if (options.on_shard_outcome) {
+      shard.on_outcome = [&hook = options.on_shard_outcome, i](
+                             const trace::Request& request, const core::RequestOutcome& outcome) {
+        hook(i, request, outcome);
+      };
+    }
+  }
 
   const auto start = std::chrono::steady_clock::now();
   exec::ThreadPool* pool = options.pool;
@@ -69,7 +142,7 @@ FleetResult RunFleet(const std::vector<FleetServer>& servers, const FleetOptions
 
   if (pool == nullptr) {
     for (size_t i = 0; i < servers.size(); ++i) {
-      RunShard(servers[i], telemetry, i, result.servers[i]);
+      RunShard(servers[i], shard_options[i], result.servers[i]);
     }
   } else {
     // Span labels must outlive the tasks; keep them alive past the join.
@@ -86,7 +159,7 @@ FleetResult RunFleet(const std::vector<FleetServer>& servers, const FleetOptions
                                               : 0.0);
     }
     exec::RunLargestFirst(
-        *pool, sizes, [&](size_t i) { RunShard(servers[i], telemetry, i, result.servers[i]); },
+        *pool, sizes, [&](size_t i) { RunShard(servers[i], shard_options[i], result.servers[i]); },
         [&labels](size_t i) { return labels[i].c_str(); });
   }
   // Flush worker spans before appending shard lanes so the event order is
@@ -99,11 +172,11 @@ FleetResult RunFleet(const std::vector<FleetServer>& servers, const FleetOptions
   result.wall_seconds = std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
 
   // Deterministic merge, in server order.
-  for (const ReplayResult& server : result.servers) {
-    result.totals.Add(server.totals);
-    result.steady.Add(server.steady);
+  for (size_t i = 0; i < servers.size(); ++i) {
+    result.totals.Add(result.servers[i].totals);
+    result.steady.Add(result.servers[i].steady);
+    sinks[i].MergeInto(options.replay, i);
   }
-  telemetry.MergeInto();
   return result;
 }
 

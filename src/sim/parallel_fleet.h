@@ -3,7 +3,8 @@
 // Parallel fleet replay: shards a multi-server experiment -- one independent
 // CacheAlgorithm + trace per server, the shape of the paper's Sec. 9
 // evaluation (Fig. 7 replays six servers around the world) -- across an
-// exec::ThreadPool.
+// exec::ThreadPool. It is the one driver of independent shard replays:
+// RunHierarchy's edge tier and RunColocated's servers are fleets too.
 //
 // Determinism contract (tested by sim_parallel_fleet_test, documented in
 // docs/PARALLELISM.md): RunFleet's totals, steady-state windows, time
@@ -20,6 +21,7 @@
 #define VCDN_SRC_SIM_PARALLEL_FLEET_H_
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -53,10 +55,15 @@ struct FleetOptions {
   // Per-shard replay parameters. metrics/trace_sink receive the
   // deterministic in-order merge of per-shard recordings (each shard's
   // events land on trace lane obs::kFleetTidBase + shard index). on_outcome
-  // must be unset: it would be invoked concurrently.
+  // must be unset: it would be invoked concurrently; use on_shard_outcome.
   // replay.faults applies per shard with fault target = shard index
   // (replay.fault_target is overwritten); see docs/FAULTS.md.
   ReplayOptions replay;
+  // Optional per-request hook, called as (shard index, request, outcome) on
+  // that shard's own worker wherever replay.on_outcome would be. Shards run
+  // concurrently, so it may touch only state owned by that shard (this is
+  // how RunHierarchy captures each edge's redirects).
+  std::function<void(size_t, const trace::Request&, const core::RequestOutcome&)> on_shard_outcome;
 };
 
 struct FleetResult {

@@ -340,11 +340,9 @@ std::vector<GeneratedWorkload> GenerateWorkloads(const std::vector<WorkloadConfi
     return out;
   }
 
-  exec::ThreadPool* pool = options.pool;
-  std::optional<exec::ThreadPool> owned_pool;
-  if (pool == nullptr && options.threads != 1) {
-    owned_pool.emplace(exec::ThreadPoolOptions{options.threads, nullptr, nullptr});
-    pool = &*owned_pool;
+  std::optional<exec::ThreadPool> pool;
+  if (options.threads != 1) {
+    pool.emplace(exec::ThreadPoolOptions{options.threads, nullptr, nullptr});
   }
 
   // Buffer per-config metrics locally so concurrent shards never write the
@@ -360,7 +358,7 @@ std::vector<GeneratedWorkload> GenerateWorkloads(const std::vector<WorkloadConfi
     return config;
   };
 
-  if (pool == nullptr) {
+  if (!pool.has_value()) {
     for (size_t i = 0; i < configs.size(); ++i) {
       out[i] = WorkloadGenerator(shard_config(i)).Generate();
     }

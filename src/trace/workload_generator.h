@@ -27,7 +27,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "src/exec/thread_pool.h"
 #include "src/obs/metrics.h"
 #include "src/trace/catalog.h"
 #include "src/trace/request.h"
@@ -142,8 +141,6 @@ struct ParallelGenerateOptions {
   // Worker count: 0 selects hardware concurrency, 1 generates inline on the
   // calling thread (no pool built).
   size_t threads = 0;
-  // Generate on an existing pool instead of building one (threads ignored).
-  exec::ThreadPool* pool = nullptr;
 };
 
 // Generates one workload per config, sharding the (independent) generations

@@ -10,6 +10,7 @@
 
 #include <cstdlib>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench/bench_common.h"
@@ -114,6 +115,102 @@ TEST(BenchScaleFlagTest, DefaultScaleWithoutFlagOrEnv) {
   BenchScale scale = ResolveScale(Parse({}));
   EXPECT_GT(scale.workload_scale, 0.0);
   EXPECT_EQ(scale.workload_scale, ScaleFromEnv().workload_scale);
+}
+
+// --- environment settings and bench-specific flags -------------------------
+// Each is parsed once and, like the shared flags, exits 2 naming the input
+// when it does not parse.
+
+// Sets `name` for the lifetime of the object.
+class ScopedEnv {
+ public:
+  ScopedEnv(const char* name, const char* value) : name_(name) {
+    EXPECT_EQ(setenv(name, value, 1), 0);
+  }
+  ~ScopedEnv() { unsetenv(name_); }
+
+ private:
+  const char* name_;
+};
+
+TEST(BenchEnvTest, SeedIsAnyUint64IncludingZero) {
+  {
+    ScopedEnv seed("VCDN_BENCH_SEED", "0");
+    EXPECT_EQ(ScaleFromEnv().seed, 0u);
+  }
+  {
+    // Above 2^53, where a double would round it.
+    ScopedEnv seed("VCDN_BENCH_SEED", "18446744073709551615");
+    EXPECT_EQ(ScaleFromEnv().seed, 18446744073709551615ull);
+  }
+  EXPECT_EQ(ScaleFromEnv().seed, 1u);  // unset: the default
+}
+
+TEST(BenchEnvTest, InvalidScaleSettingsExit) {
+  const std::pair<const char*, const char*> bad[] = {
+      {"VCDN_BENCH_SEED", "1.5"},      {"VCDN_BENCH_SEED", "-1"},
+      {"VCDN_BENCH_DAYS", "abc"},      {"VCDN_BENCH_DAYS", "0"},
+      {"VCDN_BENCH_SCALE", "nan"},     {"VCDN_BENCH_DISK_SCALE", "-4096"},
+  };
+  for (const auto& [name, value] : bad) {
+    EXPECT_EXIT(
+        {
+          ScopedEnv env(name, value);
+          ScaleFromEnv();
+        },
+        testing::ExitedWithCode(2),
+        std::string("invalid value '") + value + "' for " + name);
+  }
+}
+
+TEST(BenchEnvTest, Fig2SizesParseOrExit) {
+  {
+    ScopedEnv files("VCDN_FIG2_FILES", "100");
+    ScopedEnv requests("VCDN_FIG2_REQUESTS", "0");  // 0 = uncapped
+    EXPECT_EQ(EnvCount("VCDN_FIG2_FILES", 40, 1), 100u);
+    EXPECT_EQ(EnvCount("VCDN_FIG2_REQUESTS", 160), 0u);
+  }
+  EXPECT_EQ(EnvCount("VCDN_FIG2_FILES", 40, 1), 40u);  // unset: the fallback
+  EXPECT_EXIT(
+      {
+        ScopedEnv files("VCDN_FIG2_FILES", "x");
+        EnvCount("VCDN_FIG2_FILES", 40, 1);
+      },
+      testing::ExitedWithCode(2), "invalid value 'x' for VCDN_FIG2_FILES");
+  EXPECT_EXIT(
+      {
+        ScopedEnv files("VCDN_FIG2_FILES", "0");
+        EnvCount("VCDN_FIG2_FILES", 40, 1);
+      },
+      testing::ExitedWithCode(2), "invalid value '0' for VCDN_FIG2_FILES");
+  EXPECT_EXIT(
+      {
+        ScopedEnv requests("VCDN_FIG2_REQUESTS", "160k");
+        EnvCount("VCDN_FIG2_REQUESTS", 160);
+      },
+      testing::ExitedWithCode(2), "invalid value '160k' for VCDN_FIG2_REQUESTS");
+}
+
+// argv for FlagCount, which reads a bench's own flag after FlagsFromArgs.
+uint64_t MaxThreads(std::vector<std::string> args) {
+  std::vector<char*> argv;
+  static std::string prog = "bench_under_test";
+  argv.push_back(prog.data());
+  for (std::string& arg : args) {
+    argv.push_back(arg.data());
+  }
+  const int argc = static_cast<int>(argv.size());
+  FlagsFromArgs(argc, argv.data(), {"--max-threads"});
+  return FlagCount(argc, argv.data(), "--max-threads", 8, /*min=*/1);
+}
+
+TEST(BenchFlagsTest, MaxThreadsParsesOrExits) {
+  EXPECT_EQ(MaxThreads({"--max-threads", "3", "--repeat", "2"}), 3u);
+  EXPECT_EQ(MaxThreads({"--repeat", "2"}), 8u);  // absent: the fallback
+  EXPECT_EXIT(MaxThreads({"--max-threads", "abc"}), testing::ExitedWithCode(2),
+              "invalid value 'abc' for flag '--max-threads'");
+  EXPECT_EXIT(MaxThreads({"--max-threads", "0"}), testing::ExitedWithCode(2),
+              "invalid value '0' for flag '--max-threads'");
 }
 
 }  // namespace

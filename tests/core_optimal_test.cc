@@ -15,6 +15,7 @@
 #include "src/sim/replay.h"
 #include "src/util/rng.h"
 #include "tests/cache_test_util.h"
+#include "tests/oracles/paper_exact_lp.h"
 
 namespace vcdn::core {
 namespace {
@@ -23,11 +24,17 @@ using ::vcdn::testing::ChunkReq;
 using ::vcdn::testing::MakeTrace;
 using ::vcdn::testing::SmallConfig;
 
+// The library's interval LP, or the paper's Eqs. (10)-(12) verbatim (the
+// oracle in tests/oracles/).
+enum class Formulation { kPaperExact, kIntervalReduced };
+
 OptimalBound Solve(const trace::Trace& trace, uint64_t capacity, double alpha,
-                   OptimalFormulation formulation, bool paper_half_cost = false) {
+                   Formulation formulation, bool paper_half_cost = false) {
   OptimalOptions options;
-  options.formulation = formulation;
   options.use_paper_half_cost = paper_half_cost;
+  if (formulation == Formulation::kPaperExact) {
+    return SolvePaperExact(trace, SmallConfig(capacity, alpha), options);
+  }
   OptimalCacheSolver solver(SmallConfig(capacity, alpha), options);
   return solver.SolveBound(trace);
 }
@@ -37,7 +44,7 @@ TEST(OptimalTest, SingleHotChunkCostsOneFill) {
   // accounting charges C_F = 1; the paper's |dx|/2 accounting charges 1/2
   // because the chunk never leaves the cache.
   trace::Trace t = MakeTrace({{1.0, 1, 0, 0}, {2.0, 1, 0, 0}, {3.0, 1, 0, 0}});
-  for (auto form : {OptimalFormulation::kPaperExact, OptimalFormulation::kIntervalReduced}) {
+  for (auto form : {Formulation::kPaperExact, Formulation::kIntervalReduced}) {
     OptimalBound bound = Solve(t, 4, 1.0, form);
     ASSERT_EQ(bound.status, lp::SolveStatus::kOptimal);
     EXPECT_NEAR(bound.total_cost, 1.0, 1e-6);
@@ -55,10 +62,10 @@ TEST(OptimalTest, OneShotChunksUnderBothAccountings) {
   // accounting is indifferent (cost 3 either way); the paper's half-cost
   // accounting prefers fill-and-keep at 1/2 each.
   trace::Trace t = MakeTrace({{1.0, 1, 0, 0}, {2.0, 2, 0, 0}, {3.0, 3, 0, 0}});
-  OptimalBound full = Solve(t, 4, 1.0, OptimalFormulation::kPaperExact);
+  OptimalBound full = Solve(t, 4, 1.0, Formulation::kPaperExact);
   ASSERT_EQ(full.status, lp::SolveStatus::kOptimal);
   EXPECT_NEAR(full.total_cost, 3.0, 1e-6);
-  OptimalBound half = Solve(t, 4, 1.0, OptimalFormulation::kPaperExact, true);
+  OptimalBound half = Solve(t, 4, 1.0, Formulation::kPaperExact, true);
   ASSERT_EQ(half.status, lp::SolveStatus::kOptimal);
   EXPECT_NEAR(half.total_cost, 1.5, 1e-6);
   // The half-cost bound is always the looser (smaller) one.
@@ -73,8 +80,8 @@ TEST(OptimalTest, CapacityForcesMisses) {
     reqs.push_back({static_cast<double>(i), static_cast<trace::VideoId>(1 + i % 2), 0, 0});
   }
   trace::Trace t = MakeTrace(reqs);
-  OptimalBound tight = Solve(t, 1, 1.0, OptimalFormulation::kIntervalReduced);
-  OptimalBound roomy = Solve(t, 2, 1.0, OptimalFormulation::kIntervalReduced);
+  OptimalBound tight = Solve(t, 1, 1.0, Formulation::kIntervalReduced);
+  OptimalBound roomy = Solve(t, 2, 1.0, Formulation::kIntervalReduced);
   ASSERT_EQ(tight.status, lp::SolveStatus::kOptimal);
   ASSERT_EQ(roomy.status, lp::SolveStatus::kOptimal);
   EXPECT_GT(tight.total_cost, roomy.total_cost + 1.0);
@@ -95,9 +102,9 @@ TEST(OptimalTest, FormulationsAgreeOnRandomInstances) {
     uint64_t capacity = 1 + rng.NextBounded(4);
     double alpha = (trial % 2 == 0) ? 1.0 : 2.0;
     for (bool half_cost : {false, true}) {
-      OptimalBound paper = Solve(t, capacity, alpha, OptimalFormulation::kPaperExact, half_cost);
+      OptimalBound paper = Solve(t, capacity, alpha, Formulation::kPaperExact, half_cost);
       OptimalBound interval =
-          Solve(t, capacity, alpha, OptimalFormulation::kIntervalReduced, half_cost);
+          Solve(t, capacity, alpha, Formulation::kIntervalReduced, half_cost);
       ASSERT_EQ(paper.status, lp::SolveStatus::kOptimal) << "trial " << trial;
       ASSERT_EQ(interval.status, lp::SolveStatus::kOptimal) << "trial " << trial;
       EXPECT_NEAR(paper.total_cost, interval.total_cost, 1e-5)
@@ -120,7 +127,7 @@ TEST(OptimalTest, LowerBoundsEveryRealAlgorithm) {
   trace::Trace t = MakeTrace(reqs);
   const uint64_t capacity = 8;
   for (double alpha : {1.0, 2.0}) {
-    OptimalBound bound = Solve(t, capacity, alpha, OptimalFormulation::kIntervalReduced);
+    OptimalBound bound = Solve(t, capacity, alpha, Formulation::kIntervalReduced);
     ASSERT_EQ(bound.status, lp::SolveStatus::kOptimal);
     sim::ReplayOptions options;
     options.measurement_start_fraction = 0.0;
@@ -143,8 +150,8 @@ TEST(OptimalTest, AlphaShiftsTheBound) {
     reqs.push_back({static_cast<double>(i), static_cast<trace::VideoId>(i + 1), 0, 0});
   }
   trace::Trace t = MakeTrace(reqs);
-  OptimalBound cheap_fill = Solve(t, 16, 0.5, OptimalFormulation::kIntervalReduced);
-  OptimalBound dear_fill = Solve(t, 16, 4.0, OptimalFormulation::kIntervalReduced);
+  OptimalBound cheap_fill = Solve(t, 16, 0.5, Formulation::kIntervalReduced);
+  OptimalBound dear_fill = Solve(t, 16, 4.0, Formulation::kIntervalReduced);
   ASSERT_EQ(cheap_fill.status, lp::SolveStatus::kOptimal);
   ASSERT_EQ(dear_fill.status, lp::SolveStatus::kOptimal);
   // alpha=0.5: filling costs C_F = 2/3 < C_R = 4/3 -> serve everything.
@@ -269,7 +276,7 @@ TEST(OptimalTest, ExactIpMatchesBruteForce) {
     EXPECT_NEAR(exact.total_cost, brute, 1e-5)
         << "trial " << trial << " capacity=" << capacity << " alpha=" << alpha;
     // And the LP relaxation cannot exceed the exact optimum.
-    OptimalBound bound = Solve(t, capacity, alpha, OptimalFormulation::kIntervalReduced);
+    OptimalBound bound = Solve(t, capacity, alpha, Formulation::kIntervalReduced);
     EXPECT_LE(bound.total_cost, exact.total_cost + 1e-6);
     EXPECT_LE(exact.root_relaxation_cost, exact.total_cost + 1e-6);
   }
@@ -303,7 +310,7 @@ TEST(OptimalTest, ExactIpLowerBoundsAlgorithms) {
 TEST(OptimalTest, EmptyTrace) {
   trace::Trace t;
   t.duration = 10.0;
-  OptimalBound bound = Solve(t, 4, 1.0, OptimalFormulation::kIntervalReduced);
+  OptimalBound bound = Solve(t, 4, 1.0, Formulation::kIntervalReduced);
   EXPECT_EQ(bound.total_requested_chunks, 0u);
   EXPECT_NEAR(bound.total_cost, 0.0, 1e-9);
 }
@@ -312,10 +319,10 @@ TEST(OptimalTest, MultiChunkRequestsShareAdmission) {
   // A request spanning 3 chunks with capacity 2 cannot be fully admitted;
   // a_t forces all-or-nothing, so the LP (relaxed) serves it at most 2/3.
   trace::Trace t = MakeTrace({{1.0, 1, 0, 2}, {2.0, 1, 0, 2}, {3.0, 1, 0, 2}});
-  OptimalBound bound = Solve(t, 2, 1.0, OptimalFormulation::kPaperExact);
+  OptimalBound bound = Solve(t, 2, 1.0, Formulation::kPaperExact);
   ASSERT_EQ(bound.status, lp::SolveStatus::kOptimal);
   // Full service impossible: cost strictly above the capacity-4 variant.
-  OptimalBound roomy = Solve(t, 4, 1.0, OptimalFormulation::kPaperExact);
+  OptimalBound roomy = Solve(t, 4, 1.0, Formulation::kPaperExact);
   EXPECT_GT(bound.total_cost, roomy.total_cost + 0.5);
 }
 

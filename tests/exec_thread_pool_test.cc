@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <condition_variable>
 #include <functional>
+#include <mutex>
 #include <set>
 #include <thread>
 #include <vector>
@@ -134,6 +136,49 @@ TEST(ThreadPoolTest, LabeledTasksFlushSpansToSinkOnShutdown) {
     EXPECT_GE(tid, 2);
     EXPECT_LT(tid, 5);
   }
+}
+
+TEST(ThreadPoolTest, FreedWorkerRunsItsShareOldestFirstThenStealsTheNewest) {
+  // Characterizes the queue discipline. External submissions alternate
+  // between the two busy workers and go to the front of each queue; a worker
+  // pops its own queue from the back (oldest first) and steals from the
+  // front (newest first). That is the order perfbench's timed fleets start
+  // their stream shards in, since streams report size 0.
+  ThreadPool pool(2);
+  std::mutex mu;
+  std::condition_variable cv;
+  int blocked = 0;
+  bool release[2] = {false, false};
+  std::vector<int> order;
+  for (int b = 0; b < 2; ++b) {
+    pool.Submit([&, b] {
+      std::unique_lock<std::mutex> lock(mu);
+      ++blocked;
+      cv.notify_all();
+      cv.wait(lock, [&] { return release[b]; });
+    });
+  }
+  std::unique_lock<std::mutex> lock(mu);
+  cv.wait(lock, [&] { return blocked == 2; });
+  for (int i = 0; i < 6; ++i) {
+    pool.Submit([&, i] {
+      std::lock_guard<std::mutex> task_lock(mu);
+      order.push_back(i);
+      cv.notify_all();
+    });
+  }
+  release[0] = true;
+  cv.notify_all();
+  cv.wait(lock, [&] { return order.size() == 6; });
+  release[1] = true;
+  cv.notify_all();
+  lock.unlock();
+  pool.Shutdown();
+  // Which worker ran the first blocker is up to the scheduler: worker 0 got
+  // tasks 0, 2, 4 and worker 1 got 1, 3, 5.
+  EXPECT_TRUE(order == (std::vector<int>{0, 2, 4, 5, 3, 1}) ||
+              order == (std::vector<int>{1, 3, 5, 4, 2, 0}))
+      << ::testing::PrintToString(order);
 }
 
 TEST(RunLargestFirstTest, OneWorkerStartsLongestFirstWithTiesInIndexOrder) {

@@ -282,7 +282,7 @@ RequestOutcome ReferenceCafeCache::HandleRequestImpl(const trace::Request& reque
 
   if (last_arrival_ >= 0.0 && now > last_arrival_) {
     double instantaneous = 1.0 / (now - last_arrival_);
-    double smoothing = options_.proactive_rate_smoothing;
+    const double smoothing = kProactiveRateSmoothing;
     rate_estimate_ = rate_estimate_ <= 0.0
                          ? instantaneous
                          : smoothing * instantaneous + (1.0 - smoothing) * rate_estimate_;

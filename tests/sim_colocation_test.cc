@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "src/fault/fault.h"
 #include "src/trace/server_profile.h"
 #include "src/trace/workload_generator.h"
@@ -116,6 +118,31 @@ TEST(ColocationTest, SingleServerDegeneratesToPlainReplay) {
     EXPECT_NEAR(result.combined_efficiency, plain.efficiency, 1e-12);
     EXPECT_DOUBLE_EQ(result.load_imbalance, 1.0);
   }
+}
+
+TEST(ColocationTest, EachServerIsItsOwnFaultTarget) {
+  // Co-located server i is fault target i, like every other shard set: an
+  // outage scheduled for server 2 takes down server 2 and no other.
+  trace::Trace site = SiteTrace();
+  fault::FaultSchedule outage;
+  fault::FaultEvent event;
+  event.kind = fault::FaultKind::kEdgeOutage;
+  event.target = 2;
+  event.start = 4.0 * 86400.0;
+  event.end = 4.5 * 86400.0;
+  outage.Add(event);
+  ASSERT_TRUE(outage.Validate().ok());
+
+  ColocationConfig config = TestConfig(ColocationPolicy::kHashMod, /*servers=*/4);
+  config.replay.faults = &outage;
+  ColocationResult result = RunColocated(site, config);
+  ASSERT_EQ(result.servers.size(), 4u);
+  for (size_t s = 0; s < result.servers.size(); ++s) {
+    SCOPED_TRACE("server " + std::to_string(s));
+    EXPECT_EQ(result.servers[s].steady.unavailable_bytes > 0, s == 2);
+    EXPECT_EQ(result.servers[s].faults.unavailable_requests > 0, s == 2);
+  }
+  EXPECT_EQ(result.combined.unavailable_bytes, result.servers[2].steady.unavailable_bytes);
 }
 
 TEST(ColocationTest, MoreServersSameTotalDiskKeepsEfficiency) {

@@ -135,7 +135,7 @@ TEST(HierarchyFaultTest, EdgeOutageFallsBackToOrigin) {
   ASSERT_TRUE(schedule.Validate().ok());
 
   HierarchyConfig config = FaultHierarchyConfig();
-  config.faults = &schedule;
+  config.replay.faults = &schedule;
   HierarchyResult result = RunHierarchy(traces, config);
 
   EXPECT_GT(result.edge_unavailable_bytes, 0u);
@@ -164,7 +164,7 @@ TEST(HierarchyFaultTest, ParentOutageAbsorbedByOriginThenRecovers) {
   ASSERT_TRUE(schedule.Validate().ok());
 
   HierarchyConfig config = FaultHierarchyConfig();
-  config.faults = &schedule;
+  config.replay.faults = &schedule;
   HierarchyResult result = RunHierarchy(traces, config);
 
   EXPECT_GT(result.parent_outage_bytes, 0u);
@@ -211,7 +211,7 @@ TEST(HierarchyFaultTest, ParallelMatchesSequentialUnderFaults) {
   fault::FaultSchedule schedule = MakeRandomFaultSchedule(42, fault_options);
 
   HierarchyConfig sequential = FaultHierarchyConfig();
-  sequential.faults = &schedule;
+  sequential.replay.faults = &schedule;
   sequential.threads = 1;
   HierarchyResult reference = RunHierarchy(traces, sequential);
   // The schedule must actually bite for this test to mean anything.
@@ -219,7 +219,7 @@ TEST(HierarchyFaultTest, ParallelMatchesSequentialUnderFaults) {
 
   for (size_t threads : {2u, 7u}) {
     HierarchyConfig parallel = FaultHierarchyConfig();
-    parallel.faults = &schedule;
+    parallel.replay.faults = &schedule;
     parallel.threads = threads;
     HierarchyResult result = RunHierarchy(traces, parallel);
 

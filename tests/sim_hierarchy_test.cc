@@ -4,6 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+#include <utility>
+
+#include "src/fault/fault.h"
+#include "src/sim/parallel_fleet.h"
+#include "src/trace/request_stream.h"
 #include "src/trace/server_profile.h"
 #include "src/trace/workload_generator.h"
 #include "tests/cache_test_util.h"
@@ -118,6 +125,78 @@ TEST(HierarchyTest, ParallelMatchesSequential) {
     for (size_t i = 0; i < result.edges.size(); ++i) {
       EXPECT_EQ(result.edges[i].totals.served_bytes, reference.edges[i].totals.served_bytes);
       EXPECT_EQ(result.edges[i].totals.filled_bytes, reference.edges[i].totals.filled_bytes);
+    }
+  }
+}
+
+// FleetDigest over the given per-server results alone.
+uint64_t ServersDigest(std::vector<ReplayResult> servers) {
+  FleetResult fleet;
+  for (const ReplayResult& server : servers) {
+    fleet.totals.Add(server.totals);
+    fleet.steady.Add(server.steady);
+  }
+  fleet.servers = std::move(servers);
+  return FleetDigest(fleet);
+}
+
+TEST(HierarchyTest, EdgeTierIsTheFleet) {
+  // RunHierarchy's edges are a RunFleet fleet: with the same replay options
+  // (faults included, edge i = target i) every edge result matches RunFleet
+  // over the same edges, from traces or from stream factories, at any thread
+  // count.
+  std::vector<trace::Trace> traces;
+  for (int e = 0; e < 4; ++e) {
+    std::vector<ChunkReq> reqs;
+    for (int i = 0; i < 300; ++i) {
+      reqs.push_back({static_cast<double>(i), static_cast<trace::VideoId>(1 + (i * (e + 3)) % 23),
+                      0, static_cast<uint32_t>(i % 4)});
+    }
+    traces.push_back(MakeTrace(reqs));
+  }
+  std::vector<StreamFactory> streams;
+  for (const trace::Trace& trace : traces) {
+    streams.push_back([&trace] { return std::make_unique<trace::TraceView>(trace); });
+  }
+  fault::FaultSchedule schedule;
+  schedule.Add({fault::FaultKind::kEdgeOutage, 100.0, 150.0, 1, 1.0, 1.0});
+  schedule.Add({fault::FaultKind::kDiskDegrade, 50.0, 200.0, 3, 0.5, 1.0});
+  ASSERT_TRUE(schedule.Validate().ok());
+
+  HierarchyConfig config = TestHierarchyConfig();
+  config.replay.bucket_seconds = 50.0;
+  config.replay.faults = &schedule;
+  for (size_t threads : {1u, 4u}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    FleetOptions options;
+    options.threads = threads;
+    options.replay = config.replay;
+    std::vector<FleetServer> from_traces;
+    std::vector<FleetServer> from_streams;
+    for (size_t i = 0; i < traces.size(); ++i) {
+      from_traces.push_back(FleetServer{"edge" + std::to_string(i), config.edge_kind,
+                                        config.edge_config, &traces[i], {}});
+      from_streams.push_back(FleetServer{"edge" + std::to_string(i), config.edge_kind,
+                                         config.edge_config, nullptr, streams[i]});
+    }
+    const FleetResult fleet = RunFleet(from_traces, options);
+    ASSERT_GT(fleet.servers[1].faults.unavailable_requests, 0u);
+    ASSERT_GT(fleet.servers[3].faults.resize_events, 0u);
+    const uint64_t expected = FleetDigest(fleet);
+    EXPECT_EQ(FleetDigest(RunFleet(from_streams, options)), expected);
+
+    config.threads = threads;
+    for (const HierarchyResult& result :
+         {RunHierarchy(traces, config), RunHierarchy(streams, config)}) {
+      ASSERT_EQ(result.edges.size(), fleet.servers.size());
+      EXPECT_EQ(ServersDigest(result.edges), expected);
+      for (size_t i = 0; i < result.edges.size(); ++i) {
+        EXPECT_EQ(result.edges[i].cache_name, fleet.servers[i].cache_name);
+        EXPECT_EQ(result.edges[i].availability, fleet.servers[i].availability);
+        EXPECT_EQ(result.edges[i].faults.unavailable_requests,
+                  fleet.servers[i].faults.unavailable_requests);
+        EXPECT_EQ(result.edges[i].faults.resize_events, fleet.servers[i].faults.resize_events);
+      }
     }
   }
 }
