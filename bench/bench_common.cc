@@ -3,6 +3,7 @@
 #include "bench/bench_common.h"
 
 #include <cmath>
+#include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -41,6 +42,31 @@ double ParsePositive(const char* value, const std::string& what) {
 double EnvPositive(const char* name, double fallback) {
   const char* value = std::getenv(name);
   return value == nullptr ? fallback : ParsePositive(value, name);
+}
+
+std::string Join(const std::vector<Cell>& cells, const char* separator = "") {
+  std::string out;
+  for (const Cell& cell : cells) {
+    out += (&cell == cells.data() ? "" : separator) + cell.ToString();
+  }
+  return out;
+}
+
+// Returns false, after an error on stderr, when the file cannot be written.
+bool WriteCsv(const Block& table) {
+  std::ofstream out(table.csv_path);
+  for (const std::string& column : table.header) {
+    out << (&column == table.header.data() ? "" : ",") << column;
+  }
+  out << "\n";
+  for (const std::vector<Cell>& row : table.rows) {
+    out << Join(row, ",") << "\n";
+  }
+  out.close();
+  if (!out) {
+    std::fprintf(stderr, "error: cannot write %s\n", table.csv_path.c_str());
+  }
+  return static_cast<bool>(out);
 }
 
 }  // namespace
@@ -82,7 +108,7 @@ BenchFlags FlagsFromArgs(int argc, char** argv,
   // Every accepted flag takes exactly one value. The obs flags are consumed
   // (and their values interpreted) by BenchObs; extras by the bench itself.
   static const char* const kSharedValueFlags[] = {
-      "--threads", "--repeat", "--batch", "--scale",
+      "--threads", "--repeat", "--scale",
       "--obs-json", "--obs-series", "--flight", "--post-mortem",
   };
   BenchFlags flags;
@@ -116,18 +142,15 @@ BenchFlags FlagsFromArgs(int argc, char** argv,
       std::exit(2);
     }
     const char* value = argv[++i];
-    // The three counts owned here (and --flight's capacity, owned by
-    // BenchObs) must be valid unsigned integers; a typo must not silently
-    // fall back to a default.
-    if (arg == "--threads" || arg == "--repeat" || arg == "--batch" || arg == "--flight") {
-      const uint64_t parsed = ParseCount(value, "flag '" + arg + "'", 0);
-      if (arg == "--threads") {
-        flags.threads = static_cast<size_t>(parsed);
-      } else if (arg == "--repeat") {
-        flags.repeat = std::max<size_t>(1, static_cast<size_t>(parsed));
-      } else if (arg == "--batch") {
-        flags.batch = std::max<size_t>(1, static_cast<size_t>(parsed));
-      }
+    // The counts owned here (and --flight's capacity, owned by BenchObs)
+    // must be valid unsigned integers, and a repeat count or ring capacity
+    // of 0 means nothing: a typo must not silently fall back to a default.
+    if (arg == "--threads") {
+      flags.threads = static_cast<size_t>(ParseCount(value, "flag '--threads'", 0));
+    } else if (arg == "--repeat") {
+      flags.repeat = static_cast<size_t>(ParseCount(value, "flag '--repeat'", 1));
+    } else if (arg == "--flight") {
+      ParseCount(value, "flag '--flight'", 1);
     } else if (arg == "--scale") {
       flags.scale = ParsePositive(value, "flag '--scale'");
     }
@@ -144,16 +167,12 @@ trace::WorkloadConfig ServerWorkloadConfig(const trace::ServerProfile& profile, 
   return config;
 }
 
-trace::Trace MakeServerTrace(trace::ServerProfile profile, const BenchScale& scale) {
+trace::Trace MakeEuropeTrace(const BenchScale& scale) {
   trace::WorkloadConfig config;
-  config.profile = std::move(profile);
+  config.profile = trace::EuropeProfile(scale.workload_scale);
   config.seed = scale.seed;
   config.duration_seconds = scale.duration_seconds();
   return trace::WorkloadGenerator(config).Generate().trace;
-}
-
-trace::Trace MakeEuropeTrace(const BenchScale& scale) {
-  return MakeServerTrace(trace::EuropeProfile(scale.workload_scale), scale);
 }
 
 std::vector<trace::Trace> MakeServerTraces(const std::vector<trace::ServerProfile>& profiles,
@@ -181,7 +200,9 @@ core::CacheConfig PaperConfig(double paper_terabytes, double alpha, const BenchS
   return config;
 }
 
-BenchObs::BenchObs(int argc, char** argv) : meta_(obs::CollectRunMetadata()) {
+BenchObs::BenchObs(int argc, char** argv)
+    : flight_capacity_(static_cast<size_t>(FlagCount(argc, argv, "--flight", 0, /*min=*/1))),
+      meta_(obs::CollectRunMetadata()) {
   for (int i = 1; i + 1 < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--obs-json") {
@@ -190,13 +211,6 @@ BenchObs::BenchObs(int argc, char** argv) : meta_(obs::CollectRunMetadata()) {
       series_path_ = argv[i + 1];
     } else if (arg == "--post-mortem") {
       post_mortem_path_ = argv[i + 1];
-    } else if (arg == "--flight") {
-      uint64_t parsed = 0;
-      if (!util::ParseUint64(argv[i + 1], &parsed) || parsed == 0) {
-        std::fprintf(stderr, "warning: ignoring invalid --flight %s\n", argv[i + 1]);
-      } else {
-        flight_capacity_ = static_cast<size_t>(parsed);
-      }
     }
   }
   if (flight_enabled()) {
@@ -332,7 +346,8 @@ sim::ReplayResult RunCache(core::CacheKind kind, const trace::Trace& trace,
 }
 
 std::vector<sim::ReplayResult> RunCacheJobs(const std::vector<CacheJob>& jobs,
-                                            const BenchFlags& flags, BenchObs* obs) {
+                                            const BenchFlags& flags, BenchObs* obs,
+                                            ExperimentResult& result) {
   std::vector<sim::FleetServer> servers;
   servers.reserve(jobs.size());
   for (const CacheJob& job : jobs) {
@@ -347,7 +362,6 @@ std::vector<sim::ReplayResult> RunCacheJobs(const std::vector<CacheJob>& jobs,
     if (k + 1 == flags.repeat && obs != nullptr && obs->any_enabled()) {
       options.replay = obs->replay_options();
     }
-    options.replay.batch_size = flags.batch;
     fleet = sim::RunFleet(servers, options);
     uint64_t d = sim::FleetDigest(fleet);
     if (k == 0) {
@@ -357,13 +371,16 @@ std::vector<sim::ReplayResult> RunCacheJobs(const std::vector<CacheJob>& jobs,
     }
   }
   if (obs != nullptr && obs->any_enabled()) {
-    obs->SetRunShape(fleet.threads, flags.batch);
+    obs->SetRunShape(fleet.threads, sim::ReplayOptions{}.batch_size);
   }
-  std::printf("Fleet: %zu jobs on %zu thread%s, %.2fs wall%s, digest %016llx\n", jobs.size(),
-              fleet.threads, fleet.threads == 1 ? "" : "s", fleet.wall_seconds,
-              flags.repeat > 1 ? (" (last of " + std::to_string(flags.repeat) + " repeats)").c_str()
-                               : "",
-              static_cast<unsigned long long>(digest));
+  result.Line({Text(Printf(
+                   "Fleet: %zu jobs on %zu thread%s, %.2fs wall%s, digest %016llx", jobs.size(),
+                   fleet.threads, fleet.threads == 1 ? "" : "s", fleet.wall_seconds,
+                   flags.repeat > 1
+                       ? (" (last of " + std::to_string(flags.repeat) + " repeats)").c_str()
+                       : "",
+                   static_cast<unsigned long long>(digest)))},
+              /*stdout_only=*/true);
   return std::move(fleet.servers);
 }
 
@@ -381,13 +398,18 @@ double PeakRssMb() {
 
 void RequireReleaseBuild() {
 #ifndef NDEBUG
+  static bool checked = false;  // warn once when a bench checks early and again in PrintHeader
+  if (checked) {
+    return;
+  }
+  checked = true;
   const char* allow = std::getenv("VCDN_ALLOW_UNOPTIMIZED_BENCH");
   if (allow == nullptr || std::string(allow) != "1") {
     std::fprintf(stderr,
                  "error: this bench binary was built without NDEBUG (Debug or unoptimized "
                  "build).\n"
-                 "Benchmark numbers from such a build are meaningless -- throughput knobs\n"
-                 "like --batch N only show their effect under optimization. Rebuild with\n"
+                 "Benchmark numbers from such a build are meaningless, and they must never\n"
+                 "land in EXPERIMENTS.md or the docs. Rebuild with\n"
                  "  cmake -B build -S . -DCMAKE_BUILD_TYPE=Release\n"
                  "or set VCDN_ALLOW_UNOPTIMIZED_BENCH=1 to run anyway (smoke tests only).\n");
     std::abort();
@@ -411,6 +433,78 @@ void PrintHeader(const std::string& experiment, const std::string& paper_claim,
       scale.workload_scale, scale.days, scale.chunks_per_paper_tb,
       static_cast<unsigned long long>(scale.seed));
   std::printf("==============================================================================\n");
+}
+
+Cell Text(std::string text) { return Cell{std::move(text), std::nullopt, nullptr}; }
+
+Cell Percent(double fraction) {
+  return Number(fraction, [](double x) { return util::FormatPercent(x); });
+}
+
+Cell Count(uint64_t count) {
+  return Number(static_cast<double>(count),
+                [](double x) { return std::to_string(static_cast<uint64_t>(x)); });
+}
+
+Cell Number(double value, Render render) { return Cell{"", value, render}; }
+
+Cell Holds(bool holds) { return Number(holds ? 1.0 : 0.0, RenderHolds); }
+
+std::string RenderHolds(double holds) { return holds != 0.0 ? "OK" : "MISMATCH"; }
+
+std::string Printf(const char* format, ...) {
+  va_list args;
+  va_start(args, format);
+  va_list copy;
+  va_copy(copy, args);
+  std::string out(static_cast<size_t>(std::vsnprintf(nullptr, 0, format, copy)), '\0');
+  va_end(copy);
+  std::vsnprintf(out.data(), out.size() + 1, format, args);
+  va_end(args);
+  return out;
+}
+
+std::string Block::ToString() const {
+  if (header.empty()) {
+    return Join(rows[0]) + "\n";
+  }
+  util::TextTable table(header);
+  for (const std::vector<Cell>& row : rows) {
+    std::vector<std::string> cells;
+    for (const Cell& cell : row) {
+      cells.push_back(cell.ToString());
+    }
+    table.AddRow(std::move(cells));
+  }
+  return (title.empty() ? "" : title + "\n") + table.ToString() + "\n";
+}
+
+void ExperimentResult::Line(std::vector<Cell> cells, bool stdout_only) {
+  Block& block = blocks.emplace_back();
+  block.rows.push_back(std::move(cells));
+  block.stdout_only = stdout_only;
+}
+
+Block& ExperimentResult::Table(std::string heading, std::vector<std::string> columns) {
+  Block& block = blocks.emplace_back();
+  block.title = std::move(heading);
+  block.header = std::move(columns);
+  return block;
+}
+
+bool PrintResult(const ExperimentResult& result, const BenchScale& scale) {
+  PrintHeader(result.title, result.paper_claim, scale);
+  bool written = true;
+  for (const Block& block : result.blocks) {
+    if (block.csv_path.empty()) {
+      std::fputs(block.ToString().c_str(), stdout);
+    } else if (WriteCsv(block)) {
+      std::printf("%s written to %s\n", block.title.c_str(), block.csv_path.c_str());
+    } else {
+      written = false;
+    }
+  }
+  return written;
 }
 
 }  // namespace vcdn::bench

@@ -1,6 +1,10 @@
 // Copyright (c) 2026 libvcdn authors. Apache-2.0 license.
 //
-// Shared infrastructure for the experiment binaries (one per paper figure).
+// Shared infrastructure for the bench binaries, and the paper's figures and
+// ablations, each defined once as a function that runs the experiment and
+// returns what it measured (ExperimentResult). Its bench binary prints the
+// result for one seed; bench_experiments prints it for seeds 1-10 into
+// EXPERIMENTS.md.
 //
 // Scaling: the paper replays one month of production traffic against 1 TB
 // disks. The reproduction runs the same experiment shapes on a scaled-down
@@ -18,15 +22,14 @@
 //
 // Like the flags below, a variable that is set must parse: an invalid value
 // prints an error naming it and exits with status 2.
-//
-// Every bench prints the measured table next to the paper's reported claim so
-// EXPERIMENTS.md can record paper-vs-measured side by side.
 
 #ifndef VCDN_BENCH_BENCH_COMMON_H_
 #define VCDN_BENCH_BENCH_COMMON_H_
 
 #include <cstdint>
+#include <deque>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -76,20 +79,16 @@ BenchScale ResolveScale(const BenchFlags& flags);
 //   --threads N   worker threads for the fleet-parallel stages (trace
 //                 generation, independent replays). 0 = hardware concurrency
 //                 (the default), 1 = sequential on the calling thread.
-//   --repeat K    run the replay stage K times (timing stability / soak).
-//                 All repeats must produce the same FleetDigest; only the
-//                 last records into --obs-json instruments.
-//   --batch N     requests per CacheAlgorithm::HandleRequestBatch call in the
-//                 replay loop (sim::ReplayOptions::batch_size; 1 disables
-//                 batching). Results are bit-identical at any N -- the knob
-//                 only changes how much memory-level parallelism the cache
-//                 can extract.
+//   --repeat K    run the replay stage K >= 1 times (timing stability /
+//                 soak). All repeats must produce the same FleetDigest; only
+//                 the last records into --obs-json instruments.
 //   --scale X     workload scale factor, the first-class form of
 //                 VCDN_BENCH_SCALE (the env var is still honored; the flag
 //                 wins -- see ResolveScale). Must be a positive number.
 //
 // Parsing fails FAST: an unknown "--" flag, a flag with a missing value, an
-// unparsable count, or a stray positional argument prints an error naming
+// unparsable count (or 0 for --repeat or --flight, which need a positive
+// integer), or a stray positional argument prints an error naming
 // the offender to stderr and exits with status 2. A typoed "--thread 8"
 // silently running the default configuration is how wrong bench numbers get
 // committed. Benches with their own value-taking flags (e.g. --connect,
@@ -99,7 +98,6 @@ BenchScale ResolveScale(const BenchFlags& flags);
 struct BenchFlags {
   size_t threads = 0;
   size_t repeat = 1;
-  size_t batch = 16;
   // Workload scale from --scale; 0 means "not given" (ResolveScale then
   // falls back to VCDN_BENCH_SCALE / the default).
   double scale = 0.0;
@@ -145,11 +143,10 @@ class BenchObs {
     return enabled() || series_enabled() ? &registry_ : nullptr;
   }
   obs::TraceEventSink* trace_sink() { return enabled() ? &sink_ : nullptr; }
-  // The main flight ring; null unless --flight was given.
-  obs::FlightRecorder* flight() { return flight_.get(); }
 
   // Run-shape fields embedded in every artifact header (workload and seed
-  // from the bench, threads and batch filled by RunCacheJobs).
+  // from the bench, threads and the replay's batch size filled by
+  // RunCacheJobs).
   void SetWorkload(const std::string& workload, uint64_t seed);
   void SetRunShape(size_t threads, size_t batch);
 
@@ -186,10 +183,9 @@ class BenchObs {
 trace::WorkloadConfig ServerWorkloadConfig(const trace::ServerProfile& profile, size_t index,
                                            const BenchScale& scale);
 
-// Generates the one-month trace of a server profile at the given scale.
-trace::Trace MakeServerTrace(trace::ServerProfile profile, const BenchScale& scale);
-
-// The Europe trace used by Figs. 3-6.
+// The Europe trace used by Figs. 3-6 and the ablations: the Europe profile
+// seeded with scale.seed itself (Fig. 7's Europe is MakeServerTraces' server
+// 3, a different trace).
 trace::Trace MakeEuropeTrace(const BenchScale& scale);
 
 // Generates one trace per profile, in parallel across flags.threads workers.
@@ -216,13 +212,70 @@ struct CacheJob {
   const trace::Trace* trace = nullptr;
 };
 
+// Renders a number as its bench prints it, e.g. "12.7%".
+using Render = std::string (*)(double);
+
+// A label, or a number kept with its format so that bench_experiments can
+// print medians and ranges of it.
+struct Cell {
+  std::string text;  // the label; for a number, what prints when `value` is absent
+  std::optional<double> value;
+  Render render = nullptr;  // set for numbers
+
+  std::string ToString() const { return value.has_value() ? render(*value) : text; }
+};
+Cell Text(std::string text);
+Cell Percent(double fraction);  // util::FormatPercent
+Cell Count(uint64_t count);
+Cell Number(double value, Render render);
+// A shape check: prints "OK" or "MISMATCH"; bench_experiments counts the
+// seeds on which it holds.
+Cell Holds(bool holds);
+std::string RenderHolds(double holds);
+std::string Printf(const char* format, ...) __attribute__((format(printf, 1, 2)));
+
+// A table when `header` is set: `title` on its own line when set, then a
+// util::TextTable and a blank line. Otherwise a line, the cells of rows[0].
+struct Block {
+  std::string title;
+  std::vector<std::string> header;
+  std::vector<std::vector<Cell>> rows;
+  // Printed, but left out of EXPERIMENTS.md: series (Fig. 3's daily rows and
+  // hour-of-day bars) and run detail (the Fleet line's wall time and threads).
+  bool stdout_only = false;
+  // A table written to this file as CSV instead, with "<title> written to
+  // <path>" printed in its place; never in EXPERIMENTS.md.
+  std::string csv_path;
+
+  std::string ToString() const;
+};
+
+struct ExperimentResult {
+  // Names the EXPERIMENTS.md block and the obs workload, e.g. "fig4 alpha sweep".
+  std::string name;
+  std::string title;
+  std::string paper_claim;
+  std::string trace;  // which trace it replays, stated in EXPERIMENTS.md
+  std::deque<Block> blocks = {};  // a deque, so Table's reference stays valid
+
+  void Line(std::vector<Cell> cells, bool stdout_only = false);
+  // Appends a table; add its rows through the returned block.
+  Block& Table(std::string heading, std::vector<std::string> columns);
+};
+
+// The two ways "Europe at seed s" is generated.
+inline constexpr const char* kEuropeTrace = "Europe, MakeEuropeTrace (generator seed s)";
+inline constexpr const char* kServerTraces =
+    "the six servers, MakeServerTraces (server i seeded SplitSeed(s, i); Europe is i = 3)";
+
 // Replays the jobs as a sim::RunFleet fleet across flags.threads workers,
 // flags.repeat times (the repeats must agree on the FleetDigest; only the
-// last one records into `obs`). Prints a one-line summary -- wall seconds,
-// thread count, digest -- and returns the per-job results in job order,
-// identical for any thread count.
+// last one records into `obs`). Adds a one-line summary -- wall seconds,
+// thread count, digest -- to `result` as a stdout-only line, and returns the
+// per-job results in job order, identical for any thread count.
 std::vector<sim::ReplayResult> RunCacheJobs(const std::vector<CacheJob>& jobs,
-                                            const BenchFlags& flags, BenchObs* obs = nullptr);
+                                            const BenchFlags& flags, BenchObs* obs,
+                                            ExperimentResult& result);
 
 // The process's peak RSS (VmHWM from /proc/self/status) in MiB: the
 // high-water mark since process start, which bench_scale_sweep checks.
@@ -238,6 +291,21 @@ void PrintHeader(const std::string& experiment, const std::string& paper_claim,
 // must never land in EXPERIMENTS.md or the docs. Set
 // VCDN_ALLOW_UNOPTIMIZED_BENCH=1 to override (CI smoke runs of Debug builds).
 void RequireReleaseBuild();
+
+// The experiments (bench/figures.cc): Figs. 2-7 of the paper's evaluation
+// (Sec. 9), then the ablations of Cafe's design (Sec. 6), of the Sec. 2
+// disk-interference claim, of footnote 2's co-location and of the Sec. 10
+// extensions. Each prints nothing and writes no files.
+using ExperimentFn = ExperimentResult(const BenchScale& scale, const BenchFlags& flags,
+                                      BenchObs& obs);
+ExperimentFn Fig2OptimalVsPsychic, Fig3Timeseries, Fig4AlphaSweep, Fig5OperatingPoints,
+    Fig6DiskSweep, Fig7SixServers, AblationCafe, AblationDiskInterference, AblationColocation,
+    AblationExtensions;
+
+// Prints `result` as its bench prints it: the banner, then every block.
+// Returns false, after an error on stderr, when a CSV table cannot be
+// written.
+bool PrintResult(const ExperimentResult& result, const BenchScale& scale);
 
 }  // namespace vcdn::bench
 

@@ -65,7 +65,6 @@ double ReplayFleet(const vcdn::bench::BenchScale& scale, const vcdn::bench::Benc
   }
   sim::FleetOptions options;
   options.threads = flags.threads;
-  options.replay.batch_size = flags.batch;
   const auto t0 = std::chrono::steady_clock::now();
   const sim::FleetResult result = sim::RunFleet(servers, options);
   const double wall = std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();

@@ -36,8 +36,11 @@ void TraceEventSink::AddInstant(std::string_view name, std::string_view category
 }
 
 void TraceEventSink::Append(const TraceEventSink& other, int tid) {
+  const double shift_us =
+      std::chrono::duration<double, std::micro>(other.origin_ - origin_).count();
   events_.reserve(events_.size() + other.events_.size());
   for (TraceEvent event : other.events_) {
+    event.ts_us += shift_us;
     event.tid = tid;
     events_.push_back(std::move(event));
   }

@@ -73,12 +73,11 @@ class TraceEventSink {
   // Fully specified event (callers that set tid themselves).
   void Add(TraceEvent event) { events_.push_back(std::move(event)); }
 
-  // Appends a copy of `other`'s events, re-tagged onto lane `tid`. Timestamps
-  // are kept as recorded (each relative to its own sink's creation), so
-  // append sinks that were created at comparable times -- e.g. per-shard
-  // sinks of one fleet run -- and lanes line up well enough to read.
-  // Event order is other's recording order: merging shard sinks in a fixed
-  // order yields a deterministic event list.
+  // Appends a copy of `other`'s events, re-tagged onto lane `tid`, with each
+  // timestamp rebased from `other`'s creation to this sink's, so a merged
+  // shard lane lines up with the spans recorded here (e.g. the pool-worker
+  // span that ran the shard). Event order is other's recording order:
+  // merging shard sinks in a fixed order yields a deterministic event list.
   void Append(const TraceEventSink& other, int tid);
 
   const std::vector<TraceEvent>& events() const { return events_; }

@@ -32,10 +32,9 @@ BenchFlags Parse(std::vector<std::string> args,
 }
 
 TEST(BenchFlagsTest, ParsesTheSharedFlags) {
-  BenchFlags flags = Parse({"--threads", "8", "--repeat", "3", "--batch", "32"});
+  BenchFlags flags = Parse({"--threads", "8", "--repeat", "3"});
   EXPECT_EQ(flags.threads, 8u);
   EXPECT_EQ(flags.repeat, 3u);
-  EXPECT_EQ(flags.batch, 32u);
 }
 
 TEST(BenchFlagsTest, ObsFlagsAreAcceptedAndLeftForBenchObs) {
@@ -77,10 +76,14 @@ TEST(BenchFlagsTest, PositionalArgumentExits) {
               "unexpected positional argument 'traces.bin'");
 }
 
-TEST(BenchFlagsTest, RepeatAndBatchClampToAtLeastOne) {
-  BenchFlags flags = Parse({"--repeat", "0", "--batch", "0"});
-  EXPECT_EQ(flags.repeat, 1u);
-  EXPECT_EQ(flags.batch, 1u);
+TEST(BenchFlagsTest, ZeroRepeatOrFlightCapacityExits) {
+  // Neither runs a default in its place: "--repeat 0" would run once, and
+  // "--flight 0" would record nothing and write no post-mortem.
+  EXPECT_EXIT(Parse({"--repeat", "0"}), testing::ExitedWithCode(2),
+              "invalid value '0' for flag '--repeat' \\(need a positive integer\\)");
+  EXPECT_EXIT(Parse({"--flight", "0", "--post-mortem", "/tmp/pm.jsonl"}),
+              testing::ExitedWithCode(2),
+              "invalid value '0' for flag '--flight' \\(need a positive integer\\)");
 }
 
 // --- --scale: first-class workload-scale flag ------------------------------

@@ -203,6 +203,35 @@ TEST_F(ParallelFleetTest, FleetTraceLanesMatchSequentialRecording) {
   EXPECT_EQ(sequential_events, fleet_lane_events(parallel_sink));
 }
 
+TEST_F(ParallelFleetTest, ShardLanesShareTheWorkerSpansClock) {
+  obs::TraceEventSink sink;
+  FleetOptions options;
+  options.threads = 2;
+  options.replay.trace_sink = &sink;
+  RunFleet(servers_, options);
+
+  // Shard i's replay ran inside the pool task that the worker span
+  // "fleet.<name of server i>" times, so its lane must sit inside that span.
+  constexpr double kSlackUs = 1.0;
+  for (size_t i = 0; i < servers_.size(); ++i) {
+    const obs::TraceEvent* worker = nullptr;
+    const obs::TraceEvent* loop = nullptr;
+    for (const obs::TraceEvent& event : sink.events()) {
+      if (event.tid < obs::kFleetTidBase && event.name == "fleet." + servers_[i].name) {
+        worker = &event;
+      } else if (event.tid == obs::kFleetTidBase + static_cast<int>(i) &&
+                 event.name == "replay.loop") {
+        loop = &event;
+      }
+    }
+    ASSERT_NE(worker, nullptr) << servers_[i].name;
+    ASSERT_NE(loop, nullptr) << servers_[i].name;
+    EXPECT_GE(loop->ts_us, worker->ts_us - kSlackUs) << servers_[i].name;
+    EXPECT_LE(loop->ts_us + loop->dur_us, worker->ts_us + worker->dur_us + kSlackUs)
+        << servers_[i].name;
+  }
+}
+
 TEST_F(ParallelFleetTest, RunsOnAnExternalPool) {
   FleetOptions sequential;
   sequential.threads = 1;
