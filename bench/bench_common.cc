@@ -2,7 +2,6 @@
 
 #include "bench/bench_common.h"
 
-#include <cmath>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
@@ -15,34 +14,6 @@
 namespace vcdn::bench {
 
 namespace {
-
-// A setting that does not parse is an error, never a silent default: `what`
-// names the flag or environment variable.
-[[noreturn]] void ExitInvalid(const char* value, const std::string& what, const char* need) {
-  std::fprintf(stderr, "error: invalid value '%s' for %s (need %s)\n", value, what.c_str(), need);
-  std::exit(2);
-}
-
-uint64_t ParseCount(const char* value, const std::string& what, uint64_t min) {
-  uint64_t parsed = 0;
-  if (!util::ParseUint64(value, &parsed) || parsed < min) {
-    ExitInvalid(value, what, min == 0 ? "an unsigned integer" : "a positive integer");
-  }
-  return parsed;
-}
-
-double ParsePositive(const char* value, const std::string& what) {
-  double parsed = 0.0;
-  if (!util::ParseDouble(value, &parsed) || !std::isfinite(parsed) || parsed <= 0.0) {
-    ExitInvalid(value, what, "a positive number");
-  }
-  return parsed;
-}
-
-double EnvPositive(const char* name, double fallback) {
-  const char* value = std::getenv(name);
-  return value == nullptr ? fallback : ParsePositive(value, name);
-}
 
 std::string Join(const std::vector<Cell>& cells, const char* separator = "") {
   std::string out;
@@ -72,26 +43,20 @@ bool WriteCsv(const Block& table) {
 }  // namespace
 
 uint64_t EnvCount(const char* name, uint64_t fallback, uint64_t min) {
-  const char* value = std::getenv(name);
-  return value == nullptr ? fallback : ParseCount(value, name, min);
-}
-
-uint64_t FlagCount(int argc, char** argv, const char* flag, uint64_t fallback, uint64_t min) {
-  uint64_t count = fallback;
-  for (int i = 1; i + 1 < argc; i += 2) {
-    if (std::string(argv[i]) == flag) {
-      count = ParseCount(argv[i + 1], std::string("flag '") + flag + "'", min);
-    }
-  }
-  return count;
+  util::Flags env;
+  env.Count(name, &fallback, min);
+  util::ExitOnUsageError(env.ParseEnvironment());
+  return fallback;
 }
 
 BenchScale ScaleFromEnv() {
   BenchScale scale;
-  scale.workload_scale = EnvPositive("VCDN_BENCH_SCALE", scale.workload_scale);
-  scale.days = EnvPositive("VCDN_BENCH_DAYS", scale.days);
-  scale.chunks_per_paper_tb = EnvPositive("VCDN_BENCH_DISK_SCALE", scale.chunks_per_paper_tb);
-  scale.seed = EnvCount("VCDN_BENCH_SEED", scale.seed);
+  util::Flags env;
+  env.Number("VCDN_BENCH_SCALE", &scale.workload_scale, trace::kMaxProfileScale);
+  env.Number("VCDN_BENCH_DAYS", &scale.days);
+  env.Number("VCDN_BENCH_DISK_SCALE", &scale.chunks_per_paper_tb);
+  env.Count("VCDN_BENCH_SEED", &scale.seed);
+  util::ExitOnUsageError(env.ParseEnvironment());
   return scale;
 }
 
@@ -103,58 +68,25 @@ BenchScale ResolveScale(const BenchFlags& flags) {
   return scale;
 }
 
-BenchFlags FlagsFromArgs(int argc, char** argv,
-                         const std::vector<std::string>& extra_value_flags) {
-  // Every accepted flag takes exactly one value. The obs flags are consumed
-  // (and their values interpreted) by BenchObs; extras by the bench itself.
-  static const char* const kSharedValueFlags[] = {
-      "--threads", "--repeat", "--scale",
-      "--obs-json", "--obs-series", "--flight", "--post-mortem",
-  };
+BenchFlags ParseBenchFlags(int argc, char** argv, unsigned reads, util::Flags own) {
   BenchFlags flags;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    bool known = false;
-    for (const char* shared : kSharedValueFlags) {
-      if (arg == shared) {
-        known = true;
-        break;
-      }
-    }
-    if (!known) {
-      for (const std::string& extra : extra_value_flags) {
-        if (arg == extra) {
-          known = true;
-          break;
-        }
-      }
-    }
-    if (!known) {
-      if (arg.rfind("--", 0) == 0) {
-        std::fprintf(stderr, "error: unknown flag '%s'\n", arg.c_str());
-      } else {
-        std::fprintf(stderr, "error: unexpected positional argument '%s'\n", arg.c_str());
-      }
-      std::exit(2);
-    }
-    if (i + 1 >= argc) {
-      std::fprintf(stderr, "error: flag '%s' is missing its value\n", arg.c_str());
-      std::exit(2);
-    }
-    const char* value = argv[++i];
-    // The counts owned here (and --flight's capacity, owned by BenchObs)
-    // must be valid unsigned integers, and a repeat count or ring capacity
-    // of 0 means nothing: a typo must not silently fall back to a default.
-    if (arg == "--threads") {
-      flags.threads = static_cast<size_t>(ParseCount(value, "flag '--threads'", 0));
-    } else if (arg == "--repeat") {
-      flags.repeat = static_cast<size_t>(ParseCount(value, "flag '--repeat'", 1));
-    } else if (arg == "--flight") {
-      ParseCount(value, "flag '--flight'", 1);
-    } else if (arg == "--scale") {
-      flags.scale = ParsePositive(value, "flag '--scale'");
-    }
+  if ((reads & kThreads) != 0) {
+    own.Count("--threads", &flags.threads);
   }
+  if ((reads & kRepeat) != 0) {
+    own.Count("--repeat", &flags.repeat, /*min=*/1);
+  }
+  if ((reads & kScale) != 0) {
+    own.Number("--scale", &flags.scale, trace::kMaxProfileScale);
+  }
+  if ((reads & kObs) != 0) {
+    own.Text("--obs-json", &flags.obs_json);
+    own.Text("--obs-series", &flags.obs_series);
+    // 0 would record nothing and write no post-mortem.
+    own.Count("--flight", &flags.flight, /*min=*/1);
+    own.Text("--post-mortem", &flags.post_mortem);
+  }
+  util::ExitOnUsageError(own.Parse(argc, argv));
   return flags;
 }
 
@@ -200,22 +132,11 @@ core::CacheConfig PaperConfig(double paper_terabytes, double alpha, const BenchS
   return config;
 }
 
-BenchObs::BenchObs(int argc, char** argv)
-    : flight_capacity_(static_cast<size_t>(FlagCount(argc, argv, "--flight", 0, /*min=*/1))),
-      meta_(obs::CollectRunMetadata()) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--obs-json") {
-      path_ = argv[i + 1];
-    } else if (arg == "--obs-series") {
-      series_path_ = argv[i + 1];
-    } else if (arg == "--post-mortem") {
-      post_mortem_path_ = argv[i + 1];
-    }
-  }
+BenchObs::BenchObs(const BenchFlags& flags)
+    : flags_(flags), meta_(obs::CollectRunMetadata()) {
   if (flight_enabled()) {
-    flight_ = std::make_unique<obs::FlightRecorder>(flight_capacity_);
-    if (!post_mortem_path_.empty()) {
+    flight_ = std::make_unique<obs::FlightRecorder>(flags_.flight);
+    if (!flags_.post_mortem.empty()) {
       // From here on, any VCDN_CHECK failure (including a fleet digest
       // mismatch) dumps the ring to the post-mortem path before aborting.
       // Re-armed by SetWorkload/SetRunShape so the dump header carries the
@@ -235,13 +156,13 @@ void BenchObs::RearmCrashDump() {
   obs::DisarmCrashDump(flight_.get());
   obs::PostMortemContext context;
   context.label = "main";
-  obs::ArmCrashDump(flight_.get(), post_mortem_path_, meta_, std::move(context));
+  obs::ArmCrashDump(flight_.get(), flags_.post_mortem, meta_, std::move(context));
 }
 
 void BenchObs::SetWorkload(const std::string& workload, uint64_t seed) {
   meta_.workload = workload;
   meta_.seed = seed;
-  if (flight_ != nullptr && !post_mortem_path_.empty()) {
+  if (flight_ != nullptr && !flags_.post_mortem.empty()) {
     RearmCrashDump();
   }
 }
@@ -249,7 +170,7 @@ void BenchObs::SetWorkload(const std::string& workload, uint64_t seed) {
 void BenchObs::SetRunShape(size_t threads, size_t batch) {
   meta_.threads = threads;
   meta_.batch = batch;
-  if (flight_ != nullptr && !post_mortem_path_.empty()) {
+  if (flight_ != nullptr && !flags_.post_mortem.empty()) {
     RearmCrashDump();
   }
 }
@@ -266,24 +187,24 @@ util::Status BenchObs::WriteIfRequested() {
   };
 
   if (enabled()) {
-    util::Status status = obs::WriteObsJsonFile(path_, &registry_, &sink_, &meta_);
+    util::Status status = obs::WriteObsJsonFile(flags_.obs_json, &registry_, &sink_, &meta_);
     if (status.ok()) {
       std::printf("Observability dump written to %s (%zu trace events, %zu instruments)\n",
-                  path_.c_str(), sink_.num_events(), registry_.num_instruments());
+                  flags_.obs_json.c_str(), sink_.num_events(), registry_.num_instruments());
     }
     record(std::move(status));
   }
 
   if (series_enabled()) {
-    util::Status status = series_.WriteJsonl(series_path_, meta_);
+    util::Status status = series_.WriteJsonl(flags_.obs_series, meta_);
     if (status.ok()) {
-      std::printf("Time series written to %s (%zu windows)\n", series_path_.c_str(),
+      std::printf("Time series written to %s (%zu windows)\n", flags_.obs_series.c_str(),
                   series_.num_windows());
     }
     record(std::move(status));
   }
 
-  if (flight_enabled() && !post_mortem_path_.empty()) {
+  if (flight_enabled() && !flags_.post_mortem.empty()) {
     // Fault-boundary captures accumulated during the run; when none fired,
     // dump the final ring so the file always reflects the run's tail.
     if (captures_.empty()) {
@@ -292,9 +213,9 @@ util::Status BenchObs::WriteIfRequested() {
       context.label = "main";
       captures_.push_back(obs::CaptureFlight(*flight_, std::move(context)));
     }
-    std::ofstream out(post_mortem_path_);
+    std::ofstream out(flags_.post_mortem);
     if (!out) {
-      record(util::InvalidArgumentError("cannot open post-mortem path: " + post_mortem_path_));
+      record(util::InvalidArgumentError("cannot open post-mortem path: " + flags_.post_mortem));
     } else {
       size_t records = 0;
       for (const obs::FlightCapture& capture : captures_) {
@@ -303,10 +224,10 @@ util::Status BenchObs::WriteIfRequested() {
       }
       out.flush();
       if (!out) {
-        record(util::DataLossError("short write to post-mortem path: " + post_mortem_path_));
+        record(util::DataLossError("short write to post-mortem path: " + flags_.post_mortem));
       } else {
         std::printf("Post-mortem written to %s (%zu capture%s, %zu records)\n",
-                    post_mortem_path_.c_str(), captures_.size(),
+                    flags_.post_mortem.c_str(), captures_.size(),
                     captures_.size() == 1 ? "" : "s", records);
       }
     }

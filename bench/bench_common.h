@@ -12,7 +12,7 @@
 // a full-size run is one knob away:
 //
 //   VCDN_BENCH_SCALE       workload scale factor (catalog size, request rate,
-//                          churn scale together). Default 0.25.
+//                          churn scale together), in (0, 4]. Default 0.25.
 //   VCDN_BENCH_DAYS        trace length in days. Default 30 (the paper's month).
 //   VCDN_BENCH_DISK_SCALE  chunks per "paper terabyte". Default 4096 (8 GiB),
 //                          calibrated so the default-scale Europe workload
@@ -20,8 +20,8 @@
 //                          (xLRU ~59/62%, Cafe ~61/73% at alpha = 1/2).
 //   VCDN_BENCH_SEED        workload seed, any uint64 (0 included). Default 1.
 //
-// Like the flags below, a variable that is set must parse: an invalid value
-// prints an error naming it and exits with status 2.
+// They parse like the flags below: a variable that is set must hold a value
+// in range, or the bench prints an error naming it and exits with status 2.
 
 #ifndef VCDN_BENCH_BENCH_COMMON_H_
 #define VCDN_BENCH_BENCH_COMMON_H_
@@ -44,6 +44,7 @@
 #include "src/sim/replay.h"
 #include "src/trace/server_profile.h"
 #include "src/trace/workload_generator.h"
+#include "src/util/flags.h"
 #include "src/util/status.h"
 
 namespace vcdn::bench {
@@ -67,14 +68,8 @@ BenchScale ScaleFromEnv();
 // (`fallback` when unset); an invalid value exits 2, naming the variable.
 uint64_t EnvCount(const char* name, uint64_t fallback, uint64_t min = 0);
 
-struct BenchFlags;
-
-// Environment scale with the --scale flag applied on top: the env vars are
-// honored, an explicit --scale wins. This is what bench mains should call
-// (after FlagsFromArgs, which validates the flag).
-BenchScale ResolveScale(const BenchFlags& flags);
-
-// Command-line flags shared by the experiment binaries:
+// Command-line flags shared by the bench binaries, with the four BenchObs
+// flags below; each bench reads the ones it names to ParseBenchFlags:
 //
 //   --threads N   worker threads for the fleet-parallel stages (trace
 //                 generation, independent replays). 0 = hardware concurrency
@@ -82,33 +77,35 @@ BenchScale ResolveScale(const BenchFlags& flags);
 //   --repeat K    run the replay stage K >= 1 times (timing stability /
 //                 soak). All repeats must produce the same FleetDigest; only
 //                 the last records into --obs-json instruments.
-//   --scale X     workload scale factor, the first-class form of
+//   --scale X     workload scale factor in (0, 4], the first-class form of
 //                 VCDN_BENCH_SCALE (the env var is still honored; the flag
-//                 wins -- see ResolveScale). Must be a positive number.
-//
-// Parsing fails FAST: an unknown "--" flag, a flag with a missing value, an
-// unparsable count (or 0 for --repeat or --flight, which need a positive
-// integer), or a stray positional argument prints an error naming
-// the offender to stderr and exits with status 2. A typoed "--thread 8"
-// silently running the default configuration is how wrong bench numbers get
-// committed. Benches with their own value-taking flags (e.g. --connect,
-// --max-threads) declare them via `extra_value_flags`; their values are
-// validated for presence here and parsed by the bench. The BenchObs flags
-// (--obs-json, --obs-series, --flight, --post-mortem) are always accepted.
+//                 wins -- see ResolveScale).
 struct BenchFlags {
   size_t threads = 0;
   size_t repeat = 1;
   // Workload scale from --scale; 0 means "not given" (ResolveScale then
   // falls back to VCDN_BENCH_SCALE / the default).
   double scale = 0.0;
+  std::string obs_json;
+  std::string obs_series;
+  size_t flight = 0;  // 0: no flight recorders
+  std::string post_mortem;
 };
-BenchFlags FlagsFromArgs(int argc, char** argv,
-                         const std::vector<std::string>& extra_value_flags = {});
 
-// The value of `flag`, one of the bench's extra_value_flags, as an unsigned
-// integer of at least `min` (`fallback` when absent); an invalid value exits
-// 2 like the shared flags. Call after FlagsFromArgs has validated argv.
-uint64_t FlagCount(int argc, char** argv, const char* flag, uint64_t fallback, uint64_t min = 0);
+// The shared flags a bench reads, for ParseBenchFlags; kObs stands for the
+// four BenchObs flags.
+enum BenchFlag : unsigned { kThreads = 1, kRepeat = 2, kScale = 4, kObs = 8 };
+
+// Parses argv into the shared flags in `reads` (BenchFlag bits) and the
+// bench's own flags, declared on `own`. Any other argument, a missing value
+// or a value out of range is a usage error: it exits 2 naming the offender
+// (util::ExitOnUsageError) and never runs the default configuration -- that
+// is how wrong bench numbers get committed.
+BenchFlags ParseBenchFlags(int argc, char** argv, unsigned reads, util::Flags own = {});
+
+// Environment scale with the --scale flag applied on top: the env vars are
+// honored, an explicit --scale wins.
+BenchScale ResolveScale(const BenchFlags& flags);
 
 // Optional observability sinks shared by the experiment binaries:
 //
@@ -130,13 +127,13 @@ uint64_t FlagCount(int argc, char** argv, const char* flag, uint64_t fallback, u
 // compiler, workload shape) in its header.
 class BenchObs {
  public:
-  // Scans argv for the obs flags; other flags are left for the bench.
-  BenchObs(int argc, char** argv);
+  // The sinks `flags` names (none for a default BenchFlags).
+  explicit BenchObs(const BenchFlags& flags);
   ~BenchObs();
 
-  bool enabled() const { return !path_.empty(); }
-  bool series_enabled() const { return !series_path_.empty(); }
-  bool flight_enabled() const { return flight_capacity_ > 0; }
+  bool enabled() const { return !flags_.obs_json.empty(); }
+  bool series_enabled() const { return !flags_.obs_series.empty(); }
+  bool flight_enabled() const { return flags_.flight > 0; }
   bool any_enabled() const { return enabled() || series_enabled() || flight_enabled(); }
 
   obs::MetricsRegistry* metrics() {
@@ -164,10 +161,7 @@ class BenchObs {
   // current meta_ (ArmCrashDump copies the metadata at arm time).
   void RearmCrashDump();
 
-  std::string path_;
-  std::string series_path_;
-  std::string post_mortem_path_;
-  size_t flight_capacity_ = 0;
+  const BenchFlags flags_;
   obs::MetricsRegistry registry_;
   obs::TraceEventSink sink_;
   obs::TimeSeriesRecorder series_{&registry_};

@@ -177,7 +177,7 @@ int main(int argc, char** argv) {
   RequireReleaseBuild();
 
   BenchScale scale = ScaleFromEnv();
-  BenchObs obs(1, argv);
+  BenchObs obs{BenchFlags{}};
   std::map<std::string, std::string> generated;
   generated["header"] =
       Printf("Scale: workload x%.3g, %.0f days, %.0f chunks per paper-TB; seeds 1-%zu.\n\n",

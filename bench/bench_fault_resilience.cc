@@ -13,7 +13,8 @@
 // while the second defense line is down, then recovering.
 //
 // Flags: --threads N (parallel run of the digest check, default 7),
-// --repeat K, --obs-json <path>.
+// --repeat K, --scale X and the obs flags (bench_common.h); a usage error
+// exits 2.
 
 #include <algorithm>
 #include <cstdio>
@@ -39,9 +40,10 @@ std::string DigestHex(uint64_t digest) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::BenchFlags flags = bench::FlagsFromArgs(argc, argv);
+  bench::BenchFlags flags = bench::ParseBenchFlags(
+      argc, argv, bench::kThreads | bench::kRepeat | bench::kScale | bench::kObs);
   bench::BenchScale scale = bench::ResolveScale(flags);
-  bench::BenchObs obs(argc, argv);
+  bench::BenchObs obs(flags);
   obs.SetWorkload("fault resilience", scale.seed);
   const size_t parallel_threads = flags.threads == 0 ? 7 : flags.threads;
   bench::PrintHeader(

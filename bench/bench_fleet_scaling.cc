@@ -12,11 +12,13 @@
 //
 // Flags: --max-threads N (sweep upper bound, default min(hardware, 8)),
 // --repeat K (replays per thread count, fastest wall time reported),
-// --obs-json <path> (instruments attached to the final sweep run).
+// --scale X and the obs flags (bench_common.h; --obs-json instruments the
+// final sweep run). A usage error exits 2.
 
 #include <algorithm>
 #include <cstdio>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "bench/bench_common.h"
@@ -25,13 +27,15 @@
 
 int main(int argc, char** argv) {
   using namespace vcdn;
-  bench::BenchFlags flags = bench::FlagsFromArgs(argc, argv, {"--max-threads"});
-  bench::BenchScale scale = bench::ResolveScale(flags);
-  bench::BenchObs obs(argc, argv);
-  obs.SetWorkload("fleet scaling", scale.seed);
   const size_t hardware = std::max<size_t>(1, std::thread::hardware_concurrency());
-  const auto max_threads = static_cast<size_t>(
-      bench::FlagCount(argc, argv, "--max-threads", std::min<size_t>(hardware, 8), /*min=*/1));
+  uint64_t max_threads = std::min<size_t>(hardware, 8);
+  util::Flags own;
+  own.Count("--max-threads", &max_threads, /*min=*/1);
+  const bench::BenchFlags flags = bench::ParseBenchFlags(
+      argc, argv, bench::kRepeat | bench::kScale | bench::kObs, std::move(own));
+  bench::BenchScale scale = bench::ResolveScale(flags);
+  bench::BenchObs obs(flags);
+  obs.SetWorkload("fleet scaling", scale.seed);
   bench::PrintHeader(
       "Fleet scaling: Fig. 7 fleet (6 servers x 3 algorithms) on 1..N threads",
       "parallel replay is bit-identical to sequential for any thread count "
@@ -42,10 +46,8 @@ int main(int argc, char** argv) {
 
   // The fleet under test: one trace per paper server (generated in parallel),
   // all three algorithms per server at the Fig. 7 operating point.
-  bench::BenchFlags gen_flags = flags;
-  gen_flags.threads = 0;  // trace generation always uses all cores
   std::vector<trace::ServerProfile> profiles = trace::PaperServerProfiles(scale.workload_scale);
-  std::vector<trace::Trace> traces = bench::MakeServerTraces(profiles, scale, gen_flags);
+  std::vector<trace::Trace> traces = bench::MakeServerTraces(profiles, scale, flags);
   core::CacheConfig config = bench::PaperConfig(1.0, 2.0, scale);
 
   std::vector<sim::FleetServer> servers;

@@ -16,7 +16,7 @@
 // daemon is pinned in ctest (tests/net_edge_server_test.cc), and perfbench's
 // edge-openloop workload measures the daemon's throughput and latency.
 //
-// Exits 0 on a match, 1 on a mismatch or a failed replay, 2 on bad flags.
+// Exits 0 on a match, 1 on a mismatch or a failed replay, 2 on a usage error.
 
 #include <cstdio>
 #include <string>
@@ -30,14 +30,11 @@
 
 int main(int argc, char** argv) {
   using namespace vcdn;
-  const bench::BenchFlags flags = bench::FlagsFromArgs(argc, argv, {"--connect"});
-  const bench::BenchScale scale = bench::ResolveScale(flags);
   std::string connect;
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::string(argv[i]) == "--connect") {
-      connect = argv[i + 1];
-    }
-  }
+  util::Flags flags;
+  flags.Text("--connect", &connect);
+  util::ExitOnUsageError(flags.Parse(argc, argv));
+  const bench::BenchScale scale = bench::ScaleFromEnv();
   net::LoadGenOptions load;
   load.connections = 1;
   load.pipeline_depth = 64;
@@ -45,8 +42,8 @@ int main(int argc, char** argv) {
   uint64_t port = 0;
   if (colon == std::string::npos || colon == 0 ||
       !util::ParseUint64(connect.c_str() + colon + 1, &port) || port == 0 || port > 65535) {
-    std::fprintf(stderr, "error: --connect HOST:PORT is required (got '%s')\n", connect.c_str());
-    return 2;
+    util::ExitOnUsageError(util::InvalidArgumentError("invalid value '" + connect +
+                                                      "' for flag '--connect' (need HOST:PORT)"));
   }
   load.host = connect.substr(0, colon);
   load.port = static_cast<uint16_t>(port);

@@ -10,6 +10,9 @@
 // This is the one replay question perfbench/ does not answer: the
 // repository benchmark (BENCHMARK.json) measures fleet throughput, CPU per
 // request, decision latency and peak RSS at batch 16 only.
+//
+// Flags: --threads N (trace generation) and --scale X (bench_common.h); a
+// usage error exits 2.
 
 #include <algorithm>
 #include <chrono>
@@ -55,7 +58,7 @@ double ReplayRequestsPerSecond(vcdn::core::CacheKind kind,
 
 int main(int argc, char** argv) {
   using namespace vcdn;
-  bench::BenchFlags flags = bench::FlagsFromArgs(argc, argv);
+  bench::BenchFlags flags = bench::ParseBenchFlags(argc, argv, bench::kThreads | bench::kScale);
   bench::BenchScale scale = bench::ResolveScale(flags);
   bench::PrintHeader(
       "Batch-size sweep: single-thread xLRU and Cafe replay on the flat containers",

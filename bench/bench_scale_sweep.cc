@@ -19,6 +19,9 @@
 // The streaming producers' digest equivalence is pinned in ctest
 // (FleetGoldenDigestTest in tests/sim_parallel_fleet_test.cc); streaming
 // throughput is perfbench's fleet-churn workload (BENCHMARK.json).
+//
+// Flags: --threads N (the fleet's workers, bench_common.h); a usage error
+// exits 2. VCDN_BENCH_DISK_SCALE and VCDN_BENCH_SEED apply.
 
 #include <sys/wait.h>
 #include <unistd.h>
@@ -78,8 +81,8 @@ double ReplayFleet(const vcdn::bench::BenchScale& scale, const vcdn::bench::Benc
 
 int main(int argc, char** argv) {
   using namespace vcdn;
-  const bench::BenchFlags flags = bench::FlagsFromArgs(argc, argv);
-  bench::BenchScale scale = bench::ResolveScale(flags);
+  const bench::BenchFlags flags = bench::ParseBenchFlags(argc, argv, bench::kThreads);
+  bench::BenchScale scale = bench::ScaleFromEnv();
   scale.workload_scale = kScale;
   scale.days = kDays[std::size(kDays) - 1];
   bench::PrintHeader(

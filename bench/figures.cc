@@ -566,6 +566,10 @@ ExperimentResult AblationColocation(const BenchScale& scale, const BenchFlags& /
   core::CacheConfig total = PaperConfig(1.0, 2.0, scale);
   Block& table = result.Table("", {"servers", "policy", "combined eff", "ingress %",
                                    "redirect %", "load imbalance"});
+  // Combined efficiency by policy at 1, 2, 4 and 8 servers; with one server
+  // both policies are the monolithic cache.
+  std::vector<double> hash_mod;
+  std::vector<double> random;
   for (size_t servers : {1u, 2u, 4u, 8u}) {
     for (auto policy : {sim::ColocationPolicy::kHashMod, sim::ColocationPolicy::kRandom}) {
       if (servers == 1 && policy == sim::ColocationPolicy::kRandom) {
@@ -579,6 +583,12 @@ ExperimentResult AblationColocation(const BenchScale& scale, const BenchFlags& /
       config.per_server_config.disk_capacity_chunks =
           std::max<uint64_t>(1, total.disk_capacity_chunks / servers);
       sim::ColocationResult colocated = sim::RunColocated(site, config);
+      if (policy == sim::ColocationPolicy::kHashMod) {
+        hash_mod.push_back(colocated.combined_efficiency);
+      }
+      if (policy == sim::ColocationPolicy::kRandom || servers == 1) {
+        random.push_back(colocated.combined_efficiency);
+      }
       table.rows.push_back(
           {Text(std::to_string(servers)),
            Text(policy == sim::ColocationPolicy::kHashMod ? "hash-mod" : "random"),
@@ -587,10 +597,16 @@ ExperimentResult AblationColocation(const BenchScale& scale, const BenchFlags& /
            Number(colocated.load_imbalance, Fixed2)});
     }
   }
-  result.Line({Text(
-      "Reading: hash-mod sharding preserves nearly all of the monolithic cache's\n"
-      "efficiency while keeping byte-load imbalance low; random splitting shows each\n"
-      "server a diluted popularity signal and degrades the aggregate.")});
+  result.Line({Text("Shape checks:")});
+  bool random_falls = true;
+  for (size_t i = 1; i < random.size(); ++i) {
+    result.Line({Text(Printf("  hash-mod combined efficiency >= random's at %zu servers : ",
+                             size_t{1} << i)),
+                 Holds(hash_mod[i] >= random[i])});
+    random_falls = random_falls && random[i] < random[i - 1];
+  }
+  result.Line({Text("  random's combined efficiency falls from 1 to 2, 4 and 8 servers : "),
+               Holds(random_falls)});
   return result;
 }
 

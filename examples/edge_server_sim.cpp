@@ -9,143 +9,74 @@
 //
 // Usage:
 //   edge_server_sim [--server NAME] [--alpha X] [--disk-gib N] [--days N]
-//                   [--cache xlru|cafe|psychic|filllru|belady] [--seed N]
+//                   [--cache xlru|cafe|psychic|fill-lru|belady] [--seed N]
 //                   [--scale X] [--csv FILE]
 //
-// With no --cache, all three paper algorithms are compared. --csv dumps the
-// hourly time series for plotting.
+// NAME is a paper server (Africa, Asia, Australia, Europe, NorthAmerica or
+// SouthAmerica). With no --cache, all three paper algorithms are compared.
+// --csv dumps the hourly time series for plotting. Exits 2 on a usage error
+// (a flag it does not take, a missing value, a number out of range: --scale
+// takes (0, 4], the others a positive number) and 1 when the CSV cannot be
+// written.
 
 #include <cstdio>
-#include <cstring>
 #include <fstream>
+#include <optional>
 #include <string>
 
 #include "src/core/cache_factory.h"
 #include "src/sim/replay.h"
 #include "src/trace/server_profile.h"
 #include "src/trace/workload_generator.h"
+#include "src/util/flags.h"
 #include "src/util/str_util.h"
 
-namespace {
-
-using namespace vcdn;
-
-struct Args {
+int main(int argc, char** argv) {
+  using namespace vcdn;
+  using core::CacheKind;
   std::string server = "Europe";
   double alpha = 2.0;
   double disk_gib = 64.0;
   double days = 14.0;
   double scale = 0.1;
   uint64_t seed = 1;
-  std::string cache;  // empty = compare all three
+  std::optional<CacheKind> only;  // --cache; none compares all three
   std::string csv;
-};
+  util::Flags flags;
+  flags.OneOf("--server", &server, trace::PaperServerNames());
+  flags.Number("--alpha", &alpha);
+  flags.Number("--disk-gib", &disk_gib);
+  flags.Number("--days", &days);
+  flags.Number("--scale", &scale, trace::kMaxProfileScale);
+  flags.Count("--seed", &seed);
+  flags.OneOf("--cache", &only,
+              {CacheKind::kXlru, CacheKind::kCafe, CacheKind::kPsychic, CacheKind::kFillLru,
+               CacheKind::kBelady},
+              [](std::optional<CacheKind> kind) { return core::CacheKindFlag(*kind); });
+  flags.Text("--csv", &csv);
+  util::ExitOnUsageError(flags.Parse(argc, argv));
 
-bool ParseArgs(int argc, char** argv, Args* args) {
-  for (int i = 1; i < argc; ++i) {
-    std::string flag = argv[i];
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "missing value for %s\n", flag.c_str());
-        return nullptr;
-      }
-      return argv[++i];
-    };
-    const char* value = nullptr;
-    if (flag == "--server") {
-      if ((value = next()) == nullptr) return false;
-      args->server = value;
-    } else if (flag == "--alpha") {
-      if ((value = next()) == nullptr) return false;
-      if (!util::ParseDouble(value, &args->alpha)) return false;
-    } else if (flag == "--disk-gib") {
-      if ((value = next()) == nullptr) return false;
-      if (!util::ParseDouble(value, &args->disk_gib)) return false;
-    } else if (flag == "--days") {
-      if ((value = next()) == nullptr) return false;
-      if (!util::ParseDouble(value, &args->days)) return false;
-    } else if (flag == "--scale") {
-      if ((value = next()) == nullptr) return false;
-      if (!util::ParseDouble(value, &args->scale)) return false;
-    } else if (flag == "--seed") {
-      if ((value = next()) == nullptr) return false;
-      if (!util::ParseUint64(value, &args->seed)) return false;
-    } else if (flag == "--cache") {
-      if ((value = next()) == nullptr) return false;
-      args->cache = value;
-    } else if (flag == "--csv") {
-      if ((value = next()) == nullptr) return false;
-      args->csv = value;
-    } else {
-      std::fprintf(stderr, "unknown flag %s\n", flag.c_str());
-      return false;
-    }
-  }
-  return true;
-}
-
-bool KindFromName(const std::string& name, core::CacheKind* kind) {
-  if (name == "xlru") *kind = core::CacheKind::kXlru;
-  else if (name == "cafe") *kind = core::CacheKind::kCafe;
-  else if (name == "psychic") *kind = core::CacheKind::kPsychic;
-  else if (name == "filllru") *kind = core::CacheKind::kFillLru;
-  else if (name == "belady") *kind = core::CacheKind::kBelady;
-  else return false;
-  return true;
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  Args args;
-  if (!ParseArgs(argc, argv, &args)) {
-    return 1;
-  }
-
-  trace::ServerProfile profile;
-  bool found = false;
-  for (const auto& p : trace::PaperServerProfiles(args.scale)) {
-    if (p.name == args.server) {
-      profile = p;
-      found = true;
-      break;
-    }
-  }
-  if (!found) {
-    std::fprintf(stderr,
-                 "unknown server %s (try Africa, Asia, Australia, Europe, NorthAmerica, "
-                 "SouthAmerica)\n",
-                 args.server.c_str());
-    return 1;
-  }
-
+  const trace::ServerProfile profile = trace::PaperServerProfile(server, scale);
   trace::WorkloadConfig workload;
   workload.profile = profile;
-  workload.duration_seconds = args.days * 86400.0;
-  workload.seed = args.seed;
+  workload.duration_seconds = days * 86400.0;
+  workload.seed = seed;
   trace::Trace trace = trace::WorkloadGenerator(workload).Generate().trace;
 
   core::CacheConfig config;
   config.chunk_bytes = 2ull << 20;
   config.disk_capacity_chunks =
-      static_cast<uint64_t>(args.disk_gib * 1024.0 * 1024.0 * 1024.0 /
+      static_cast<uint64_t>(disk_gib * 1024.0 * 1024.0 * 1024.0 /
                             static_cast<double>(config.chunk_bytes));
-  config.alpha_f2r = args.alpha;
+  config.alpha_f2r = alpha;
 
   std::printf("Server %s: %zu requests over %.1f days, disk %.1f GiB (%llu chunks), alpha=%.2f\n\n",
-              profile.name.c_str(), trace.requests.size(), args.days, args.disk_gib,
-              static_cast<unsigned long long>(config.disk_capacity_chunks), args.alpha);
+              profile.name.c_str(), trace.requests.size(), days, disk_gib,
+              static_cast<unsigned long long>(config.disk_capacity_chunks), alpha);
 
-  std::vector<core::CacheKind> kinds;
-  if (args.cache.empty()) {
-    kinds = {core::CacheKind::kXlru, core::CacheKind::kCafe, core::CacheKind::kPsychic};
-  } else {
-    core::CacheKind kind;
-    if (!KindFromName(args.cache, &kind)) {
-      std::fprintf(stderr, "unknown cache %s\n", args.cache.c_str());
-      return 1;
-    }
-    kinds = {kind};
+  std::vector<CacheKind> kinds = {CacheKind::kXlru, CacheKind::kCafe, CacheKind::kPsychic};
+  if (only.has_value()) {
+    kinds = {*only};
   }
 
   util::TextTable table({"cache", "efficiency", "ingress %", "redirect %", "evictions"});
@@ -161,8 +92,8 @@ int main(int argc, char** argv) {
   }
   std::printf("%s", table.ToString().c_str());
 
-  if (!args.csv.empty() && !results.empty()) {
-    std::ofstream out(args.csv);
+  if (!csv.empty() && !results.empty()) {
+    std::ofstream out(csv);
     out << "hour,cache,requested_bytes,served_bytes,redirected_bytes,filled_bytes\n";
     for (const auto& r : results) {
       for (size_t h = 0; h < r.series.size(); ++h) {
@@ -174,10 +105,10 @@ int main(int argc, char** argv) {
     out.close();
     // A dropped dump is an error, not a success message (docs/OBSERVABILITY.md).
     if (!out) {
-      std::fprintf(stderr, "error: cannot write %s\n", args.csv.c_str());
+      std::fprintf(stderr, "error: cannot write %s\n", csv.c_str());
       return 1;
     }
-    std::printf("\nHourly series written to %s\n", args.csv.c_str());
+    std::printf("\nHourly series written to %s\n", csv.c_str());
   }
   return 0;
 }

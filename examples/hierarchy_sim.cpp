@@ -11,55 +11,42 @@
 //
 // Usage: hierarchy_sim [--edge-cache xlru|cafe] [--days N] [--scale X]
 //                      [--seed S] [--threads N]
+//
+// --scale takes (0, 4], --days a positive number. Exits 2 on a usage error:
+// a flag it does not take, a missing value or a value out of range.
 
 #include <cstdio>
 #include <string>
 
+#include "src/core/cache_factory.h"
 #include "src/sim/hierarchy.h"
 #include "src/trace/server_profile.h"
 #include "src/trace/workload_generator.h"
+#include "src/util/flags.h"
 #include "src/util/rng.h"
 #include "src/util/str_util.h"
 
 int main(int argc, char** argv) {
   using namespace vcdn;
-  std::string edge_cache = "cafe";
+  core::CacheKind edge_cache = core::CacheKind::kCafe;
   double days = 10.0;
   double scale = 0.08;
   uint64_t seed = 1;
   uint64_t threads = 0;  // hardware concurrency
-  for (int i = 1; i < argc; i += 2) {
-    std::string flag = argv[i];
-    if (i + 1 >= argc) {
-      std::fprintf(stderr, "missing value for %s\n", flag.c_str());
-      return 1;
-    }
-    std::string value = argv[i + 1];
-    bool ok = true;
-    if (flag == "--edge-cache") {
-      edge_cache = value;
-    } else if (flag == "--days") {
-      ok = util::ParseDouble(value, &days);
-    } else if (flag == "--scale") {
-      ok = util::ParseDouble(value, &scale);
-    } else if (flag == "--seed") {
-      ok = util::ParseUint64(value, &seed);
-    } else if (flag == "--threads") {
-      ok = util::ParseUint64(value, &threads);
-    } else {
-      std::fprintf(stderr, "unknown flag %s\n", flag.c_str());
-      return 1;
-    }
-    if (!ok) {
-      std::fprintf(stderr, "bad value for %s: %s\n", flag.c_str(), value.c_str());
-      return 1;
-    }
-  }
+  util::Flags flags;
+  flags.OneOf("--edge-cache", &edge_cache, {core::CacheKind::kXlru, core::CacheKind::kCafe},
+              core::CacheKindFlag);
+  flags.Number("--days", &days);
+  flags.Number("--scale", &scale, trace::kMaxProfileScale);
+  flags.Count("--seed", &seed);
+  flags.Count("--threads", &threads);
+  util::ExitOnUsageError(flags.Parse(argc, argv));
 
   // One trace per edge region, generated in parallel; each region draws from
   // its own SplitSeed-decorrelated RNG stream under the single --seed knob.
+  const std::vector<trace::ServerProfile> profiles = trace::PaperServerProfiles(scale);
   std::vector<trace::WorkloadConfig> workload_configs;
-  for (const trace::ServerProfile& profile : trace::PaperServerProfiles(scale)) {
+  for (const trace::ServerProfile& profile : profiles) {
     trace::WorkloadConfig config;
     config.profile = profile;
     config.duration_seconds = days * 86400.0;
@@ -76,8 +63,7 @@ int main(int argc, char** argv) {
 
   sim::HierarchyConfig config;
   config.threads = static_cast<size_t>(threads);
-  config.edge_kind =
-      edge_cache == "xlru" ? core::CacheKind::kXlru : core::CacheKind::kCafe;
+  config.edge_kind = edge_cache;
   config.edge_config.chunk_bytes = 2ull << 20;
   config.edge_config.disk_capacity_chunks = 3000;
   config.edge_config.alpha_f2r = 2.0;  // constrained edges
@@ -90,16 +76,15 @@ int main(int argc, char** argv) {
 
   std::printf("Two-tier CDN: 6 edges (%s, alpha=2, %llu chunks) -> parent (%s, alpha=0.75, %llu "
               "chunks)\n\n",
-              edge_cache.c_str(),
+              std::string(core::CacheKindFlag(edge_cache)).c_str(),
               static_cast<unsigned long long>(config.edge_config.disk_capacity_chunks),
               result.parent.cache_name.c_str(),
               static_cast<unsigned long long>(config.parent_config.disk_capacity_chunks));
 
   util::TextTable edges({"edge", "efficiency", "ingress %", "redirect %"});
-  const char* names[] = {"Africa", "Asia", "Australia", "Europe", "NorthAmerica", "SouthAmerica"};
   for (size_t i = 0; i < result.edges.size(); ++i) {
     const auto& e = result.edges[i];
-    edges.AddRow({names[i], util::FormatPercent(e.efficiency),
+    edges.AddRow({profiles[i].name, util::FormatPercent(e.efficiency),
                   util::FormatPercent(e.ingress_fraction),
                   util::FormatPercent(e.redirect_fraction)});
   }

@@ -14,6 +14,10 @@
 // algorithms and how much on the nature of the data".
 //
 // Usage: optimal_bound [--alpha X] [--files N] [--requests N] [--seed N]
+//
+// --alpha takes a positive number, --files a positive integer, --requests
+// 0 (uncapped) or more. Exits 2 on a usage error: a flag it does not take, a
+// missing value or a value out of range.
 
 #include <cstdio>
 #include <string>
@@ -25,6 +29,7 @@
 #include "src/trace/downsample.h"
 #include "src/trace/server_profile.h"
 #include "src/trace/workload_generator.h"
+#include "src/util/flags.h"
 #include "src/util/str_util.h"
 
 int main(int argc, char** argv) {
@@ -33,31 +38,12 @@ int main(int argc, char** argv) {
   uint64_t num_files = 25;
   uint64_t max_requests = 120;
   uint64_t seed = 1;
-  for (int i = 1; i < argc; i += 2) {
-    std::string flag = argv[i];
-    if (i + 1 >= argc) {
-      std::fprintf(stderr, "missing value for %s\n", flag.c_str());
-      return 1;
-    }
-    std::string value = argv[i + 1];
-    bool ok = true;
-    if (flag == "--alpha") {
-      ok = util::ParseDouble(value, &alpha);
-    } else if (flag == "--files") {
-      ok = util::ParseUint64(value, &num_files);
-    } else if (flag == "--requests") {
-      ok = util::ParseUint64(value, &max_requests);
-    } else if (flag == "--seed") {
-      ok = util::ParseUint64(value, &seed);
-    } else {
-      std::fprintf(stderr, "unknown flag %s\n", flag.c_str());
-      return 1;
-    }
-    if (!ok) {
-      std::fprintf(stderr, "bad value for %s: %s\n", flag.c_str(), value.c_str());
-      return 1;
-    }
-  }
+  util::Flags flags;
+  flags.Number("--alpha", &alpha);
+  flags.Count("--files", &num_files, /*min=*/1);
+  flags.Count("--requests", &max_requests);
+  flags.Count("--seed", &seed);
+  util::ExitOnUsageError(flags.Parse(argc, argv));
 
   // A two-day trace, downsampled like the paper's Optimal experiment.
   trace::WorkloadConfig workload;

@@ -7,7 +7,7 @@
 //      with the ingress-constrained preference alpha_F2R = 2,
 //   3. print the steady-state efficiency / ingress / redirect numbers.
 //
-// Build & run:  ./build/examples/quickstart
+// Build & run:  ./build/examples/quickstart  (no flags: any argument exits 2)
 
 #include <cstdio>
 
@@ -15,10 +15,12 @@
 #include "src/sim/replay.h"
 #include "src/trace/server_profile.h"
 #include "src/trace/workload_generator.h"
+#include "src/util/flags.h"
 #include "src/util/str_util.h"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace vcdn;
+  util::ExitOnUsageError(util::Flags().Parse(argc, argv));
 
   // 1. A scaled-down European server: ~10k requests over a week.
   trace::WorkloadConfig workload;

@@ -6,10 +6,15 @@
 // popularity curve, the diurnal demand cycle, intra-file (chunk) skew and
 // catalog churn -- and optionally writes the trace for replay elsewhere: as
 // CSV for real tooling (src/trace/trace_io.h) or as a one-section VCDNTRS2
-// file (src/trace/trace_file.h). Exits 1 when an export fails.
+// file (src/trace/trace_file.h).
 //
 // Usage: trace_explorer [--server NAME] [--days N] [--seed N] [--scale X]
 //                       [--out-csv FILE] [--out-bin FILE]
+//
+// NAME is a paper server (Africa, Asia, Australia, Europe, NorthAmerica or
+// SouthAmerica); --scale takes (0, 4] and --days a positive number. Exits 2
+// on a usage error (a flag it does not take, a missing value, a value out of
+// range) and 1 when an export fails.
 
 #include <algorithm>
 #include <cstdio>
@@ -22,6 +27,7 @@
 #include "src/trace/trace_file.h"
 #include "src/trace/trace_io.h"
 #include "src/trace/workload_generator.h"
+#include "src/util/flags.h"
 #include "src/util/str_util.h"
 
 namespace {
@@ -96,52 +102,17 @@ int main(int argc, char** argv) {
   uint64_t seed = 1;
   std::string out_csv;
   std::string out_bin;
-  for (int i = 1; i < argc; i += 2) {
-    std::string flag = argv[i];
-    if (i + 1 >= argc) {
-      std::fprintf(stderr, "missing value for %s\n", flag.c_str());
-      return 1;
-    }
-    std::string value = argv[i + 1];
-    bool ok = true;
-    if (flag == "--server") {
-      server = value;
-    } else if (flag == "--days") {
-      ok = util::ParseDouble(value, &days);
-    } else if (flag == "--scale") {
-      ok = util::ParseDouble(value, &scale);
-    } else if (flag == "--seed") {
-      ok = util::ParseUint64(value, &seed);
-    } else if (flag == "--out-csv") {
-      out_csv = value;
-    } else if (flag == "--out-bin") {
-      out_bin = value;
-    } else {
-      std::fprintf(stderr, "unknown flag %s\n", flag.c_str());
-      return 1;
-    }
-    if (!ok) {
-      std::fprintf(stderr, "bad value for %s: %s\n", flag.c_str(), value.c_str());
-      return 1;
-    }
-  }
-
-  trace::ServerProfile profile;
-  bool found = false;
-  for (const auto& p : trace::PaperServerProfiles(scale)) {
-    if (p.name == server) {
-      profile = p;
-      found = true;
-      break;
-    }
-  }
-  if (!found) {
-    std::fprintf(stderr, "unknown server %s\n", server.c_str());
-    return 1;
-  }
+  util::Flags flags;
+  flags.OneOf("--server", &server, trace::PaperServerNames());
+  flags.Number("--days", &days);
+  flags.Number("--scale", &scale, trace::kMaxProfileScale);
+  flags.Count("--seed", &seed);
+  flags.Text("--out-csv", &out_csv);
+  flags.Text("--out-bin", &out_bin);
+  util::ExitOnUsageError(flags.Parse(argc, argv));
 
   trace::WorkloadConfig config;
-  config.profile = profile;
+  config.profile = trace::PaperServerProfile(server, scale);
   config.duration_seconds = days * 86400.0;
   config.seed = seed;
   trace::GeneratedWorkload workload = trace::WorkloadGenerator(config).Generate();

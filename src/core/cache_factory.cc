@@ -2,6 +2,8 @@
 
 #include "src/core/cache_factory.h"
 
+#include <iterator>
+
 #include "src/core/baseline_caches.h"
 #include "src/core/cafe_cache.h"
 #include "src/core/psychic_cache.h"
@@ -26,6 +28,13 @@ std::string_view CacheKindName(CacheKind kind) {
       return "Belady";
   }
   return "unknown";
+}
+
+std::string_view CacheKindFlag(CacheKind kind) {
+  static constexpr std::string_view kFlags[] = {"xlru",     "cafe",     "psychic",
+                                                "fill-lru", "fill-lfu", "belady"};
+  static_assert(std::size(kFlags) == static_cast<size_t>(CacheKind::kBelady) + 1);
+  return kFlags[static_cast<size_t>(kind)];
 }
 
 std::unique_ptr<CacheAlgorithm> MakeCache(CacheKind kind, const CacheConfig& config) {

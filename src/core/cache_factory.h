@@ -25,6 +25,10 @@ enum class CacheKind {
 // Human-readable name matching CacheAlgorithm::name().
 std::string_view CacheKindName(CacheKind kind);
 
+// The name a command line gives `kind`: "xlru", "cafe", "psychic",
+// "fill-lru", "fill-lfu" or "belady".
+std::string_view CacheKindFlag(CacheKind kind);
+
 std::unique_ptr<CacheAlgorithm> MakeCache(CacheKind kind, const CacheConfig& config);
 
 }  // namespace vcdn::core

@@ -3,6 +3,7 @@
 #include "src/trace/server_profile.h"
 
 #include <cmath>
+#include <utility>
 
 #include "src/util/check.h"
 
@@ -11,7 +12,7 @@ namespace vcdn::trace {
 namespace {
 
 ServerProfile ScaledBase(double scale) {
-  VCDN_CHECK(scale > 0.0 && scale <= 4.0);
+  VCDN_CHECK(scale > 0.0 && scale <= kMaxProfileScale);
   ServerProfile p;
   p.base_request_rate *= scale;
   p.catalog_size = static_cast<size_t>(std::lround(static_cast<double>(p.catalog_size) * scale));
@@ -86,6 +87,24 @@ std::vector<ServerProfile> PaperServerProfiles(double scale) {
     out.push_back(p);
   }
   return out;
+}
+
+std::vector<std::string> PaperServerNames() {
+  std::vector<std::string> names;
+  for (ServerProfile& profile : PaperServerProfiles()) {
+    names.push_back(std::move(profile.name));
+  }
+  return names;
+}
+
+ServerProfile PaperServerProfile(std::string_view name, double scale) {
+  for (ServerProfile& profile : PaperServerProfiles(scale)) {
+    if (profile.name == name) {
+      return profile;
+    }
+  }
+  VCDN_CHECK_MSG(false, "unknown paper server");
+  return {};
 }
 
 }  // namespace vcdn::trace

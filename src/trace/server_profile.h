@@ -14,6 +14,7 @@
 #define VCDN_SRC_TRACE_SERVER_PROFILE_H_
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace vcdn::trace {
@@ -57,11 +58,21 @@ struct ServerProfile {
   double mean_view_fraction = 0.34;
 };
 
-// The six paper servers. `scale` in (0, 1] proportionally shrinks request
-// rate, catalog size and churn together, preserving the working-set-to-disk
-// ratio when the disk is scaled by the same factor. Profiles are ordered as
-// in Fig. 7: Africa, Asia, Australia, Europe, N. America, S. America.
+// The largest scale the profiles below take.
+inline constexpr double kMaxProfileScale = 4.0;
+
+// The six paper servers. `scale` in (0, kMaxProfileScale] proportionally
+// scales request rate, catalog size and churn together, preserving the
+// working-set-to-disk ratio when the disk is scaled by the same factor.
+// Profiles are ordered as in Fig. 7: Africa, Asia, Australia, Europe, N.
+// America, S. America.
 std::vector<ServerProfile> PaperServerProfiles(double scale = 1.0);
+
+// The six paper servers' names, in PaperServerProfiles' order.
+std::vector<std::string> PaperServerNames();
+
+// The paper server called `name`, one of PaperServerNames().
+ServerProfile PaperServerProfile(std::string_view name, double scale = 1.0);
 
 // The Europe profile alone (the paper's reference server for Figs. 3-6).
 ServerProfile EuropeProfile(double scale = 1.0);

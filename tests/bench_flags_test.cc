@@ -1,10 +1,12 @@
 // Copyright (c) 2026 libvcdn authors. Apache-2.0 license.
 //
-// Fail-fast contract of bench::FlagsFromArgs: a typoed flag, a missing
-// value, an unparsable count or a stray positional argument must exit(2)
-// naming the offender on stderr -- never silently run the default
-// configuration (that is how wrong bench numbers get committed). Death
-// tests, since the contract IS the exit.
+// Fail-fast contract of bench::ParseBenchFlags and the bench environment: a
+// typoed flag, a shared flag the bench does not read, a missing value, an
+// out-of-range value or a stray positional argument must exit(2) naming the
+// offender on stderr -- never silently run the default configuration (that
+// is how wrong bench numbers get committed). Death tests, since the
+// contract IS the exit. The parser itself is util::Flags
+// (tests/util_flags_test.cc).
 
 #include <gtest/gtest.h>
 
@@ -18,17 +20,18 @@
 namespace vcdn::bench {
 namespace {
 
+constexpr unsigned kAll = kThreads | kRepeat | kScale | kObs;
+
 // argv helper: gtest death tests re-exec the statement in a child, so
 // building argv inline per call keeps each case self-contained.
-BenchFlags Parse(std::vector<std::string> args,
-                 const std::vector<std::string>& extra = {}) {
+BenchFlags Parse(std::vector<std::string> args, unsigned reads = kAll, util::Flags own = {}) {
   std::vector<char*> argv;
   static std::string prog = "bench_under_test";
   argv.push_back(prog.data());
   for (std::string& arg : args) {
     argv.push_back(arg.data());
   }
-  return FlagsFromArgs(static_cast<int>(argv.size()), argv.data(), extra);
+  return ParseBenchFlags(static_cast<int>(argv.size()), argv.data(), reads, std::move(own));
 }
 
 TEST(BenchFlagsTest, ParsesTheSharedFlags) {
@@ -37,20 +40,31 @@ TEST(BenchFlagsTest, ParsesTheSharedFlags) {
   EXPECT_EQ(flags.repeat, 3u);
 }
 
-TEST(BenchFlagsTest, ObsFlagsAreAcceptedAndLeftForBenchObs) {
+TEST(BenchFlagsTest, ObsFlagsAreParsedForBenchObs) {
   BenchFlags flags = Parse({"--obs-json", "/tmp/x.json", "--obs-series", "/tmp/x.jsonl",
                             "--flight", "4096", "--post-mortem", "/tmp/pm.jsonl"});
   EXPECT_EQ(flags.threads, 0u);  // defaults untouched
+  EXPECT_EQ(flags.obs_json, "/tmp/x.json");
+  EXPECT_EQ(flags.obs_series, "/tmp/x.jsonl");
+  EXPECT_EQ(flags.flight, 4096u);
+  EXPECT_EQ(flags.post_mortem, "/tmp/pm.jsonl");
+  BenchObs obs(flags);
+  EXPECT_TRUE(obs.enabled() && obs.series_enabled() && obs.flight_enabled());
+  EXPECT_FALSE(BenchObs(BenchFlags{}).any_enabled());
 }
 
-TEST(BenchFlagsTest, ExtraValueFlagsAreAccepted) {
-  BenchFlags flags = Parse({"--out", "/tmp/bench.json", "--threads", "2"}, {"--out"});
+TEST(BenchFlagsTest, OwnValueFlagsAreAccepted) {
+  std::string out;
+  util::Flags own;
+  own.Text("--out", &out);
+  BenchFlags flags = Parse({"--out", "/tmp/bench.json", "--threads", "2"}, kAll, std::move(own));
   EXPECT_EQ(flags.threads, 2u);
+  EXPECT_EQ(out, "/tmp/bench.json");
 }
 
 TEST(BenchFlagsTest, UnknownFlagExitsNamingTheOffender) {
   EXPECT_EXIT(Parse({"--thread", "8"}), testing::ExitedWithCode(2),
-              "unknown flag '--thread'");
+              "error: unknown flag '--thread'");
 }
 
 TEST(BenchFlagsTest, ExtraFlagOfAnotherBenchIsStillUnknownHere) {
@@ -59,9 +73,19 @@ TEST(BenchFlagsTest, ExtraFlagOfAnotherBenchIsStillUnknownHere) {
               "unknown flag '--out'");
 }
 
+TEST(BenchFlagsTest, SharedFlagTheBenchDoesNotReadExits) {
+  // Accepting and ignoring it would report a run that never happened, e.g.
+  // "--obs-json x" on a bench that writes no dump.
+  EXPECT_EXIT(Parse({"--repeat", "2"}, kScale | kObs), testing::ExitedWithCode(2),
+              "unknown flag '--repeat'");
+  EXPECT_EXIT(Parse({"--obs-json", "x"}, kThreads | kScale), testing::ExitedWithCode(2),
+              "unknown flag '--obs-json'");
+  EXPECT_EXIT(Parse({"--scale", "0.5"}, kThreads), testing::ExitedWithCode(2),
+              "unknown flag '--scale'");
+}
+
 TEST(BenchFlagsTest, MissingValueExits) {
-  EXPECT_EXIT(Parse({"--threads"}), testing::ExitedWithCode(2),
-              "missing its value");
+  EXPECT_EXIT(Parse({"--threads"}), testing::ExitedWithCode(2), "missing its value");
 }
 
 TEST(BenchFlagsTest, UnparsableCountExits) {
@@ -94,9 +118,10 @@ TEST(BenchScaleFlagTest, ScaleFlagParses) {
 }
 
 TEST(BenchScaleFlagTest, BadScaleValuesExit) {
-  // A scale that isn't a positive finite number must exit(2), not clamp:
-  // a silently-corrected scale produces numbers for the wrong workload.
-  for (const char* bad : {"zero", "0", "-1", "nan", "inf"}) {
+  // A scale that isn't in (0, 4] must exit(2), not clamp or abort: a
+  // silently-corrected scale produces numbers for the wrong workload, and
+  // the profiles CHECK their scale.
+  for (const char* bad : {"zero", "0", "-1", "nan", "inf", "5"}) {
     EXPECT_EXIT(Parse({"--scale", bad}), testing::ExitedWithCode(2),
                 std::string("invalid value '") + bad + "' for flag '--scale'");
   }
@@ -153,7 +178,8 @@ TEST(BenchEnvTest, InvalidScaleSettingsExit) {
   const std::pair<const char*, const char*> bad[] = {
       {"VCDN_BENCH_SEED", "1.5"},      {"VCDN_BENCH_SEED", "-1"},
       {"VCDN_BENCH_DAYS", "abc"},      {"VCDN_BENCH_DAYS", "0"},
-      {"VCDN_BENCH_SCALE", "nan"},     {"VCDN_BENCH_DISK_SCALE", "-4096"},
+      {"VCDN_BENCH_SCALE", "nan"},     {"VCDN_BENCH_SCALE", "5"},
+      {"VCDN_BENCH_DISK_SCALE", "-4096"},
   };
   for (const auto& [name, value] : bad) {
     EXPECT_EXIT(
@@ -162,7 +188,7 @@ TEST(BenchEnvTest, InvalidScaleSettingsExit) {
           ScaleFromEnv();
         },
         testing::ExitedWithCode(2),
-        std::string("invalid value '") + value + "' for " + name);
+        std::string("error: invalid value '") + value + "' for " + name);
   }
 }
 
@@ -194,17 +220,13 @@ TEST(BenchEnvTest, Fig2SizesParseOrExit) {
       testing::ExitedWithCode(2), "invalid value '160k' for VCDN_FIG2_REQUESTS");
 }
 
-// argv for FlagCount, which reads a bench's own flag after FlagsFromArgs.
+// bench_fleet_scaling's own flag, declared beside the shared ones it reads.
 uint64_t MaxThreads(std::vector<std::string> args) {
-  std::vector<char*> argv;
-  static std::string prog = "bench_under_test";
-  argv.push_back(prog.data());
-  for (std::string& arg : args) {
-    argv.push_back(arg.data());
-  }
-  const int argc = static_cast<int>(argv.size());
-  FlagsFromArgs(argc, argv.data(), {"--max-threads"});
-  return FlagCount(argc, argv.data(), "--max-threads", 8, /*min=*/1);
+  uint64_t max_threads = 8;
+  util::Flags own;
+  own.Count("--max-threads", &max_threads, /*min=*/1);
+  Parse(std::move(args), kRepeat | kScale | kObs, std::move(own));
+  return max_threads;
 }
 
 TEST(BenchFlagsTest, MaxThreadsParsesOrExits) {

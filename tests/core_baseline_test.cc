@@ -97,5 +97,14 @@ TEST(CacheFactoryTest, NamesMatchPaper) {
   EXPECT_EQ(CacheKindName(CacheKind::kPsychic), "Psychic");
 }
 
+TEST(CacheFactoryTest, CommandLineSpellings) {
+  EXPECT_EQ(CacheKindFlag(CacheKind::kXlru), "xlru");
+  EXPECT_EQ(CacheKindFlag(CacheKind::kCafe), "cafe");
+  EXPECT_EQ(CacheKindFlag(CacheKind::kPsychic), "psychic");
+  EXPECT_EQ(CacheKindFlag(CacheKind::kFillLru), "fill-lru");
+  EXPECT_EQ(CacheKindFlag(CacheKind::kFillLfu), "fill-lfu");
+  EXPECT_EQ(CacheKindFlag(CacheKind::kBelady), "belady");
+}
+
 }  // namespace
 }  // namespace vcdn::core

@@ -255,6 +255,9 @@ TEST(WorkloadGeneratorTest, SixProfilesHaveDistinctCharacter) {
   }
   EXPECT_EQ(names, (std::vector<std::string>{"Africa", "Asia", "Australia", "Europe",
                                              "NorthAmerica", "SouthAmerica"}));
+  EXPECT_EQ(PaperServerNames(), names);
+  EXPECT_EQ(PaperServerProfile("Asia", 0.5).catalog_size, PaperServerProfiles(0.5)[1].catalog_size);
+  EXPECT_DEATH(PaperServerProfile("Mars"), "unknown paper server");
   // The paper's volume/diversity ordering: SouthAmerica busiest & most
   // diverse, Asia most concentrated.
   const ServerProfile& asia = profiles[1];

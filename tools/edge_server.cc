@@ -15,15 +15,19 @@
 // so callers using an ephemeral port can scrape it (awk '/listening
 // on/{print $NF}').
 //
-// Flag parsing fails FAST in the bench_common style: unknown flags,
-// missing values and unparsable numbers name the offender on stderr and
-// exit(2) -- a daemon silently running a default config would invalidate
-// whatever experiment is driving it.
+// Usage: edge_server [--address A] [--port 0-65535] [--shards N>=1]
+//                    [--threads N] [--cache xlru|cafe|fill-lru|fill-lfu]
+//                    [--disk-chunks N>=1] [--alpha X>0] [--server-clock 0|1]
+//                    [--idle-timeout-ms N] [--flight N]
+//
+// --threads 0 (the default) is one thread per core. A usage error -- a flag
+// it does not take, a missing value, a value out of range -- exits 2 naming
+// it: a daemon silently running a default config would invalidate whatever
+// experiment is driving it. A failed start exits 1, and so does a shutdown
+// with a request left unanswered.
 
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <thread>
 
@@ -31,43 +35,13 @@
 #include "src/exec/thread_pool.h"
 #include "src/net/edge_server.h"
 #include "src/obs/metrics.h"
-#include "src/util/str_util.h"
+#include "src/util/flags.h"
 
 namespace {
 
 volatile std::sig_atomic_t g_stop = 0;
 
 void HandleSignal(int) { g_stop = 1; }
-
-[[noreturn]] void UsageError(const char* format, const char* a, const char* b = "") {
-  std::fprintf(stderr, "error: ");
-  std::fprintf(stderr, format, a, b);
-  std::fprintf(stderr,
-               "\nusage: edge_server [--address A] [--port N] [--shards N] [--threads N]\n"
-               "                   [--cache xlru|cafe|fill-lru|fill-lfu] [--disk-chunks N]\n"
-               "                   [--alpha F] [--server-clock 0|1] [--idle-timeout-ms N]\n"
-               "                   [--flight N]\n");
-  std::exit(2);
-}
-
-uint64_t ParseCount(const char* value, const char* flag) {
-  uint64_t parsed = 0;
-  if (!vcdn::util::ParseUint64(value, &parsed)) {
-    UsageError("invalid value '%s' for flag '%s'", value, flag);
-  }
-  return parsed;
-}
-
-vcdn::core::CacheKind ParseCacheKind(const std::string& name) {
-  using vcdn::core::CacheKind;
-  if (name == "xlru") return CacheKind::kXlru;
-  if (name == "cafe") return CacheKind::kCafe;
-  if (name == "fill-lru") return CacheKind::kFillLru;
-  if (name == "fill-lfu") return CacheKind::kFillLfu;
-  // Psychic/Belady are offline policies (they Prepare on the full future
-  // trace); a live daemon has no future to consult.
-  UsageError("unknown cache kind '%s' (want xlru|cafe|fill-lru|fill-lfu)", name.c_str());
-}
 
 }  // namespace
 
@@ -78,57 +52,30 @@ int main(int argc, char** argv) {
   uint64_t port = 0;
   uint64_t shards = 1;
   uint64_t threads = 0;  // 0 = hardware concurrency
-  std::string cache_name = "cafe";
+  core::CacheKind cache = core::CacheKind::kCafe;
   uint64_t disk_chunks = 4096;
   double alpha = 1.0;
   uint64_t server_clock = 0;
   uint64_t idle_timeout_ms = 30000;
   uint64_t flight = 0;
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--", 0) != 0) {
-      UsageError("unexpected positional argument '%s'", argv[i]);
-    }
-    if (i + 1 >= argc) {
-      UsageError("flag '%s' is missing its value", argv[i]);
-    }
-    const char* value = argv[++i];
-    if (arg == "--address") {
-      address = value;
-    } else if (arg == "--port") {
-      port = ParseCount(value, "--port");
-      if (port > 65535) {
-        UsageError("invalid value '%s' for flag '%s'", value, "--port");
-      }
-    } else if (arg == "--shards") {
-      shards = ParseCount(value, "--shards");
-      if (shards == 0) shards = 1;
-    } else if (arg == "--threads") {
-      threads = ParseCount(value, "--threads");
-    } else if (arg == "--cache") {
-      cache_name = value;
-    } else if (arg == "--disk-chunks") {
-      disk_chunks = ParseCount(value, "--disk-chunks");
-      if (disk_chunks == 0) {
-        UsageError("invalid value '%s' for flag '%s'", value, "--disk-chunks");
-      }
-    } else if (arg == "--alpha") {
-      char* end = nullptr;
-      alpha = std::strtod(value, &end);
-      if (end == value || *end != '\0' || alpha <= 0.0) {
-        UsageError("invalid value '%s' for flag '%s'", value, "--alpha");
-      }
-    } else if (arg == "--server-clock") {
-      server_clock = ParseCount(value, "--server-clock");
-    } else if (arg == "--idle-timeout-ms") {
-      idle_timeout_ms = ParseCount(value, "--idle-timeout-ms");
-    } else if (arg == "--flight") {
-      flight = ParseCount(value, "--flight");
-    } else {
-      UsageError("unknown flag '%s'", arg.c_str(), "");
-    }
-  }
+  util::Flags flags;
+  flags.Text("--address", &address);
+  flags.Count("--port", &port, 0, 65535);
+  flags.Count("--shards", &shards, /*min=*/1);
+  flags.Count("--threads", &threads);
+  // Psychic and Belady are offline policies (they Prepare on the full future
+  // trace); a live daemon has no future to consult.
+  flags.OneOf("--cache", &cache,
+              {core::CacheKind::kXlru, core::CacheKind::kCafe, core::CacheKind::kFillLru,
+               core::CacheKind::kFillLfu},
+              core::CacheKindFlag);
+  flags.Count("--disk-chunks", &disk_chunks, /*min=*/1);
+  flags.Number("--alpha", &alpha);
+  flags.Count("--server-clock", &server_clock, 0, 1);
+  flags.Count("--idle-timeout-ms", &idle_timeout_ms);
+  flags.Count("--flight", &flight);
+  util::ExitOnUsageError(flags.Parse(argc, argv));
 
   const size_t pool_threads =
       threads > 0 ? static_cast<size_t>(threads)
@@ -140,7 +87,7 @@ int main(int argc, char** argv) {
   options.address = address;
   options.port = static_cast<uint16_t>(port);
   options.num_shards = static_cast<size_t>(shards);
-  options.cache_kind = ParseCacheKind(cache_name);
+  options.cache_kind = cache;
   options.cache_config.disk_capacity_chunks = disk_chunks;
   options.cache_config.alpha_f2r = alpha;
   options.use_client_time = server_clock == 0;

@@ -16,10 +16,14 @@
 //
 // --verify re-opens the packed file, runs the eager full scan
 // (MmapTrace::Validate) and compares record count and FNV-1a digest against
-// the digest accumulated from the source while packing. Exit status 0 only
-// when the round trip is bit-exact.
+// the digest accumulated from the source while packing.
+//
+// --scale (0, 4], --days (a positive number) and --seed shape the synthetic
+// workload; their defaults, 0.25 / 30 / 1, match the benches'. Exits 2 on a
+// usage error (a flag it does not take, a missing value, a value out of
+// range, or no --out or input selector), 1 when packing or the round trip
+// fails, and 0 only when the round trip is bit-exact.
 
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -29,6 +33,7 @@
 #include "src/trace/trace_file.h"
 #include "src/trace/trace_io.h"
 #include "src/trace/workload_generator.h"
+#include "src/util/flags.h"
 #include "src/util/rng.h"
 #include "src/util/status.h"
 #include "src/util/str_util.h"
@@ -37,39 +42,6 @@ namespace {
 
 using vcdn::trace::RequestDigest;
 using vcdn::trace::TraceFileWriter;
-
-[[noreturn]] void Usage(const char* error) {
-  if (error != nullptr) {
-    std::fprintf(stderr, "error: %s\n\n", error);
-  }
-  std::fprintf(stderr,
-               "usage: trace_pack --out FILE (--generate six|europe | --csv F[,F...])\n"
-               "                  [--scale X] [--days D] [--seed S] [--verify]\n"
-               "\n"
-               "Packs a generated fleet, or CSV traces (one server section per file),\n"
-               "into the mmap-replayable VCDNTRS2 format. --scale/--days/--seed shape\n"
-               "the synthetic workload (defaults 0.25 / 30 / 1, matching the benches);\n"
-               "--verify re-opens the output and proves the round trip bit-exact\n"
-               "against the source digest.\n");
-  std::exit(2);
-}
-
-std::vector<std::string> SplitCommas(const std::string& list) {
-  std::vector<std::string> out;
-  size_t begin = 0;
-  while (begin <= list.size()) {
-    const size_t comma = list.find(',', begin);
-    const size_t end = comma == std::string::npos ? list.size() : comma;
-    if (end > begin) {
-      out.push_back(list.substr(begin, end - begin));
-    }
-    if (comma == std::string::npos) {
-      break;
-    }
-    begin = comma + 1;
-  }
-  return out;
-}
 
 void DieOnError(const vcdn::util::Status& status, const char* what) {
   if (!status.ok()) {
@@ -90,48 +62,27 @@ struct Options {
 
 Options ParseArgs(int argc, char** argv) {
   Options opt;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto value = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::string msg = "flag '" + arg + "' is missing its value";
-        Usage(msg.c_str());
-      }
-      return argv[++i];
-    };
-    if (arg == "--out") {
-      opt.out = value();
-    } else if (arg == "--generate") {
-      opt.generate = value();
-      if (opt.generate != "six" && opt.generate != "europe") {
-        Usage("--generate takes 'six' or 'europe'");
-      }
-    } else if (arg == "--csv") {
-      opt.csv = SplitCommas(value());
-    } else if (arg == "--scale" || arg == "--days") {
-      double parsed = 0.0;
-      if (!vcdn::util::ParseDouble(value(), &parsed) || !std::isfinite(parsed) || parsed <= 0.0) {
-        Usage("--scale/--days need a positive number");
-      }
-      (arg == "--scale" ? opt.scale : opt.days) = parsed;
-    } else if (arg == "--seed") {
-      uint64_t parsed = 0;
-      if (!vcdn::util::ParseUint64(value(), &parsed)) {
-        Usage("--seed needs an unsigned integer");
-      }
-      opt.seed = parsed;
-    } else if (arg == "--verify") {
-      opt.verify = true;
-    } else {
-      std::string msg = "unknown argument '" + arg + "'";
-      Usage(msg.c_str());
+  std::string csv;
+  vcdn::util::Flags flags;
+  flags.Text("--out", &opt.out);
+  flags.OneOf("--generate", &opt.generate, {"six", "europe"});
+  flags.Text("--csv", &csv);
+  flags.Number("--scale", &opt.scale, vcdn::trace::kMaxProfileScale);
+  flags.Number("--days", &opt.days);
+  flags.Count("--seed", &opt.seed);
+  flags.Switch("--verify", &opt.verify);
+  vcdn::util::ExitOnUsageError(flags.Parse(argc, argv));
+  for (std::string_view path : vcdn::util::SplitString(csv, ',')) {
+    if (!path.empty()) {
+      opt.csv.emplace_back(path);
     }
   }
   if (opt.out.empty()) {
-    Usage("--out is required");
+    vcdn::util::ExitOnUsageError(vcdn::util::InvalidArgumentError("flag '--out' is required"));
   }
   if (opt.generate.empty() == opt.csv.empty()) {
-    Usage("exactly one of --generate / --csv is required");
+    vcdn::util::ExitOnUsageError(vcdn::util::InvalidArgumentError(
+        "exactly one of the flags '--generate' and '--csv' is required"));
   }
   return opt;
 }
