@@ -128,6 +128,14 @@ core::CacheConfig PaperConfig(double paper_terabytes, double alpha, const BenchS
   core::CacheConfig config;
   config.chunk_bytes = core::kDefaultChunkBytes;
   config.disk_capacity_chunks = scale.DiskChunks(paper_terabytes);
+  if (config.disk_capacity_chunks == 0) {
+    // A cache needs at least one chunk of disk; a scale that rounds a disk
+    // down to none is the user's setting, not a library fault.
+    util::ExitOnUsageError(util::InvalidArgumentError(
+        Printf("invalid value '%g' for 'VCDN_BENCH_DISK_SCALE': a %g paper-TB disk would hold 0 "
+               "chunks (need at least 1)",
+               scale.chunks_per_paper_tb, paper_terabytes)));
+  }
   config.alpha_f2r = alpha;
   return config;
 }

@@ -17,7 +17,9 @@
 //   VCDN_BENCH_DISK_SCALE  chunks per "paper terabyte". Default 4096 (8 GiB),
 //                          calibrated so the default-scale Europe workload
 //                          reproduces the paper's absolute efficiency levels
-//                          (xLRU ~59/62%, Cafe ~61/73% at alpha = 1/2).
+//                          (xLRU ~59/62%, Cafe ~61/73% at alpha = 1/2). It
+//                          must leave every disk a bench builds at least one
+//                          chunk (see PaperConfig).
 //   VCDN_BENCH_SEED        workload seed, any uint64 (0 included). Default 1.
 //
 // They parse like the flags below: a variable that is set must hold a value
@@ -189,7 +191,9 @@ trace::Trace MakeEuropeTrace(const BenchScale& scale);
 std::vector<trace::Trace> MakeServerTraces(const std::vector<trace::ServerProfile>& profiles,
                                            const BenchScale& scale, const BenchFlags& flags);
 
-// Cache config in "paper units": disk quoted in paper-TB.
+// Cache config in "paper units": disk quoted in paper-TB. A disk that
+// VCDN_BENCH_DISK_SCALE rounds down to 0 chunks is a usage error: it exits
+// 2, naming the variable.
 core::CacheConfig PaperConfig(double paper_terabytes, double alpha, const BenchScale& scale);
 
 // Replays `kind` on `trace` and returns the steady-state result. When `obs`

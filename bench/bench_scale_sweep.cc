@@ -21,13 +21,16 @@
 // throughput is perfbench's fleet-churn workload (BENCHMARK.json).
 //
 // Flags: --threads N (the fleet's workers, bench_common.h); a usage error
-// exits 2. VCDN_BENCH_DISK_SCALE and VCDN_BENCH_SEED apply.
+// exits 2. VCDN_BENCH_DISK_SCALE and VCDN_BENCH_SEED apply; VCDN_BENCH_SCALE
+// and VCDN_BENCH_DAYS would be overridden, so setting either is a usage
+// error.
 
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <iterator>
 #include <memory>
 #include <string>
@@ -36,6 +39,8 @@
 #include "bench/bench_common.h"
 #include "src/exec/thread_pool.h"
 #include "src/trace/generated_stream.h"
+#include "src/util/flags.h"
+#include "src/util/status.h"
 
 namespace {
 
@@ -82,6 +87,13 @@ double ReplayFleet(const vcdn::bench::BenchScale& scale, const vcdn::bench::Benc
 int main(int argc, char** argv) {
   using namespace vcdn;
   const bench::BenchFlags flags = bench::ParseBenchFlags(argc, argv, bench::kThreads);
+  for (const char* name : {"VCDN_BENCH_SCALE", "VCDN_BENCH_DAYS"}) {
+    if (std::getenv(name) != nullptr) {
+      util::ExitOnUsageError(util::InvalidArgumentError(
+          std::string("'") + name +
+          "' is set, but this bench runs at a fixed scale and trace lengths (unset it)"));
+    }
+  }
   bench::BenchScale scale = bench::ScaleFromEnv();
   scale.workload_scale = kScale;
   scale.days = kDays[std::size(kDays) - 1];

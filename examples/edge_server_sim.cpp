@@ -16,8 +16,8 @@
 // SouthAmerica). With no --cache, all three paper algorithms are compared.
 // --csv dumps the hourly time series for plotting. Exits 2 on a usage error
 // (a flag it does not take, a missing value, a number out of range: --scale
-// takes (0, 4], the others a positive number) and 1 when the CSV cannot be
-// written.
+// takes (0, 4], --disk-gib at least one 2 MiB chunk, the others a positive
+// number) and 1 when the CSV cannot be written.
 
 #include <cstdio>
 #include <fstream>
@@ -56,19 +56,23 @@ int main(int argc, char** argv) {
   flags.Text("--csv", &csv);
   util::ExitOnUsageError(flags.Parse(argc, argv));
 
-  const trace::ServerProfile profile = trace::PaperServerProfile(server, scale);
-  trace::WorkloadConfig workload;
-  workload.profile = profile;
-  workload.duration_seconds = days * 86400.0;
-  workload.seed = seed;
-  trace::Trace trace = trace::WorkloadGenerator(workload).Generate().trace;
-
   core::CacheConfig config;
   config.chunk_bytes = 2ull << 20;
   config.disk_capacity_chunks =
       static_cast<uint64_t>(disk_gib * 1024.0 * 1024.0 * 1024.0 /
                             static_cast<double>(config.chunk_bytes));
   config.alpha_f2r = alpha;
+  if (config.disk_capacity_chunks == 0) {
+    util::ExitOnUsageError(util::InvalidArgumentError(
+        "invalid value for flag '--disk-gib' (need at least one 2 MiB chunk)"));
+  }
+
+  const trace::ServerProfile profile = trace::PaperServerProfile(server, scale);
+  trace::WorkloadConfig workload;
+  workload.profile = profile;
+  workload.duration_seconds = days * 86400.0;
+  workload.seed = seed;
+  trace::Trace trace = trace::WorkloadGenerator(workload).Generate().trace;
 
   std::printf("Server %s: %zu requests over %.1f days, disk %.1f GiB (%llu chunks), alpha=%.2f\n\n",
               profile.name.c_str(), trace.requests.size(), days, disk_gib,

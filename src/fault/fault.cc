@@ -36,15 +36,6 @@ bool ActiveAt(const FaultEvent& event, double t) {
 
 }  // namespace
 
-void FaultStats::Add(const FaultStats& other) {
-  unavailable_requests += other.unavailable_requests;
-  unavailable_bytes += other.unavailable_bytes;
-  cold_restarts += other.cold_restarts;
-  dropped_chunks += other.dropped_chunks;
-  resize_events += other.resize_events;
-  resize_evicted_chunks += other.resize_evicted_chunks;
-}
-
 util::Status FaultSchedule::Validate() const {
   for (size_t i = 0; i < events_.size(); ++i) {
     const FaultEvent& e = events_[i];
@@ -64,34 +55,6 @@ util::Status FaultSchedule::Validate() const {
     }
   }
   return util::OkStatus();
-}
-
-bool FaultSchedule::EdgeDown(size_t edge, double t) const {
-  for (const FaultEvent& e : events_) {
-    if (e.kind == FaultKind::kEdgeOutage && e.target == edge && ActiveAt(e, t)) {
-      return true;
-    }
-  }
-  return false;
-}
-
-bool FaultSchedule::ParentDown(double t) const {
-  for (const FaultEvent& e : events_) {
-    if (e.kind == FaultKind::kParentOutage && ActiveAt(e, t)) {
-      return true;
-    }
-  }
-  return false;
-}
-
-double FaultSchedule::CapacityFactor(size_t target, double t) const {
-  double factor = 1.0;
-  for (const FaultEvent& e : events_) {
-    if (e.kind == FaultKind::kDiskDegrade && e.target == target && ActiveAt(e, t)) {
-      factor *= e.capacity_factor;
-    }
-  }
-  return factor;
 }
 
 double FaultSchedule::OriginCostFactor(double t) const {
@@ -248,8 +211,6 @@ void FaultDriver::ApplyCapacity() {
     return;
   }
   uint64_t evicted = cache_->Resize(new_capacity);
-  ++stats_.resize_events;
-  stats_.resize_evicted_chunks += evicted;
   resize_events_total_.Increment();
   resize_evicted_chunks_total_.Increment(evicted);
   capacity_gauge_.Set(static_cast<double>(new_capacity));
@@ -279,8 +240,6 @@ void FaultDriver::Advance(double now) {
       }
       case Boundary::Op::kRestart: {
         uint64_t dropped = cache_->DropContents();
-        ++stats_.cold_restarts;
-        stats_.dropped_chunks += dropped;
         cold_restarts_total_.Increment();
         dropped_chunks_total_.Increment(dropped);
         if (sink_ != nullptr) {
@@ -300,8 +259,6 @@ bool FaultDriver::InOutage(double now) {
 }
 
 void FaultDriver::RecordUnavailable(const core::RequestOutcome& outcome) {
-  ++stats_.unavailable_requests;
-  stats_.unavailable_bytes += outcome.requested_bytes;
   unavailable_requests_total_.Increment();
   unavailable_bytes_total_.Increment(outcome.requested_bytes);
 }

@@ -13,11 +13,14 @@
 // mutable state lives in a per-replay FaultDriver.
 //
 // Failover semantics (see docs/FAULTS.md):
-//   * edge outage   -- the edge serves nothing; its requests are origin-
-//                      served directly (Decision::kUnavailable) with a
-//                      configurable cost penalty in sim::RunHierarchy;
-//   * parent outage -- edge redirects fall through to the origin instead of
-//                      entering the parent cache;
+//   * edge outage   -- the edge serves nothing: in its replay, requests in
+//                      the window become Decision::kUnavailable and are
+//                      origin-served directly (at an outage penalty in
+//                      sim::RunHierarchy's origin cost);
+//   * parent outage -- the same in the parent tier's replay: edge
+//                      redirects arriving in the window are kUnavailable
+//                      and fall through to the origin without entering the
+//                      parent cache;
 //   * disk degrade  -- the target cache shrinks to capacity_factor of its
 //                      base capacity via CacheAlgorithm::Resize (and grows
 //                      back when the window closes);
@@ -65,22 +68,9 @@ struct FaultEvent {
   double cost_factor = 1.0;      // kOriginInflation: >= 1
 };
 
-// Degraded-mode accounting of one FaultDriver (summed across drivers by the
-// hierarchy). All counters are whole-run, not steady-state-windowed.
-struct FaultStats {
-  uint64_t unavailable_requests = 0;  // requests hit by an outage window
-  uint64_t unavailable_bytes = 0;
-  uint64_t cold_restarts = 0;
-  uint64_t dropped_chunks = 0;  // evicted by cold restarts
-  uint64_t resize_events = 0;   // capacity changes applied (degrade + restore)
-  uint64_t resize_evicted_chunks = 0;
-
-  void Add(const FaultStats& other);
-};
-
-// An immutable, validated collection of fault events. Cheap point queries
-// back the hierarchy's failover policy; replay-time application goes through
-// FaultDriver, which precomputes sorted boundaries once.
+// An immutable, validated collection of fault events. Replay-time
+// application goes through FaultDriver, which precomputes sorted boundaries
+// once.
 class FaultSchedule {
  public:
   void Add(const FaultEvent& event) { events_.push_back(event); }
@@ -92,13 +82,8 @@ class FaultSchedule {
   const std::vector<FaultEvent>& events() const { return events_; }
   bool empty() const { return events_.empty(); }
 
-  // Point queries (O(events) -- fine for policy decisions and tests).
-  bool EdgeDown(size_t edge, double t) const;
-  bool ParentDown(double t) const;
-  // Product of the capacity factors of active kDiskDegrade events for
-  // `target` at time t (1.0 when none).
-  double CapacityFactor(size_t target, double t) const;
-  // Product of the cost factors of active kOriginInflation events at t.
+  // Product of the cost factors of active kOriginInflation events at t
+  // (O(events); the hierarchy prices origin bytes with it).
   double OriginCostFactor(double t) const;
 
  private:
@@ -153,7 +138,8 @@ class FaultDriver {
   }
 
   // True if `now` falls inside an outage window of this driver's target
-  // (edge outages for edge targets, parent outages for kParentTarget).
+  // (edge outages for edge targets, parent outages for kParentTarget). The
+  // one test of outage membership: sim::Replay asks it for every request.
   bool InOutage(double now);
 
   // True while at least one disk-degrade window is active on this target --
@@ -161,11 +147,10 @@ class FaultDriver {
   // per-request fault byte (see docs/OBSERVABILITY.md).
   bool Degraded() const { return !active_degrades_.empty(); }
 
-  // Accounts one request that an outage made unavailable. The caller
-  // synthesizes the Decision::kUnavailable outcome; the driver only counts.
+  // Counts one request that an outage made unavailable into the
+  // fault.unavailable_* counters. The caller synthesizes the
+  // Decision::kUnavailable outcome and accounts it (sim::ReplayTotals).
   void RecordUnavailable(const core::RequestOutcome& outcome);
-
-  const FaultStats& stats() const { return stats_; }
 
  private:
   struct Boundary {
@@ -189,8 +174,6 @@ class FaultDriver {
   // Merged outage windows for this target, sorted; cursor for InOutage.
   std::vector<std::pair<double, double>> outages_;
   size_t outage_cursor_ = 0;
-
-  FaultStats stats_;
 
   // Observability (no-ops when detached).
   obs::TraceEventSink* sink_;

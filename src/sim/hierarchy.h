@@ -21,21 +21,20 @@
 // ties resolve in (edge, sequence) order. See docs/PARALLELISM.md.
 //
 // Fault injection (replay.faults, see docs/FAULTS.md): the defense lines
-// degrade tier by tier. An edge-outage window turns that edge's requests
-// into Decision::kUnavailable -- origin-served directly, charged a fixed
-// outage penalty (2x) per byte. A parent-outage window makes edge redirects
-// fall through to the origin at the merge step (they never enter the parent
-// cache), same penalty. Disk-degrade windows Resize() the target cache and
-// cold restarts DropContents() it, both inside the per-edge replay. Origin
-// inflation scales the cost of every origin-served byte during its window.
-// All of it is clocked by request arrival times, so results stay
+// degrade tier by tier, each decided by the FaultDriver inside that tier's
+// own replay. An edge-outage window turns that edge's requests into
+// Decision::kUnavailable -- origin-served directly, charged a fixed outage
+// penalty (2x) per byte. A parent-outage window does the same to the edge
+// redirects reaching the parent replay in it: they fall through to the
+// origin without entering the parent cache, same penalty. Disk-degrade
+// windows Resize() the target cache and cold restarts DropContents() it.
+// Origin inflation scales the cost of every origin-served byte during its
+// window. All of it is clocked by request arrival times, so results stay
 // bit-identical across thread counts.
 
 #ifndef VCDN_SRC_SIM_HIERARCHY_H_
 #define VCDN_SRC_SIM_HIERARCHY_H_
 
-#include <memory>
-#include <string>
 #include <vector>
 
 #include "src/core/cache_algorithm.h"
@@ -83,7 +82,8 @@ struct HierarchyResult {
   // --- degraded-mode accounting (zero without fault injection) ---
   // Steady-state bytes origin-served because an edge was down...
   uint64_t edge_unavailable_bytes = 0;
-  // ...and because the parent was down when an edge redirect arrived.
+  // ...and because the parent was down when an edge redirect arrived
+  // (parent.steady.unavailable_bytes).
   uint64_t parent_outage_bytes = 0;
   // Fraction of steady-state demand served without an outage fallback.
   double availability = 1.0;
@@ -92,25 +92,16 @@ struct HierarchyResult {
   // additionally by the outage penalty. (requested-byte units; 1.0 per
   // normal origin byte.)
   double origin_cost = 0.0;
-  // Whole-run, per replay bucket: origin bytes due to outage fallbacks
-  // (edge outages + parent fallthrough). Shows the origin absorbing a
-  // defense line's traffic during a window and recovering after it.
+  // Whole-run, per replay bucket: origin bytes due to outage fallbacks, the
+  // series' unavailable_bytes of every edge, then of the parent; as long as
+  // the longest tier series, and empty without replay.faults. Shows the
+  // origin absorbing a defense line's traffic during a window and
+  // recovering after it.
   std::vector<double> outage_origin_series;
-  // Summed fault-driver accounting across edges and parent (whole run).
-  fault::FaultStats faults;
 };
 
 // Runs the two-tier simulation over one trace per edge server.
 HierarchyResult RunHierarchy(const std::vector<trace::Trace>& edge_traces,
-                             const HierarchyConfig& config);
-
-// Streaming variant: one request-stream factory per edge, each invoked on
-// its edge's worker, so no edge trace is ever materialized (redirects --
-// a small fraction of edge traffic -- still materialize for the parent
-// tier's merged replay). Bit-identical to the trace overload fed with the
-// equivalent materialized traces. Edge caches must be online
-// (CacheAlgorithm::requires_full_trace() == false).
-HierarchyResult RunHierarchy(const std::vector<StreamFactory>& edge_streams,
                              const HierarchyConfig& config);
 
 }  // namespace vcdn::sim

@@ -2,7 +2,7 @@
 
 #include "src/sim/metrics.h"
 
-#include <algorithm>
+#include "src/util/check.h"
 
 namespace vcdn::sim {
 
@@ -96,48 +96,32 @@ MetricsCollector::MetricsCollector(uint64_t chunk_bytes, double measurement_star
                                    double bucket_seconds)
     : chunk_bytes_(chunk_bytes),
       measurement_start_(measurement_start),
-      requested_(0.0, bucket_seconds),
-      served_(0.0, bucket_seconds),
-      redirected_(0.0, bucket_seconds),
-      filled_(0.0, bucket_seconds),
-      unavailable_(0.0, bucket_seconds) {}
+      bucket_seconds_(bucket_seconds) {
+  VCDN_CHECK(bucket_seconds > 0.0);
+}
 
 void MetricsCollector::Record(double arrival_time, const core::RequestOutcome& outcome) {
+  VCDN_CHECK(arrival_time >= 0.0);
   totals_.Accumulate(outcome, chunk_bytes_);
   if (arrival_time >= measurement_start_) {
     steady_.Accumulate(outcome, chunk_bytes_);
   }
-  auto bytes = static_cast<double>(outcome.requested_bytes);
-  requested_.Add(arrival_time, bytes);
+  const auto bucket = static_cast<size_t>(arrival_time / bucket_seconds_);
+  while (series_.size() <= bucket) {
+    const double start = static_cast<double>(series_.size()) * bucket_seconds_;
+    series_.emplace_back().bucket_start = start;
+  }
+  SeriesPoint& point = series_[bucket];
+  point.requested_bytes += outcome.requested_bytes;
   if (outcome.decision == core::Decision::kServe) {
-    served_.Add(arrival_time, bytes);
-    filled_.Add(arrival_time,
-                static_cast<double>(static_cast<uint64_t>(outcome.filled_chunks) * chunk_bytes_));
+    point.served_bytes += outcome.requested_bytes;
+    point.filled_bytes += static_cast<uint64_t>(outcome.filled_chunks) * chunk_bytes_;
   } else if (outcome.decision == core::Decision::kUnavailable) {
-    unavailable_.Add(arrival_time, bytes);
+    point.unavailable_bytes += outcome.requested_bytes;
   } else {
-    redirected_.Add(arrival_time, bytes);
+    point.redirected_bytes += outcome.requested_bytes;
   }
-  if (outcome.proactive_filled_chunks > 0) {
-    filled_.Add(arrival_time,
-                static_cast<double>(static_cast<uint64_t>(outcome.proactive_filled_chunks) *
-                                    chunk_bytes_));
-  }
-}
-
-std::vector<SeriesPoint> MetricsCollector::Series() const {
-  size_t n = std::max({requested_.num_buckets(), served_.num_buckets(), redirected_.num_buckets(),
-                       filled_.num_buckets(), unavailable_.num_buckets()});
-  std::vector<SeriesPoint> out(n);
-  for (size_t i = 0; i < n; ++i) {
-    out[i].bucket_start = requested_.bucket_start(i);
-    out[i].requested_bytes = static_cast<uint64_t>(requested_.sum(i));
-    out[i].served_bytes = static_cast<uint64_t>(served_.sum(i));
-    out[i].redirected_bytes = static_cast<uint64_t>(redirected_.sum(i));
-    out[i].filled_bytes = static_cast<uint64_t>(filled_.sum(i));
-    out[i].unavailable_bytes = static_cast<uint64_t>(unavailable_.sum(i));
-  }
-  return out;
+  point.filled_bytes += static_cast<uint64_t>(outcome.proactive_filled_chunks) * chunk_bytes_;
 }
 
 }  // namespace vcdn::sim

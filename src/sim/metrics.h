@@ -21,7 +21,6 @@
 
 #include "src/core/cache_algorithm.h"
 #include "src/core/cost_model.h"
-#include "src/util/stats.h"
 
 namespace vcdn::sim {
 
@@ -85,22 +84,22 @@ class MetricsCollector {
   // the steady-state totals. bucket_seconds: time-series resolution.
   MetricsCollector(uint64_t chunk_bytes, double measurement_start, double bucket_seconds);
 
+  // arrival_time must be >= 0: bucket i covers [i, i + 1) x bucket_seconds.
   void Record(double arrival_time, const core::RequestOutcome& outcome);
 
   const ReplayTotals& totals() const { return totals_; }
   const ReplayTotals& steady() const { return steady_; }
-  std::vector<SeriesPoint> Series() const;
+  // One point per bucket up to the last one recorded into; buckets nothing
+  // arrived in are zero.
+  const std::vector<SeriesPoint>& Series() const { return series_; }
 
  private:
   uint64_t chunk_bytes_;
   double measurement_start_;
+  double bucket_seconds_;
   ReplayTotals totals_;
   ReplayTotals steady_;
-  util::BucketedSeries requested_;
-  util::BucketedSeries served_;
-  util::BucketedSeries redirected_;
-  util::BucketedSeries filled_;
-  util::BucketedSeries unavailable_;
+  std::vector<SeriesPoint> series_;
 };
 
 }  // namespace vcdn::sim

@@ -221,9 +221,8 @@ ReplayResult ReplayLoop(core::CacheAlgorithm& cache, trace::RequestStream& strea
   result.availability = result.totals.Availability();
   if (fault_driver.has_value()) {
     // Apply any boundaries past the last request so end-of-trace restores
-    // and restarts still count, then surface the accounting.
+    // and restarts still count.
     fault_driver->Advance(duration);
-    result.faults = fault_driver->stats();
   }
   return result;
 }

@@ -97,9 +97,10 @@ struct ReplayResult {
   double ingress_fraction = 0.0;
   double redirect_fraction = 0.0;
   // Whole-run fraction of requests the server was up for (1.0 without
-  // fault injection), plus the fault driver's raw event accounting.
+  // fault injection). Unavailable traffic itself is in totals, steady and
+  // series; restarts and resizes are the fault.* counters of
+  // ReplayOptions::metrics.
   double availability = 1.0;
-  fault::FaultStats faults;
 
   // Wall-clock cost of the replay loop (excluding Prepare) and the resulting
   // host-time throughput.

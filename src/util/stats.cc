@@ -25,13 +25,4 @@ double StatAccumulator::variance() const {
 
 double StatAccumulator::stddev() const { return std::sqrt(variance()); }
 
-void BucketedSeries::Add(double t, double value) {
-  VCDN_CHECK(t >= origin_);
-  auto idx = static_cast<size_t>((t - origin_) / bucket_width_);
-  if (idx >= sums_.size()) {
-    sums_.resize(idx + 1, 0.0);
-  }
-  sums_[idx] += value;
-}
-
 }  // namespace vcdn::util

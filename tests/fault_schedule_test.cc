@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "src/core/cache_factory.h"
+#include "src/obs/metrics.h"
 #include "tests/cache_test_util.h"
 
 namespace vcdn::fault {
@@ -24,42 +25,16 @@ FaultEvent Outage(size_t target, double start, double end) {
   return e;
 }
 
-TEST(FaultScheduleTest, PointQueries) {
+TEST(FaultScheduleTest, OriginCostFactor) {
   FaultSchedule schedule;
-  schedule.Add(Outage(0, 10.0, 20.0));
-  FaultEvent parent;
-  parent.kind = FaultKind::kParentOutage;
-  parent.start = 30.0;
-  parent.end = 35.0;
-  schedule.Add(parent);
-  FaultEvent degrade;
-  degrade.kind = FaultKind::kDiskDegrade;
-  degrade.target = 1;
-  degrade.start = 5.0;
-  degrade.end = 15.0;
-  degrade.capacity_factor = 0.25;
-  schedule.Add(degrade);
   FaultEvent inflation;
   inflation.kind = FaultKind::kOriginInflation;
   inflation.start = 0.0;
   inflation.end = 100.0;
   inflation.cost_factor = 3.0;
   schedule.Add(inflation);
+  schedule.Add(Outage(0, 10.0, 20.0));  // other kinds never inflate
   ASSERT_TRUE(schedule.Validate().ok());
-
-  // Half-open windows: active at start, inactive at end.
-  EXPECT_FALSE(schedule.EdgeDown(0, 9.999));
-  EXPECT_TRUE(schedule.EdgeDown(0, 10.0));
-  EXPECT_TRUE(schedule.EdgeDown(0, 19.999));
-  EXPECT_FALSE(schedule.EdgeDown(0, 20.0));
-  EXPECT_FALSE(schedule.EdgeDown(1, 15.0));  // other edge unaffected
-
-  EXPECT_TRUE(schedule.ParentDown(30.0));
-  EXPECT_FALSE(schedule.ParentDown(35.0));
-
-  EXPECT_DOUBLE_EQ(schedule.CapacityFactor(1, 10.0), 0.25);
-  EXPECT_DOUBLE_EQ(schedule.CapacityFactor(1, 20.0), 1.0);
-  EXPECT_DOUBLE_EQ(schedule.CapacityFactor(0, 10.0), 1.0);
 
   EXPECT_DOUBLE_EQ(schedule.OriginCostFactor(50.0), 3.0);
   EXPECT_DOUBLE_EQ(schedule.OriginCostFactor(100.0), 1.0);
@@ -193,7 +168,8 @@ TEST(FaultDriverTest, AppliesDegradeRestartAndOutage) {
   schedule.Add(Outage(0, 40.0, 50.0));
   ASSERT_TRUE(schedule.Validate().ok());
 
-  FaultDriver driver(schedule, /*target=*/0, cache.get());
+  obs::MetricsRegistry registry;
+  FaultDriver driver(schedule, /*target=*/0, cache.get(), &registry);
 
   driver.Advance(5.0);
   EXPECT_EQ(cache->config().disk_capacity_chunks, 16u);
@@ -209,9 +185,9 @@ TEST(FaultDriverTest, AppliesDegradeRestartAndOutage) {
   FillCache(*cache, 16);
   driver.Advance(30.0);
   EXPECT_EQ(cache->used_chunks(), 0u);
-  EXPECT_EQ(driver.stats().cold_restarts, 1u);
-  EXPECT_EQ(driver.stats().dropped_chunks, 16u);
-  EXPECT_GE(driver.stats().resize_events, 2u);
+  EXPECT_EQ(registry.GetCounter("fault.cold_restarts_total").value(), 1u);
+  EXPECT_EQ(registry.GetCounter("fault.dropped_chunks_total").value(), 16u);
+  EXPECT_GE(registry.GetCounter("fault.resize_events_total").value(), 2u);
 
   EXPECT_FALSE(driver.InOutage(39.0));
   EXPECT_TRUE(driver.InOutage(40.0));
@@ -223,8 +199,8 @@ TEST(FaultDriverTest, AppliesDegradeRestartAndOutage) {
   outcome.requested_bytes = 2048;
   outcome.requested_chunks = 2;
   driver.RecordUnavailable(outcome);
-  EXPECT_EQ(driver.stats().unavailable_requests, 1u);
-  EXPECT_EQ(driver.stats().unavailable_bytes, 2048u);
+  EXPECT_EQ(registry.GetCounter("fault.unavailable_requests_total").value(), 1u);
+  EXPECT_EQ(registry.GetCounter("fault.unavailable_bytes_total").value(), 2048u);
 }
 
 TEST(FaultDriverTest, OverlappingDegradesRestoreExactly) {
@@ -270,6 +246,57 @@ TEST(FaultDriverTest, TargetIsolation) {
   auto parent_cache = core::MakeCache(core::CacheKind::kFillLru, SmallConfig(8, 1.0));
   FaultDriver parent_driver(schedule, kParentTarget, parent_cache.get());
   EXPECT_TRUE(parent_driver.InOutage(50.0));
+}
+
+TEST(FaultDriverTest, OutageWindowsAreHalfOpen) {
+  FaultSchedule schedule;
+  schedule.Add(Outage(0, 10.0, 20.0));
+  FaultEvent parent;
+  parent.kind = FaultKind::kParentOutage;
+  parent.start = 30.0;
+  parent.end = 35.0;
+  schedule.Add(parent);
+  ASSERT_TRUE(schedule.Validate().ok());
+  auto cache = core::MakeCache(core::CacheKind::kFillLru, SmallConfig(8, 1.0));
+
+  // Active at start, inactive at end.
+  FaultDriver edge0(schedule, 0, cache.get());
+  EXPECT_FALSE(edge0.InOutage(9.999));
+  EXPECT_TRUE(edge0.InOutage(10.0));
+  EXPECT_TRUE(edge0.InOutage(19.999));
+  EXPECT_FALSE(edge0.InOutage(20.0));
+  EXPECT_FALSE(edge0.InOutage(30.0));  // the parent's window is not edge 0's
+
+  FaultDriver edge1(schedule, 1, cache.get());
+  EXPECT_FALSE(edge1.InOutage(15.0));  // other edge unaffected
+
+  FaultDriver parent_driver(schedule, kParentTarget, cache.get());
+  EXPECT_FALSE(parent_driver.InOutage(15.0));  // edge 0's window is not the parent's
+  EXPECT_TRUE(parent_driver.InOutage(30.0));
+  EXPECT_FALSE(parent_driver.InOutage(35.0));
+}
+
+TEST(FaultDriverTest, DegradeAppliesToItsTargetOnly) {
+  FaultSchedule schedule;
+  FaultEvent degrade;
+  degrade.kind = FaultKind::kDiskDegrade;
+  degrade.target = 1;
+  degrade.start = 5.0;
+  degrade.end = 15.0;
+  degrade.capacity_factor = 0.25;
+  schedule.Add(degrade);
+  ASSERT_TRUE(schedule.Validate().ok());
+
+  auto cache0 = core::MakeCache(core::CacheKind::kFillLru, SmallConfig(16, 1.0));
+  auto cache1 = core::MakeCache(core::CacheKind::kFillLru, SmallConfig(16, 1.0));
+  FaultDriver driver0(schedule, 0, cache0.get());
+  FaultDriver driver1(schedule, 1, cache1.get());
+  driver0.Advance(10.0);
+  driver1.Advance(10.0);
+  EXPECT_EQ(cache0->config().disk_capacity_chunks, 16u);
+  EXPECT_EQ(cache1->config().disk_capacity_chunks, 4u);
+  driver1.Advance(15.0);  // the window closes at its end
+  EXPECT_EQ(cache1->config().disk_capacity_chunks, 16u);
 }
 
 }  // namespace

@@ -140,7 +140,7 @@ TEST(ColocationTest, EachServerIsItsOwnFaultTarget) {
   for (size_t s = 0; s < result.servers.size(); ++s) {
     SCOPED_TRACE("server " + std::to_string(s));
     EXPECT_EQ(result.servers[s].steady.unavailable_bytes > 0, s == 2);
-    EXPECT_EQ(result.servers[s].faults.unavailable_requests > 0, s == 2);
+    EXPECT_EQ(result.servers[s].totals.unavailable_requests > 0, s == 2);
   }
   EXPECT_EQ(result.combined.unavailable_bytes, result.servers[2].steady.unavailable_bytes);
 }

@@ -6,9 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <vector>
 
 #include "src/fault/fault.h"
+#include "src/obs/metrics.h"
 #include "src/sim/hierarchy.h"
 #include "src/sim/parallel_fleet.h"
 #include "src/sim/replay.h"
@@ -46,15 +48,17 @@ TEST(ReplayFaultTest, OutageWindowBecomesUnavailableTraffic) {
   ASSERT_TRUE(schedule.Validate().ok());
 
   auto cache = core::MakeCache(core::CacheKind::kFillLru, SmallConfig(32, 1.0));
+  obs::MetricsRegistry registry;
   ReplayOptions options;
   options.measurement_start_fraction = 0.0;
   options.faults = &schedule;
   options.fault_target = 0;
+  options.metrics = &registry;
   ReplayResult result = Replay(*cache, trace, options);
 
   // Requests at t in [25, 50) -- exactly 25 of them -- never reach the cache.
   EXPECT_EQ(result.totals.unavailable_requests, 25u);
-  EXPECT_EQ(result.faults.unavailable_requests, 25u);
+  EXPECT_EQ(registry.GetCounter("fault.unavailable_requests_total").value(), 25u);
   EXPECT_GT(result.totals.unavailable_bytes, 0u);
   EXPECT_DOUBLE_EQ(result.availability, 1.0 - 25.0 / 100.0);
   // Conservation: every request is served, redirected, or unavailable.
@@ -101,14 +105,16 @@ TEST(ReplayFaultTest, ColdRestartAndDegradeAreApplied) {
   ASSERT_TRUE(schedule.Validate().ok());
 
   auto cache = core::MakeCache(core::CacheKind::kFillLru, SmallConfig(16, 1.0));
+  obs::MetricsRegistry registry;
   ReplayOptions options;
   options.measurement_start_fraction = 0.0;
   options.faults = &schedule;
+  options.metrics = &registry;
   ReplayResult result = Replay(*cache, trace, options);
 
-  EXPECT_EQ(result.faults.cold_restarts, 1u);
-  EXPECT_GT(result.faults.dropped_chunks, 0u);
-  EXPECT_GE(result.faults.resize_events, 2u);  // degrade + restore
+  EXPECT_EQ(registry.GetCounter("fault.cold_restarts_total").value(), 1u);
+  EXPECT_GT(registry.GetCounter("fault.dropped_chunks_total").value(), 0u);
+  EXPECT_GE(registry.GetCounter("fault.resize_events_total").value(), 2u);  // degrade + restore
   // The degraded window plus the restart force extra fills versus a clean run.
   auto clean_cache = core::MakeCache(core::CacheKind::kFillLru, SmallConfig(16, 1.0));
   ReplayOptions clean;
@@ -171,11 +177,14 @@ TEST(HierarchyFaultTest, ParentOutageAbsorbedByOriginThenRecovers) {
   EXPECT_EQ(result.edge_unavailable_bytes, 0u);
   EXPECT_EQ(result.edge_served_bytes + result.parent_served_bytes + result.origin_bytes,
             result.requested_bytes);
-  // The parent never saw the windowed requests: its request count is the
+  // The parent cache never saw the windowed requests: they reached the
+  // parent replay as unavailable, so the requests it decided are the
   // redirect stream minus the fallthrough.
   HierarchyConfig clean = FaultHierarchyConfig();
   HierarchyResult reference = RunHierarchy(traces, clean);
-  EXPECT_LT(result.parent.totals.requests, reference.parent.totals.requests);
+  EXPECT_GT(result.parent.totals.unavailable_requests, 0u);
+  EXPECT_LT(result.parent.totals.requests - result.parent.totals.unavailable_requests,
+            reference.parent.totals.requests);
 
   // The per-bucket series shows the origin absorbing the window (buckets
   // [40,50) and [50,60)) and recovering outside it.
@@ -186,6 +195,34 @@ TEST(HierarchyFaultTest, ParentOutageAbsorbedByOriginThenRecovers) {
   for (size_t b = 6; b < result.outage_origin_series.size(); ++b) {
     EXPECT_DOUBLE_EQ(result.outage_origin_series[b], 0.0) << "bucket " << b;
   }
+}
+
+TEST(HierarchyFaultTest, TiersConserveRedirectsUnderParentOutage) {
+  // Every edge redirect reaches the parent replay: the ones arriving while
+  // the parent is down are its unavailable requests, and they are exactly
+  // the CDN-wide parent-outage bytes (steady window [50, 100)).
+  std::vector<trace::Trace> traces = {UniformTrace(100, 17), UniformTrace(100, 13)};
+  fault::FaultSchedule schedule;
+  fault::FaultEvent parent;
+  parent.kind = fault::FaultKind::kParentOutage;
+  parent.start = 60.0;
+  parent.end = 80.0;
+  schedule.Add(parent);
+  ASSERT_TRUE(schedule.Validate().ok());
+
+  HierarchyConfig config = FaultHierarchyConfig();
+  config.replay.measurement_start_fraction = 0.5;
+  config.replay.faults = &schedule;
+  HierarchyResult result = RunHierarchy(traces, config);
+
+  uint64_t edge_redirected_bytes = 0;
+  for (const ReplayResult& edge : result.edges) {
+    edge_redirected_bytes += edge.totals.redirected_bytes;
+  }
+  EXPECT_EQ(edge_redirected_bytes, result.parent.totals.requested_bytes);
+  EXPECT_GT(result.parent.totals.unavailable_bytes, 0u);
+  EXPECT_LT(result.parent.availability, 1.0);
+  EXPECT_EQ(result.parent.steady.unavailable_bytes, result.parent_outage_bytes);
 }
 
 TEST(HierarchyFaultTest, ParallelMatchesSequentialUnderFaults) {
@@ -210,18 +247,21 @@ TEST(HierarchyFaultTest, ParallelMatchesSequentialUnderFaults) {
   fault_options.parent_outage_fraction = 0.1;
   fault::FaultSchedule schedule = MakeRandomFaultSchedule(42, fault_options);
 
-  HierarchyConfig sequential = FaultHierarchyConfig();
-  sequential.replay.faults = &schedule;
-  sequential.threads = 1;
-  HierarchyResult reference = RunHierarchy(traces, sequential);
+  auto run = [&](size_t threads, obs::MetricsRegistry& registry) {
+    HierarchyConfig config = FaultHierarchyConfig();
+    config.replay.faults = &schedule;
+    config.replay.metrics = &registry;
+    config.threads = threads;
+    return RunHierarchy(traces, config);
+  };
+  obs::MetricsRegistry reference_registry;
+  HierarchyResult reference = run(1, reference_registry);
   // The schedule must actually bite for this test to mean anything.
-  ASSERT_GT(reference.faults.unavailable_requests, 0u);
+  ASSERT_GT(reference_registry.GetCounter("fault.unavailable_requests_total").value(), 0u);
 
   for (size_t threads : {2u, 7u}) {
-    HierarchyConfig parallel = FaultHierarchyConfig();
-    parallel.replay.faults = &schedule;
-    parallel.threads = threads;
-    HierarchyResult result = RunHierarchy(traces, parallel);
+    obs::MetricsRegistry registry;
+    HierarchyResult result = run(threads, registry);
 
     EXPECT_EQ(result.requested_bytes, reference.requested_bytes);
     EXPECT_EQ(result.edge_served_bytes, reference.edge_served_bytes);
@@ -231,9 +271,11 @@ TEST(HierarchyFaultTest, ParallelMatchesSequentialUnderFaults) {
     EXPECT_EQ(result.parent_outage_bytes, reference.parent_outage_bytes);
     EXPECT_EQ(result.availability, reference.availability);
     EXPECT_EQ(result.origin_cost, reference.origin_cost);
-    EXPECT_EQ(result.faults.unavailable_requests, reference.faults.unavailable_requests);
-    EXPECT_EQ(result.faults.dropped_chunks, reference.faults.dropped_chunks);
-    EXPECT_EQ(result.faults.resize_evicted_chunks, reference.faults.resize_evicted_chunks);
+    for (const char* name : {"fault.unavailable_requests_total", "fault.dropped_chunks_total",
+                             "fault.resize_evicted_chunks_total"}) {
+      EXPECT_EQ(registry.GetCounter(name).value(), reference_registry.GetCounter(name).value())
+          << name;
+    }
     ASSERT_EQ(result.outage_origin_series.size(), reference.outage_origin_series.size());
     for (size_t b = 0; b < result.outage_origin_series.size(); ++b) {
       EXPECT_EQ(result.outage_origin_series[b], reference.outage_origin_series[b]);

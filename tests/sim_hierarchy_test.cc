@@ -9,6 +9,7 @@
 #include <utility>
 
 #include "src/fault/fault.h"
+#include "src/obs/metrics.h"
 #include "src/sim/parallel_fleet.h"
 #include "src/trace/request_stream.h"
 #include "src/trace/server_profile.h"
@@ -163,14 +164,23 @@ TEST(HierarchyTest, EdgeTierIsTheFleet) {
   schedule.Add({fault::FaultKind::kDiskDegrade, 50.0, 200.0, 3, 0.5, 1.0});
   ASSERT_TRUE(schedule.Validate().ok());
 
+  // The fault counters a run leaves in its registry.
+  auto fault_counts = [](obs::MetricsRegistry& registry) {
+    return std::vector<uint64_t>{
+        registry.GetCounter("fault.unavailable_requests_total").value(),
+        registry.GetCounter("fault.resize_events_total").value(),
+        registry.GetCounter("fault.resize_evicted_chunks_total").value()};
+  };
   HierarchyConfig config = TestHierarchyConfig();
   config.replay.bucket_seconds = 50.0;
   config.replay.faults = &schedule;
   for (size_t threads : {1u, 4u}) {
     SCOPED_TRACE("threads " + std::to_string(threads));
+    obs::MetricsRegistry fleet_registry;
     FleetOptions options;
     options.threads = threads;
     options.replay = config.replay;
+    options.replay.metrics = &fleet_registry;
     std::vector<FleetServer> from_traces;
     std::vector<FleetServer> from_streams;
     for (size_t i = 0; i < traces.size(); ++i) {
@@ -180,23 +190,28 @@ TEST(HierarchyTest, EdgeTierIsTheFleet) {
                                          config.edge_config, nullptr, streams[i]});
     }
     const FleetResult fleet = RunFleet(from_traces, options);
-    ASSERT_GT(fleet.servers[1].faults.unavailable_requests, 0u);
-    ASSERT_GT(fleet.servers[3].faults.resize_events, 0u);
+    const std::vector<uint64_t> fleet_faults = fault_counts(fleet_registry);
+    ASSERT_GT(fleet.servers[1].totals.unavailable_requests, 0u);
+    ASSERT_GT(fleet_registry.GetCounter("fault.resize_events_total").value(), 0u);
     const uint64_t expected = FleetDigest(fleet);
+    options.replay.metrics = nullptr;
     EXPECT_EQ(FleetDigest(RunFleet(from_streams, options)), expected);
 
+    obs::MetricsRegistry hierarchy_registry;
     config.threads = threads;
-    for (const HierarchyResult& result :
-         {RunHierarchy(traces, config), RunHierarchy(streams, config)}) {
-      ASSERT_EQ(result.edges.size(), fleet.servers.size());
-      EXPECT_EQ(ServersDigest(result.edges), expected);
-      for (size_t i = 0; i < result.edges.size(); ++i) {
-        EXPECT_EQ(result.edges[i].cache_name, fleet.servers[i].cache_name);
-        EXPECT_EQ(result.edges[i].availability, fleet.servers[i].availability);
-        EXPECT_EQ(result.edges[i].faults.unavailable_requests,
-                  fleet.servers[i].faults.unavailable_requests);
-        EXPECT_EQ(result.edges[i].faults.resize_events, fleet.servers[i].faults.resize_events);
-      }
+    config.replay.metrics = &hierarchy_registry;
+    const HierarchyResult result = RunHierarchy(traces, config);
+    config.replay.metrics = nullptr;
+    ASSERT_EQ(result.edges.size(), fleet.servers.size());
+    EXPECT_EQ(ServersDigest(result.edges), expected);
+    // The parent has no fault of its own here, so every fault count is the
+    // edges'.
+    EXPECT_EQ(fault_counts(hierarchy_registry), fleet_faults);
+    for (size_t i = 0; i < result.edges.size(); ++i) {
+      EXPECT_EQ(result.edges[i].cache_name, fleet.servers[i].cache_name);
+      EXPECT_EQ(result.edges[i].availability, fleet.servers[i].availability);
+      EXPECT_EQ(result.edges[i].totals.unavailable_requests,
+                fleet.servers[i].totals.unavailable_requests);
     }
   }
 }

@@ -47,12 +47,43 @@ TEST(MetricsCollectorTest, SeriesBucketsAlign) {
   collector.Record(5.0, Serve(100, 1, 1, 0));
   collector.Record(15.0, Redirect(200, 1));
   collector.Record(25.0, Serve(300, 1, 0, 1));
+  core::RequestOutcome down;
+  down.decision = core::Decision::kUnavailable;
+  down.requested_bytes = 700;
+  down.requested_chunks = 1;
+  collector.Record(25.0, down);
   auto series = collector.Series();
   ASSERT_EQ(series.size(), 3u);
   EXPECT_EQ(series[0].served_bytes, 100u);
   EXPECT_EQ(series[0].filled_bytes, 1024u);
   EXPECT_EQ(series[1].redirected_bytes, 200u);
   EXPECT_EQ(series[2].served_bytes, 300u);
+  EXPECT_EQ(series[2].unavailable_bytes, 700u);
+  EXPECT_EQ(series[2].requested_bytes, 1000u);
+}
+
+TEST(MetricsCollectorTest, BucketsAreHalfOpenAndGapsAreZero) {
+  MetricsCollector collector(1024, 0.0, 10.0);
+  collector.Record(0.0, Redirect(1, 1));
+  collector.Record(9.999, Redirect(2, 1));  // still bucket 0
+  collector.Record(10.0, Redirect(4, 1));   // bucket 1 starts at 10.0
+  collector.Record(35.0, Redirect(8, 1));   // bucket 2 is never touched
+  const std::vector<SeriesPoint>& series = collector.Series();
+  ASSERT_EQ(series.size(), 4u);
+  EXPECT_EQ(series[0].requested_bytes, 3u);
+  EXPECT_EQ(series[1].requested_bytes, 4u);
+  EXPECT_EQ(series[2].requested_bytes, 0u);
+  EXPECT_EQ(series[2].redirected_bytes, 0u);
+  EXPECT_EQ(series[3].requested_bytes, 8u);
+  // Every bucket, touched or not, starts at its index x bucket_seconds.
+  for (size_t i = 0; i < series.size(); ++i) {
+    EXPECT_EQ(series[i].bucket_start, 10.0 * static_cast<double>(i)) << "bucket " << i;
+  }
+}
+
+TEST(MetricsCollectorDeathTest, NegativeArrivalTimeFails) {
+  MetricsCollector collector(1024, 0.0, 10.0);
+  EXPECT_DEATH(collector.Record(-1.0, Redirect(1, 1)), "arrival_time >= 0");
 }
 
 TEST(MetricsCollectorTest, ProactiveFillsCountOnBothDecisions) {

@@ -202,28 +202,34 @@ TEST_F(ReplayBatchTest, FaultBoundariesLandingMidBatchStayIdentical) {
   schedule.Add(outage);
   ASSERT_TRUE(schedule.Validate().ok());
 
-  auto [reference_outcomes, reference_result] = Run(core::CacheKind::kCafe, 3, 1, &schedule);
+  auto counter = [](obs::MetricsRegistry& registry, const char* name) {
+    return registry.GetCounter(name).value();
+  };
+  obs::MetricsRegistry reference_registry;
+  auto [reference_outcomes, reference_result] =
+      Run(core::CacheKind::kCafe, 3, 1, &schedule, &reference_registry);
   // The schedule must actually bite for this test to mean anything.
-  ASSERT_EQ(reference_result.faults.cold_restarts, 1u);
-  ASSERT_GE(reference_result.faults.resize_events, 2u);
-  ASSERT_GT(reference_result.faults.unavailable_requests, 0u);
+  ASSERT_EQ(counter(reference_registry, "fault.cold_restarts_total"), 1u);
+  ASSERT_GE(counter(reference_registry, "fault.resize_events_total"), 2u);
+  ASSERT_GT(reference_result.totals.unavailable_requests, 0u);
 
   for (size_t batch : kBatchSizes) {
     if (batch == 1) {
       continue;
     }
-    auto [outcomes, result] = Run(core::CacheKind::kCafe, 3, batch, &schedule);
+    obs::MetricsRegistry registry;
+    auto [outcomes, result] = Run(core::CacheKind::kCafe, 3, batch, &schedule, &registry);
     ASSERT_EQ(outcomes.size(), reference_outcomes.size());
     for (size_t i = 0; i < outcomes.size(); ++i) {
       ASSERT_TRUE(outcomes[i] == reference_outcomes[i]) << "batch " << batch << " request " << i;
     }
     ExpectTotalsEq(result.totals, reference_result.totals);
-    EXPECT_EQ(result.faults.cold_restarts, reference_result.faults.cold_restarts);
-    EXPECT_EQ(result.faults.resize_events, reference_result.faults.resize_events);
-    EXPECT_EQ(result.faults.resize_evicted_chunks, reference_result.faults.resize_evicted_chunks);
-    EXPECT_EQ(result.faults.dropped_chunks, reference_result.faults.dropped_chunks);
-    EXPECT_EQ(result.faults.unavailable_requests, reference_result.faults.unavailable_requests);
-    EXPECT_EQ(result.faults.unavailable_bytes, reference_result.faults.unavailable_bytes);
+    for (const char* name : {"fault.cold_restarts_total", "fault.resize_events_total",
+                             "fault.resize_evicted_chunks_total", "fault.dropped_chunks_total"}) {
+      EXPECT_EQ(counter(registry, name), counter(reference_registry, name)) << name;
+    }
+    EXPECT_EQ(result.totals.unavailable_requests, reference_result.totals.unavailable_requests);
+    EXPECT_EQ(result.totals.unavailable_bytes, reference_result.totals.unavailable_bytes);
     EXPECT_EQ(result.availability, reference_result.availability);
   }
 }

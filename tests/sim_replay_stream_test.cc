@@ -5,11 +5,10 @@
 // (generate-as-you-replay) and trace::MmapTrace (packed VCDNTRS2 file) --
 // must be observationally indistinguishable: identical fleet digests across
 // thread counts and batch sizes, identical per-request outcome streams,
-// byte-identical time-series JSONL and flight-ring contents, identical
-// fault accounting when a schedule bites mid-stream, and an identical
-// two-tier hierarchy result. This is the contract that lets streaming
-// replay (bench_scale_sweep, perfbench's fleet-mmap and fleet-churn) stand
-// in for the materialized reference.
+// byte-identical time-series JSONL and flight-ring contents, and identical
+// fault accounting when a schedule bites mid-stream. This is the contract
+// that lets streaming replay (bench_scale_sweep, perfbench's fleet-mmap and
+// fleet-churn) stand in for the materialized reference.
 
 #include <gtest/gtest.h>
 
@@ -30,7 +29,6 @@
 #include "src/obs/metrics.h"
 #include "src/obs/run_metadata.h"
 #include "src/obs/time_series.h"
-#include "src/sim/hierarchy.h"
 #include "src/sim/parallel_fleet.h"
 #include "src/sim/replay.h"
 #include "src/trace/generated_stream.h"
@@ -272,51 +270,31 @@ TEST_F(ReplayStreamTest, FaultScheduleBitesIdenticallyMidStream) {
   ReplayOptions options;
   options.batch_size = 16;
   options.faults = &schedule;
-  auto [reference_outcomes, reference_result] = RunOne(Producer::kMaterialized, options);
-  ASSERT_EQ(reference_result.faults.cold_restarts, 1u);
-  ASSERT_GT(reference_result.faults.unavailable_requests, 0u);
+  // Restarts and resizes are counted in the registry.
+  auto run = [&](Producer producer, obs::MetricsRegistry& registry) {
+    options.metrics = &registry;
+    return RunOne(producer, options);
+  };
+  auto counter = [](obs::MetricsRegistry& registry, const char* name) {
+    return registry.GetCounter(name).value();
+  };
+  obs::MetricsRegistry reference_registry;
+  auto [reference_outcomes, reference_result] = run(Producer::kMaterialized, reference_registry);
+  ASSERT_EQ(counter(reference_registry, "fault.cold_restarts_total"), 1u);
+  ASSERT_GT(reference_result.totals.unavailable_requests, 0u);
   for (Producer producer : {Producer::kGenerated, Producer::kMmap}) {
-    auto [outcomes, result] = RunOne(producer, options);
+    obs::MetricsRegistry registry;
+    auto [outcomes, result] = run(producer, registry);
     ASSERT_EQ(outcomes.size(), reference_outcomes.size()) << Name(producer);
     for (size_t i = 0; i < outcomes.size(); ++i) {
       ASSERT_TRUE(outcomes[i] == reference_outcomes[i]) << Name(producer) << " request " << i;
     }
-    EXPECT_EQ(result.faults.cold_restarts, reference_result.faults.cold_restarts);
-    EXPECT_EQ(result.faults.resize_events, reference_result.faults.resize_events);
-    EXPECT_EQ(result.faults.unavailable_requests, reference_result.faults.unavailable_requests);
+    for (const char* name : {"fault.cold_restarts_total", "fault.resize_events_total"}) {
+      EXPECT_EQ(counter(registry, name), counter(reference_registry, name)) << name;
+    }
+    EXPECT_EQ(result.totals.unavailable_requests, reference_result.totals.unavailable_requests);
     EXPECT_EQ(result.availability, reference_result.availability);
   }
-}
-
-TEST_F(ReplayStreamTest, HierarchyStreamOverloadMatchesTraceOverload) {
-  HierarchyConfig config;
-  config.edge_config = config_;
-  config.parent_config = config_;
-  config.parent_config.disk_capacity_chunks = 2048;
-  config.threads = 2;
-
-  const HierarchyResult reference = RunHierarchy(traces_, config);
-  std::vector<StreamFactory> factories;
-  for (size_t i = 0; i < traces_.size(); ++i) {
-    factories.push_back([this, i]() { return MakeStream(Producer::kGenerated, i); });
-  }
-  const HierarchyResult streamed = RunHierarchy(factories, config);
-
-  ASSERT_EQ(streamed.edges.size(), reference.edges.size());
-  for (size_t i = 0; i < reference.edges.size(); ++i) {
-    EXPECT_EQ(streamed.edges[i].totals.served_bytes, reference.edges[i].totals.served_bytes);
-    EXPECT_EQ(streamed.edges[i].steady.filled_bytes, reference.edges[i].steady.filled_bytes);
-  }
-  EXPECT_EQ(streamed.parent.totals.requests, reference.parent.totals.requests);
-  EXPECT_EQ(streamed.parent.totals.served_bytes, reference.parent.totals.served_bytes);
-  EXPECT_EQ(streamed.requested_bytes, reference.requested_bytes);
-  EXPECT_EQ(streamed.edge_served_bytes, reference.edge_served_bytes);
-  EXPECT_EQ(streamed.parent_served_bytes, reference.parent_served_bytes);
-  EXPECT_EQ(streamed.origin_bytes, reference.origin_bytes);
-  EXPECT_EQ(streamed.edge_hit_fraction, reference.edge_hit_fraction);
-  EXPECT_EQ(streamed.cdn_hit_fraction, reference.cdn_hit_fraction);
-  EXPECT_EQ(streamed.origin_cost, reference.origin_cost);
-  ASSERT_EQ(streamed.outage_origin_series.size(), reference.outage_origin_series.size());
 }
 
 TEST_F(ReplayStreamTest, StreamingRefusesOfflineCaches) {

@@ -38,30 +38,5 @@ TEST(StatAccumulatorTest, SingleValue) {
   EXPECT_DOUBLE_EQ(acc.variance(), 0.0);
 }
 
-TEST(BucketedSeriesTest, AccumulatesIntoRightBuckets) {
-  BucketedSeries series(0.0, 10.0);
-  series.Add(0.0, 1.0);
-  series.Add(9.999, 2.0);
-  series.Add(10.0, 4.0);
-  series.Add(35.0, 8.0);
-  ASSERT_EQ(series.num_buckets(), 4u);
-  EXPECT_DOUBLE_EQ(series.sum(0), 3.0);
-  EXPECT_DOUBLE_EQ(series.sum(1), 4.0);
-  EXPECT_DOUBLE_EQ(series.sum(2), 0.0);
-  EXPECT_DOUBLE_EQ(series.sum(3), 8.0);
-  EXPECT_DOUBLE_EQ(series.bucket_start(3), 30.0);
-  // Out-of-range queries are zero, not errors.
-  EXPECT_DOUBLE_EQ(series.sum(10), 0.0);
-}
-
-TEST(BucketedSeriesTest, NonZeroOrigin) {
-  BucketedSeries series(100.0, 5.0);
-  series.Add(101.0, 1.0);
-  series.Add(109.0, 2.0);
-  ASSERT_EQ(series.num_buckets(), 2u);
-  EXPECT_DOUBLE_EQ(series.sum(0), 1.0);
-  EXPECT_DOUBLE_EQ(series.sum(1), 2.0);
-}
-
 }  // namespace
 }  // namespace vcdn::util
