@@ -49,15 +49,36 @@ uint64_t EnvCount(const char* name, uint64_t fallback, uint64_t min) {
   return fallback;
 }
 
-BenchScale ScaleFromEnv() {
+BenchScale ScaleFromEnv(bool fixed_scale) {
   BenchScale scale;
+  scale.fixed_scale = fixed_scale;
   util::Flags env;
-  env.Number("VCDN_BENCH_SCALE", &scale.workload_scale, trace::kMaxProfileScale);
-  env.Number("VCDN_BENCH_DAYS", &scale.days);
+  if (fixed_scale) {
+    for (const char* name : {"VCDN_BENCH_SCALE", "VCDN_BENCH_DAYS"}) {
+      if (std::getenv(name) != nullptr) {
+        util::ExitOnUsageError(util::InvalidArgumentError(
+            std::string("'") + name +
+            "' is set, but this bench runs at a fixed scale and trace lengths (unset it)"));
+      }
+    }
+  } else {
+    env.Number("VCDN_BENCH_SCALE", &scale.workload_scale, trace::kMaxProfileScale);
+    env.Number("VCDN_BENCH_DAYS", &scale.days);
+  }
   env.Number("VCDN_BENCH_DISK_SCALE", &scale.chunks_per_paper_tb);
   env.Count("VCDN_BENCH_SEED", &scale.seed);
   util::ExitOnUsageError(env.ParseEnvironment());
   return scale;
+}
+
+std::string ScaleBanner(const BenchScale& scale) {
+  return Printf("Scale: workload x%.3g, %.0f days, %.0f chunks per paper-TB, seed %llu\n",
+                scale.workload_scale, scale.days, scale.chunks_per_paper_tb,
+                static_cast<unsigned long long>(scale.seed)) +
+         (scale.fixed_scale
+              ? "       (set VCDN_BENCH_DISK_SCALE / VCDN_BENCH_SEED to change)\n"
+              : "       (set VCDN_BENCH_SCALE / VCDN_BENCH_DAYS / VCDN_BENCH_DISK_SCALE /\n"
+                "        VCDN_BENCH_SEED to change)\n");
 }
 
 BenchScale ResolveScale(const BenchFlags& flags) {
@@ -355,12 +376,7 @@ void PrintHeader(const std::string& experiment, const std::string& paper_claim,
   std::printf("==============================================================================\n");
   std::printf("%s\n", experiment.c_str());
   std::printf("Paper: %s\n", paper_claim.c_str());
-  std::printf(
-      "Scale: workload x%.3g, %.0f days, %.0f chunks per paper-TB, seed %llu\n"
-      "       (set VCDN_BENCH_SCALE / VCDN_BENCH_DAYS / VCDN_BENCH_DISK_SCALE /\n"
-      "        VCDN_BENCH_SEED to change)\n",
-      scale.workload_scale, scale.days, scale.chunks_per_paper_tb,
-      static_cast<unsigned long long>(scale.seed));
+  std::fputs(ScaleBanner(scale).c_str(), stdout);
   std::printf("==============================================================================\n");
 }
 

@@ -56,6 +56,9 @@ struct BenchScale {
   double days = 30.0;
   double chunks_per_paper_tb = 4096.0;
   uint64_t seed = 1;
+  // The bench fixes the workload scale and days itself, so it reads neither
+  // VCDN_BENCH_SCALE nor VCDN_BENCH_DAYS, and its banner does not name them.
+  bool fixed_scale = false;
 
   double duration_seconds() const { return days * 86400.0; }
   uint64_t DiskChunks(double paper_terabytes) const {
@@ -63,8 +66,14 @@ struct BenchScale {
   }
 };
 
-// Reads the scale from the environment (defaults above).
-BenchScale ScaleFromEnv();
+// Reads the scale from the environment (defaults above). With
+// `fixed_scale`, a set VCDN_BENCH_SCALE or VCDN_BENCH_DAYS exits 2, naming
+// it: the bench would ignore it.
+BenchScale ScaleFromEnv(bool fixed_scale = false);
+
+// The banner's scale lines: the scale in effect, and the variables that
+// change it.
+std::string ScaleBanner(const BenchScale& scale);
 
 // Reads environment variable `name` as an unsigned integer of at least `min`
 // (`fallback` when unset); an invalid value exits 2, naming the variable.

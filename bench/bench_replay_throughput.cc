@@ -2,9 +2,10 @@
 //
 // Batch-size sweep: single-threaded replay throughput of xLRU and Cafe on
 // the default Figure-7 six-server workload at {1, 4, 8, 16, 32} requests per
-// HandleRequestBatch call -- the software-prefetch pipeline's knob (see
-// docs/PERFORMANCE.md). Batch 1 has no lookahead, so each row's ratio to it
-// is what the pipeline buys. Decisions are identical at every batch size
+// HandleRequestBatch call (see docs/PERFORMANCE.md). Neither cache
+// overrides the batch hook, so each row's ratio to batch 1 is what batching
+// saves in the replay loop: one call and one set of counter adds per batch.
+// Decisions are identical at every batch size
 // (tests/sim_replay_batch_test.cc).
 //
 // This is the one replay question perfbench/ does not answer: the
@@ -62,8 +63,8 @@ int main(int argc, char** argv) {
   bench::BenchScale scale = bench::ResolveScale(flags);
   bench::PrintHeader(
       "Batch-size sweep: single-thread xLRU and Cafe replay on the flat containers",
-      "engineering measurement (no paper figure); batched admission + software "
-      "prefetch, bit-identical decisions at every batch size",
+      "engineering measurement (no paper figure); batched admission, "
+      "bit-identical decisions at every batch size",
       scale);
 
   const core::CacheConfig config = bench::PaperConfig(1.0, 2.0, scale);

@@ -87,14 +87,7 @@ double ReplayFleet(const vcdn::bench::BenchScale& scale, const vcdn::bench::Benc
 int main(int argc, char** argv) {
   using namespace vcdn;
   const bench::BenchFlags flags = bench::ParseBenchFlags(argc, argv, bench::kThreads);
-  for (const char* name : {"VCDN_BENCH_SCALE", "VCDN_BENCH_DAYS"}) {
-    if (std::getenv(name) != nullptr) {
-      util::ExitOnUsageError(util::InvalidArgumentError(
-          std::string("'") + name +
-          "' is set, but this bench runs at a fixed scale and trace lengths (unset it)"));
-    }
-  }
-  bench::BenchScale scale = bench::ScaleFromEnv();
+  bench::BenchScale scale = bench::ScaleFromEnv(/*fixed_scale=*/true);
   scale.workload_scale = kScale;
   scale.days = kDays[std::size(kDays) - 1];
   bench::PrintHeader(

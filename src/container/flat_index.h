@@ -1,7 +1,7 @@
 // Copyright (c) 2026 libvcdn authors. Apache-2.0 license.
 //
-// FlatIndex: the hash index shared by FlatLruMap, ScoreHeap, FlatChunkSetMap
-// and Cafe's chunk table.
+// FlatIndex: the hash index shared by FlatLruMap, ScoreHeap and VideoTable
+// (the video records under xLRU and Cafe).
 //
 // Maps Key -> uint32_t handle (a slot in the caller's slab). The table stores
 // only (32-bit hash, handle) pairs; key bytes stay in the caller's slab and
@@ -49,7 +49,6 @@
 #endif
 
 #include "src/container/fast_hash.h"
-#include "src/container/prefetch.h"
 #include "src/util/check.h"
 
 namespace vcdn::container {
@@ -84,31 +83,6 @@ class FlatIndex {
       line = Line{};
     }
     size_ = 0;
-  }
-
-  // Hints the cache hierarchy to pull in the home line of `hash` ahead of a
-  // Find/Insert/Erase for the same hash. Pure hint, never required for
-  // correctness; a probe usually ends within that one line.
-  void PrefetchLine(uint32_t hash) const {
-    if (!lines_.empty()) {
-      PrefetchForRead(&lines_[hash & mask_]);
-    }
-  }
-
-  // Resolves `count` keys in one call: first touches every home line so the
-  // independent cache misses overlap (memory-level parallelism), then probes
-  // each key against lines that are already in flight. out[i] receives the
-  // handle for keys[i], or kNil. Results are exactly what `count` separate
-  // Find calls would return.
-  template <typename KeyAt>
-  void FindMany(const uint32_t* hashes, const Key* keys, size_t count, uint32_t* out,
-                const KeyAt& key_at) const {
-    for (size_t i = 0; i < count; ++i) {
-      PrefetchLine(hashes[i]);
-    }
-    for (size_t i = 0; i < count; ++i) {
-      out[i] = Find(hashes[i], keys[i], key_at);
-    }
   }
 
   // Returns the handle stored for `key`, or kNil. `key_at(handle)` must

@@ -12,7 +12,7 @@
 //     allocations per request;
 //   * the recency list is a pair of uint32_t prev/next indices inside the
 //     slots (4+4 bytes instead of two 8-byte pointers plus a list node
-//     allocation), spliced by index assignment;
+//     allocation), spliced by index assignment (RecencyList);
 //   * the key -> slot index is a FlatIndex: 64-byte lines of 7 (hash, slot)
 //     pairs, one line read per probe.
 //
@@ -32,13 +32,12 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "src/container/flat_index.h"
-#include "src/container/prefetch.h"
+#include "src/container/recency_list.h"
 #include "src/util/check.h"
 
 namespace vcdn::container {
@@ -72,62 +71,25 @@ class FlatLruMap {
     index_.Reserve(capacity);
   }
 
-  size_t size() const { return size_; }
-  bool empty() const { return size_ == 0; }
-
-  // Mixed 32-bit hash of `key` -- identical across every FlatIndex-backed
-  // container instantiated with the same Key/Hash, so a caller touching the
-  // same key in several structures can hash once and pass the value to
-  // PrefetchSlot and the hash-taking InsertOrTouch below.
-  uint32_t HashOf(const Key& key) const { return index_.HashOf(key); }
-
-  // Prefetches the index line a subsequent operation on this key/hash will
-  // probe first. Pure hint (see prefetch.h).
-  void PrefetchSlot(uint32_t hash) const { index_.PrefetchLine(hash); }
-
-  // Prefetches the least-recently-used slot (what Oldest/PopOldest read
-  // next). The LRU tail is cold by definition, so cleanup scans that poll it
-  // every request benefit the most.
-  void PrefetchOldest() const {
-    if (tail_ != kNil) {
-      PrefetchForRead(&slots_[tail_]);
-    }
-  }
+  size_t size() const { return list_.size(); }
+  bool empty() const { return list_.empty(); }
 
   bool Contains(const Key& key) const { return FindSlot(key) != kNil; }
 
   // Inserts (or overwrites) and makes the entry most-recent. Returns true if
   // the key was newly inserted.
   bool InsertOrTouch(const Key& key, Value value) {
-    return InsertOrTouch(key, std::move(value), index_.HashOf(key));
-  }
-
-  // Hash-taking overload: `hash` must equal HashOf(key).
-  bool InsertOrTouch(const Key& key, Value value, uint32_t hash) {
-    VCDN_DCHECK(hash == index_.HashOf(key));
-    uint32_t s = index_.Find(hash, key, KeyAt());
-    if (s != kNil) {
-      slots_[s].value = std::move(value);
-      MoveToFront(s);
-      return false;
-    }
-    InsertNew(key, std::move(value), hash);
-    return true;
-  }
-
-  // Stores `value` for `key` and makes the entry most-recent, with one hash
-  // and one probe. Returns the value it replaced, or nullopt if `key` was
-  // new (the xLRU tracker's read-then-record step).
-  std::optional<Value> Exchange(const Key& key, Value value) {
     const uint32_t hash = index_.HashOf(key);
     const uint32_t s = index_.Find(hash, key, KeyAt());
     if (s != kNil) {
-      std::optional<Value> previous(std::exchange(slots_[s].value, std::move(value)));
-      MoveToFront(s);
-      return previous;
+      slots_[s].value = std::move(value);
+      list_.MoveToFront(slots_.data(), s);
+      return false;
     }
-    InsertNew(key, std::move(value), hash);
-    return std::nullopt;
+    const uint32_t fresh = AllocSlot(key, std::move(value));
+    index_.Insert(hash, fresh);
+    list_.PushFront(slots_.data(), fresh);
+    return true;
   }
 
   // Returns the value without changing recency, or nullptr if absent.
@@ -148,31 +110,30 @@ class FlatLruMap {
     if (s == kNil) {
       return nullptr;
     }
-    MoveToFront(s);
+    list_.MoveToFront(slots_.data(), s);
     return &slots_[s].value;
   }
 
   // Least recently used entry. Must be non-empty.
   const Slot& Oldest() const {
-    VCDN_CHECK(size_ > 0);
-    return slots_[tail_];
+    VCDN_CHECK(!list_.empty());
+    return slots_[list_.tail()];
   }
 
   // Most recently used entry. Must be non-empty.
   const Slot& Newest() const {
-    VCDN_CHECK(size_ > 0);
-    return slots_[head_];
+    VCDN_CHECK(!list_.empty());
+    return slots_[list_.head()];
   }
 
   // Removes and returns the least recently used entry. Must be non-empty.
   Entry PopOldest() {
-    VCDN_CHECK(size_ > 0);
-    uint32_t s = tail_;
+    VCDN_CHECK(!list_.empty());
+    uint32_t s = list_.tail();
     index_.Erase(index_.HashOf(slots_[s].key), s);
     Entry e{std::move(slots_[s].key), std::move(slots_[s].value)};
-    Unlink(s);
+    list_.Remove(slots_.data(), s);
     FreeSlot(s);
-    --size_;
     return e;
   }
 
@@ -184,17 +145,16 @@ class FlatLruMap {
       return false;
     }
     index_.Erase(hash, s);
-    Unlink(s);
+    list_.Remove(slots_.data(), s);
     FreeSlot(s);
-    --size_;
     return true;
   }
 
   void Clear() {
     slots_.clear();  // capacity retained
     index_.Clear();
-    head_ = tail_ = free_ = kNil;
-    size_ = 0;
+    list_.Clear();
+    free_ = kNil;
   }
 
   // Iteration from most-recent to least-recent (read-only). Dereferences to
@@ -220,7 +180,7 @@ class FlatLruMap {
     uint32_t pos_;
   };
 
-  const_iterator begin() const { return const_iterator(this, head_); }
+  const_iterator begin() const { return const_iterator(this, list_.head()); }
   const_iterator end() const { return const_iterator(this, kNil); }
 
   // Allocated slab size (for tests: steady state must stop growing).
@@ -236,13 +196,6 @@ class FlatLruMap {
 
   uint32_t FindSlot(const Key& key) const {
     return index_.Find(index_.HashOf(key), key, KeyAt());
-  }
-
-  void InsertNew(const Key& key, Value value, uint32_t hash) {
-    const uint32_t s = AllocSlot(key, std::move(value));
-    index_.Insert(hash, s);
-    LinkFront(s);
-    ++size_;
   }
 
   uint32_t AllocSlot(const Key& key, Value value) {
@@ -271,47 +224,10 @@ class FlatLruMap {
     free_ = s;
   }
 
-  void LinkFront(uint32_t s) {
-    slots_[s].prev = kNil;
-    slots_[s].next = head_;
-    if (head_ != kNil) {
-      slots_[head_].prev = s;
-    }
-    head_ = s;
-    if (tail_ == kNil) {
-      tail_ = s;
-    }
-  }
-
-  void Unlink(uint32_t s) {
-    uint32_t p = slots_[s].prev;
-    uint32_t n = slots_[s].next;
-    if (p != kNil) {
-      slots_[p].next = n;
-    } else {
-      head_ = n;
-    }
-    if (n != kNil) {
-      slots_[n].prev = p;
-    } else {
-      tail_ = p;
-    }
-  }
-
-  void MoveToFront(uint32_t s) {
-    if (head_ == s) {
-      return;
-    }
-    Unlink(s);
-    LinkFront(s);
-  }
-
   std::vector<Slot> slots_;
   FlatIndex<Key, Hash> index_;
-  uint32_t head_ = kNil;
-  uint32_t tail_ = kNil;
+  RecencyList list_;
   uint32_t free_ = kNil;
-  uint32_t size_ = 0;
 };
 
 }  // namespace vcdn::container

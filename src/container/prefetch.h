@@ -1,13 +1,11 @@
 // Copyright (c) 2026 libvcdn authors. Apache-2.0 license.
 //
-// Best-effort software prefetch for the flat hot-path containers.
+// Best-effort software prefetch.
 //
-// The flat containers trade pointer chasing for index chasing, but a probe
-// still begins with one data-dependent cache line (the home index line, then
-// the slab slot). A replay batch knows its next few keys ahead of time, so the
-// batched admission path (CacheAlgorithm::HandleRequestBatch) issues these
-// hints for request i+k while the cost model evaluates request i, overlapping
-// the independent misses instead of serializing them.
+// A loop that knows its next few addresses ahead of time can hint them
+// while it works on the current one, overlapping the independent misses
+// instead of serializing them (util::AliasTable's SampleMany draws a block
+// of columns, then prefetches each before reading any).
 //
 // Prefetches are pure hints: correctness never depends on them, they touch no
 // state an observer can see, and they compile to nothing where unsupported.
@@ -18,8 +16,8 @@
 namespace vcdn::container {
 
 // Hints the cache hierarchy to pull `p`'s line in for a read. High temporal
-// locality (L1): the batched hot path touches the line within a few hundred
-// cycles of the hint.
+// locality (L1): the caller reads the line within a few hundred cycles of
+// the hint.
 inline void PrefetchForRead(const void* p) {
 #if defined(__GNUC__) || defined(__clang__)
   __builtin_prefetch(p, /*rw=*/0, /*locality=*/3);

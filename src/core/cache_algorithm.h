@@ -195,10 +195,10 @@ class CacheAlgorithm {
   virtual RequestOutcome HandleRequestImpl(const trace::Request& request) = 0;
 
   // Batched counterpart of HandleRequestImpl. The default loops, so every
-  // algorithm works unchanged at any batch size; algorithms whose hot path
-  // is memory-latency-bound override this to pre-hash keys and software-
-  // prefetch request i+k's probe targets while evaluating request i. An
-  // override must produce bit-identical outcomes and end-state to this loop.
+  // algorithm works unchanged at any batch size, and no library algorithm
+  // overrides it; a wrapper may (perfbench's TracedCache times each batch).
+  // An override must produce bit-identical outcomes and end-state to this
+  // loop.
   virtual void HandleRequestBatchImpl(const trace::Request* requests, size_t count,
                                       RequestOutcome* outcomes) {
     for (size_t i = 0; i < count; ++i) {

@@ -6,8 +6,6 @@
 #include <cmath>
 #include <limits>
 
-#include "src/container/prefetch.h"
-
 namespace vcdn::core {
 
 namespace {
@@ -25,18 +23,16 @@ CafeCache::CafeCache(const CacheConfig& config, const CafeOptions& options)
   // The table holds the cached chunks plus the history. The history's
   // cleanup horizon scales with cache age, so it tracks several times as
   // many uncached chunks as the disk caches (4-16x at 1 paper-TB by the end
-  // of the month); the table and its index grow past this reservation
+  // of the month); the slab and the video table grow past this reservation
   // during warm-up, and allocate nothing after that.
   slots_.reserve(2 * capacity);
-  index_.Reserve(2 * capacity);
+  videos_.Reserve(capacity, 2 * capacity);
   cached_.Reserve(capacity);
   if (options_.proactive) {
     // The candidate heap is only maintained when proactive filling can read
     // it; otherwise it stays empty and unreserved.
     candidates_.Reserve(capacity);
   }
-  video_seen_.Reserve(capacity);
-  video_chunks_.Reserve(capacity);
 }
 
 double CafeCache::IatOf(const ChunkStat& stat, double now) const {
@@ -50,7 +46,11 @@ void CafeCache::UpdateStat(ChunkStat& stat, double now) const {
 }
 
 bool CafeCache::ContainsChunk(const ChunkId& chunk) const {
-  const uint32_t h = index_.Find(index_.HashOf(chunk), chunk, IdAt());
+  const uint32_t r = videos_.Find(chunk.video);
+  if (r == kNil) {
+    return false;
+  }
+  const uint32_t h = videos_.Get(r, chunk.index);
   return h != kNil && IsCached(h);
 }
 
@@ -62,39 +62,38 @@ double CafeCache::CacheAge(double now) const {
 }
 
 double CafeCache::EstimateIat(const ChunkId& chunk, double now) const {
-  const uint32_t h = index_.Find(index_.HashOf(chunk), chunk, IdAt());
+  const uint32_t r = videos_.Find(chunk.video);
+  const uint32_t h = r == kNil ? kNil : videos_.Get(r, chunk.index);
   if (h != kNil) {
     return std::max(kMinIat, IatOf(slots_[h].stat, now));
   }
-  return EstimateIatFromVideo(chunk.video, video_chunks_.HashOf(chunk.video), now);
+  return EstimateIatFromVideo(r, now);
 }
 
-double CafeCache::EstimateIatFromVideo(VideoId video, uint32_t video_hash, double now) const {
-  if (!options_.estimate_unseen_from_video) {
+double CafeCache::EstimateIatFromVideo(uint32_t r, double now) const {
+  if (!options_.estimate_unseen_from_video || r == kNil || videos_.chain(r) == kNil) {
     return kInfinity;
   }
   // Sec. 6 optimization: a never-seen chunk of a partially cached video
   // inherits the largest recorded IAT among the video's cached chunks.
-  // max() is order-independent, so the set's iteration order is immaterial.
-  bool any = false;
+  // max() is order-independent, so the chain's order is immaterial.
   double worst = 0.0;
-  video_chunks_.ForEach(video, video_hash, [&](uint32_t h) {
+  for (uint32_t h = videos_.chain(r); h != kNil; h = slots_[h].sibling) {
     VCDN_DCHECK(IsCached(h));
-    any = true;
     worst = std::max(worst, IatOf(slots_[h].stat, now));
-  });
-  return any ? std::max(kMinIat, worst) : kInfinity;
+  }
+  return std::max(kMinIat, worst);
 }
 
-CafeCache::ChunkStat CafeCache::FreshStat(VideoId video, uint32_t video_hash, double now) const {
+CafeCache::ChunkStat CafeCache::FreshStat(uint32_t r, double now) const {
   ChunkStat stat;
-  double estimate = EstimateIatFromVideo(video, video_hash, now);
+  double estimate = EstimateIatFromVideo(r, now);
   stat.dt = std::isfinite(estimate) ? estimate : std::max(CacheAge(now), kMinIat);
   stat.t_last = now;
   return stat;
 }
 
-uint32_t CafeCache::NewSlot(const ChunkId& chunk, uint32_t chunk_hash, const ChunkStat& stat) {
+uint32_t CafeCache::NewSlot(uint32_t r, uint32_t chunk, const ChunkStat& stat) {
   uint32_t h = free_;
   if (h != kNil) {
     free_ = slots_[h].next;
@@ -104,65 +103,46 @@ uint32_t CafeCache::NewSlot(const ChunkId& chunk, uint32_t chunk_hash, const Chu
     slots_.emplace_back();
   }
   Slot& slot = slots_[h];
-  slot.video = chunk.video;
-  slot.index = chunk.index;
+  slot.record = r;
+  slot.sibling = kNil;
+  slot.index = chunk;
   slot.stat = stat;
   slot.prev = kNil;
   slot.next = kNil;
-  index_.Insert(chunk_hash, h);
+  videos_.Set(r, chunk, h);
   return h;
 }
 
 void CafeCache::FreeSlot(uint32_t h) {
-  index_.Erase(index_.HashOf(slots_[h].id()), h);
+  videos_.Erase(slots_[h].record, slots_[h].index);
   slots_[h].next = free_;
   free_ = h;
 }
 
-void CafeCache::CacheSlot(uint32_t h, uint32_t video_hash) {
-  slots_[h].prev = kCachedMark;
+void CafeCache::CacheSlot(uint32_t h) {
+  Slot& slot = slots_[h];
+  slot.prev = kCachedMark;
+  uint32_t& chain = videos_.chain(slot.record);
+  slot.sibling = chain;
+  chain = h;
   cached_.Push(h, CachedOps());
-  video_chunks_.Insert(slots_[h].video, h, video_hash);
 }
 
 void CafeCache::EvictSlot(uint32_t h) {
   VCDN_DCHECK(IsCached(h));
   // Leave the cached heap first: history reuses heap_pos for candidates_.
   cached_.Remove(slots_[h].heap_pos, CachedOps());
-  const VideoId video = slots_[h].video;
-  video_chunks_.Erase(video, h, video_chunks_.HashOf(video));
+  uint32_t* link = &videos_.chain(slots_[h].record);
+  while (*link != h) {
+    VCDN_DCHECK(*link != kNil);
+    link = &slots_[*link].sibling;
+  }
+  *link = slots_[h].sibling;
   HistoryPush(h);
 }
 
-void CafeCache::LinkFront(uint32_t h) {
-  slots_[h].prev = kNil;
-  slots_[h].next = history_head_;
-  if (history_head_ != kNil) {
-    slots_[history_head_].prev = h;
-  } else {
-    history_tail_ = h;
-  }
-  history_head_ = h;
-}
-
-void CafeCache::Unlink(uint32_t h) {
-  const uint32_t prev = slots_[h].prev;
-  const uint32_t next = slots_[h].next;
-  if (prev != kNil) {
-    slots_[prev].next = next;
-  } else {
-    history_head_ = next;
-  }
-  if (next != kNil) {
-    slots_[next].prev = prev;
-  } else {
-    history_tail_ = prev;
-  }
-}
-
 void CafeCache::HistoryPush(uint32_t h) {
-  LinkFront(h);
-  ++history_size_;
+  history_.PushFront(slots_.data(), h);
   if (options_.proactive) {
     candidates_.Push(h, CandidateOps());
   }
@@ -170,8 +150,7 @@ void CafeCache::HistoryPush(uint32_t h) {
 
 void CafeCache::HistoryRemove(uint32_t h) {
   VCDN_DCHECK(!IsCached(h));
-  Unlink(h);
-  --history_size_;
+  history_.Remove(slots_.data(), h);
   if (options_.proactive) {
     candidates_.Remove(slots_[h].heap_pos, CandidateOps());
   }
@@ -179,10 +158,7 @@ void CafeCache::HistoryRemove(uint32_t h) {
 
 void CafeCache::HistoryTouch(uint32_t h) {
   VCDN_DCHECK(!IsCached(h));
-  if (history_head_ != h) {
-    Unlink(h);
-    LinkFront(h);
-  }
+  history_.MoveToFront(slots_.data(), h);
   if (options_.proactive) {
     candidates_.Fix(slots_[h].heap_pos, CandidateOps());
   }
@@ -194,13 +170,15 @@ void CafeCache::CleanupHistory(double now) {
     return;
   }
   double horizon = age * options_.history_retention_factor / std::min(1.0, config_.alpha_f2r);
-  while (history_tail_ != kNil && now - slots_[history_tail_].stat.t_last > horizon) {
-    const uint32_t h = history_tail_;
+  // Each trim clears one row entry; a video's record goes with the last of
+  // its chunks once it is off the seen list.
+  while (!history_.empty() && now - slots_[history_.tail()].stat.t_last > horizon) {
+    const uint32_t h = history_.tail();
     HistoryRemove(h);
     FreeSlot(h);
   }
-  while (!video_seen_.empty() && now - video_seen_.Oldest().value > horizon) {
-    video_seen_.PopOldest();
+  while (videos_.oldest() != kNil && now - videos_.last(videos_.oldest()) > horizon) {
+    videos_.PopOldest();
   }
 }
 
@@ -248,7 +226,7 @@ uint32_t CafeCache::ProactiveFill(double now) {
     if (disk_full) {
       EvictSlot(cached_.top());
     }
-    CacheSlot(h, video_chunks_.HashOf(slots_[h].video));
+    CacheSlot(h);
     ++filled;
   }
   return filled;
@@ -267,72 +245,13 @@ void CafeCache::OnAttachMetrics(obs::MetricsRegistry& registry, const std::strin
 }
 
 void CafeCache::OnOutcomeRecorded() {
-  history_chunks_gauge_.Set(static_cast<double>(history_size_));
-  tracked_videos_gauge_.Set(static_cast<double>(video_seen_.size()));
+  history_chunks_gauge_.Set(static_cast<double>(history_.size()));
+  tracked_videos_gauge_.Set(static_cast<double>(videos_.listed()));
   cache_age_gauge_.Set(CacheAge(last_arrival_));
   request_rate_gauge_.Set(rate_estimate_);
 }
 
-void CafeCache::ComputeHashes(const trace::Request& request, RequestHashes& out) const {
-  // video_seen_ and video_chunks_ share their hash (same key type and
-  // hasher).
-  out.video_hash = video_seen_.HashOf(request.video);
-  ChunkRange range = ToChunkRange(request, config_.chunk_bytes);
-  out.chunk_hashes.clear();
-  out.chunk_hashes.reserve(range.count());
-  for (uint32_t c = range.first; c <= range.last; ++c) {
-    out.chunk_hashes.push_back(index_.HashOf(ChunkId{request.video, c}));
-  }
-}
-
-void CafeCache::PrefetchFor(const RequestHashes& hashes) const {
-  for (uint32_t h : hashes.chunk_hashes) {
-    index_.PrefetchLine(h);
-  }
-  video_seen_.PrefetchSlot(hashes.video_hash);
-  video_chunks_.PrefetchVideo(hashes.video_hash);
-  // Per-request fixtures: the victim scan and CacheAge start at the cached
-  // heap's top; CleanupHistory polls the history and video-tracker tails
-  // every request.
-  if (!cached_.empty()) {
-    container::PrefetchForRead(&slots_[cached_.top()]);
-  }
-  if (history_tail_ != kNil) {
-    container::PrefetchForRead(&slots_[history_tail_]);
-  }
-  video_seen_.PrefetchOldest();
-}
-
 RequestOutcome CafeCache::HandleRequestImpl(const trace::Request& request) {
-  ComputeHashes(request, own_hashes_);
-  return HandleOne(request, own_hashes_);
-}
-
-void CafeCache::HandleRequestBatchImpl(const trace::Request* requests, size_t count,
-                                       RequestOutcome* outcomes) {
-  // Software pipeline: hash and prefetch request i + kPrefetchDistance, then
-  // handle request i, so the probe lines for upcoming requests stream in
-  // while the current request runs the cost model. Hashes are pure functions
-  // of the chunk ids and prefetches are pure hints, so interleaving them
-  // ahead of mutations cannot change any outcome; results are bit-identical
-  // to the base class's sequential loop at every batch size.
-  constexpr size_t kRing = kPrefetchDistance + 1;
-  const size_t lead = std::min(kPrefetchDistance, count);
-  for (size_t i = 0; i < lead; ++i) {
-    ComputeHashes(requests[i], batch_hashes_[i % kRing]);
-    PrefetchFor(batch_hashes_[i % kRing]);
-  }
-  for (size_t i = 0; i < count; ++i) {
-    const size_t ahead = i + kPrefetchDistance;
-    if (ahead < count) {
-      ComputeHashes(requests[ahead], batch_hashes_[ahead % kRing]);
-      PrefetchFor(batch_hashes_[ahead % kRing]);
-    }
-    outcomes[i] = HandleOne(requests[i], batch_hashes_[i % kRing]);
-  }
-}
-
-RequestOutcome CafeCache::HandleOne(const trace::Request& request, const RequestHashes& hashes) {
   const double now = request.arrival_time;
   if (first_request_time_ < 0.0) {
     first_request_time_ = now;
@@ -340,32 +259,27 @@ RequestOutcome CafeCache::HandleOne(const trace::Request& request, const Request
   RequestOutcome outcome = MakeOutcome(request);
   const ChunkRange range = ToChunkRange(request, config_.chunk_bytes);
   const size_t chunk_count = range.count();
-  VCDN_DCHECK(hashes.chunk_hashes.size() == chunk_count);
 
-  // Classify the requested chunks (S): the one index probe per chunk, with
-  // the probes interleaved so their misses overlap. handles[i] is chunk i's
-  // slot, or kNil if it is untracked; S' is every chunk not cached.
-  std::vector<ChunkId>& chunks = chunks_scratch_;
-  std::vector<uint32_t>& handles = handles_scratch_;
-  chunks.clear();
-  for (uint32_t c = range.first; c <= range.last; ++c) {
-    chunks.push_back(ChunkId{request.video, c});
-  }
-  handles.resize(chunk_count);
-  index_.FindMany(hashes.chunk_hashes.data(), chunks.data(), chunk_count, handles.data(), IdAt());
+  // The request's one probe: its video's record, touched on the seen list.
+  // First-ever request for this video (or first since the cleanup forgot
+  // it): no popularity signal at all; redirect (the same rule as xLRU's
+  // "t == NULL" -- Sec. 9.2 confirms Cafe intentionally never admits a
+  // never-seen file).
+  const container::VideoTable::Touched touched = videos_.Touch(request.video, now);
+  const uint32_t r = touched.record;
+  const bool video_seen = touched.listed;
+
+  // Classify the requested chunks (S) through the record's row: a chunk's
+  // entry is its slot, or kNil if it is untracked; S' is every chunk not
+  // cached.
   size_t missing = 0;
-  for (uint32_t h : handles) {
+  for (uint32_t c = range.first; c <= range.last; ++c) {
+    const uint32_t h = videos_.Get(r, c);
     if (h == kNil || !IsCached(h)) {
       ++missing;
     }
   }
   outcome.hit_chunks = static_cast<uint32_t>(chunk_count - missing);
-
-  // First-ever request for this video: no popularity signal at all; redirect
-  // (the same rule as xLRU's "t == NULL" -- Sec. 9.2 confirms Cafe
-  // intentionally never admits a never-seen file). One InsertOrTouch both
-  // reads the previous presence and records this request's touch.
-  const bool video_seen = !video_seen_.InsertOrTouch(request.video, now, hashes.video_hash);
 
   bool admit = false;
   std::vector<uint32_t>& victims = victims_scratch_;
@@ -384,11 +298,12 @@ RequestOutcome CafeCache::HandleOne(const trace::Request& request, const Request
     double cost_redirect = static_cast<double>(chunk_count) * cost_.redirect_cost();
     bool have_unseen_iat = false;
     double unseen_iat = 0.0;
-    for (uint32_t h : handles) {
+    for (uint32_t c = range.first; c <= range.last; ++c) {
+      const uint32_t h = videos_.Get(r, c);
       double iat;
       if (h == kNil) {
         if (!have_unseen_iat) {
-          unseen_iat = EstimateIatFromVideo(request.video, hashes.video_hash, now);
+          unseen_iat = EstimateIatFromVideo(r, now);
           have_unseen_iat = true;
         }
         iat = unseen_iat;
@@ -415,8 +330,7 @@ RequestOutcome CafeCache::HandleOne(const trace::Request& request, const Request
     if (!too_costly && evictions > 0) {
       cached_.ScanInOrder(CachedOps(), [&](uint32_t h) {
         const Slot& slot = slots_[h];
-        if (slot.video == request.video && slot.index >= range.first &&
-            slot.index <= range.last) {
+        if (slot.record == r && slot.index >= range.first && slot.index <= range.last) {
           return true;  // never evict a chunk this request needs
         }
         cost_serve += window / std::max(kMinIat, IatOf(slot.stat, now)) * min_cost;
@@ -439,8 +353,8 @@ RequestOutcome CafeCache::HandleOne(const trace::Request& request, const Request
       EvictSlot(h);
       ++outcome.evicted_chunks;
     }
-    for (size_t i = 0; i < chunk_count; ++i) {
-      uint32_t h = handles[i];
+    for (uint32_t c = range.first; c <= range.last; ++c) {
+      uint32_t h = videos_.Get(r, c);
       if (h != kNil && IsCached(h)) {
         // Hit: EWMA update and re-key.
         UpdateStat(slots_[h].stat, now);
@@ -452,10 +366,9 @@ RequestOutcome CafeCache::HandleOne(const trace::Request& request, const Request
         HistoryRemove(h);
         UpdateStat(slots_[h].stat, now);
       } else {
-        h = NewSlot(chunks[i], hashes.chunk_hashes[i],
-                    FreshStat(request.video, hashes.video_hash, now));
+        h = NewSlot(r, c, FreshStat(r, now));
       }
-      CacheSlot(h, hashes.video_hash);
+      CacheSlot(h);
       ++outcome.filled_chunks;
     }
     outcome.decision = Decision::kServe;
@@ -470,11 +383,10 @@ RequestOutcome CafeCache::HandleOne(const trace::Request& request, const Request
     // Redirect. The request still signals popularity: update every requested
     // chunk's stat (cached chunks get re-keyed, uncached ones become the
     // newest history).
-    for (size_t i = 0; i < chunk_count; ++i) {
-      const uint32_t h = handles[i];
+    for (uint32_t c = range.first; c <= range.last; ++c) {
+      const uint32_t h = videos_.Get(r, c);
       if (h == kNil) {
-        HistoryPush(NewSlot(chunks[i], hashes.chunk_hashes[i],
-                            FreshStat(request.video, hashes.video_hash, now)));
+        HistoryPush(NewSlot(r, c, FreshStat(r, now)));
         continue;
       }
       UpdateStat(slots_[h].stat, now);

@@ -28,24 +28,29 @@
 //
 // The chunk table. Every chunk Cafe tracks -- cached, or remembered in the
 // popularity history after a redirect or an eviction -- lives in exactly one
-// 40-byte slot of one slab, found through one FlatIndex<ChunkId>. The slot
-// holds the chunk id and its EWMA stat, and its state decides which
+// 40-byte slot of one slab. Slots are found through their video: a
+// container::VideoTable holds one record per video, and the record's chunk
+// row holds the video's slot handles by chunk number. A request probes its
+// video once; classifying a requested chunk reads one row entry, and hits,
+// fills from history, evictions to history and redirect touches are state
+// changes on the slot handle it holds. A slot holds its video's record
+// handle, its chunk number and its EWMA stat, and its state decides which
 // intrusive structures thread through it:
 //
 //   * cached  -- a min-HandleHeap ordered by (virtual key, id); Top is the
-//                least popular cached chunk (victim order, cache age);
+//                least popular cached chunk (victim order, cache age); and
+//                its video's chain of cached chunks, headed in the record,
+//                which the unseen-chunk estimate walks;
 //   * history -- a recency list, newest first, that CleanupHistory trims
 //                from the tail; with options.proactive, also a max-HandleHeap
 //                of candidates (Top = most popular uncached chunk).
 //
-// The virtual key is recomputed from the slot's stat rather than stored,
-// which keeps a slot at 40 bytes; it is the expression the oracle evaluates
-// once and stores, so the value is the same. Each video's cached chunks are
-// listed by slot handle in a FlatChunkSetMap, so the unseen-chunk estimate
-// reads stats without probing. Classifying a requested chunk is the
-// request's only probe for it; hits, fills from history, evictions to
-// history and redirect touches are state changes on the slot handle it
-// returned.
+// The table's recency list is the seen-video list. A video can leave it
+// while it still tracks chunks (a cached chunk's t_last can be older than
+// the horizon), so its record lives on until its row is empty. The virtual
+// key is recomputed from the slot's stat rather than stored, which keeps a
+// slot at 40 bytes; it is the expression the oracle evaluates once and
+// stores, so the value is the same.
 //
 // Eq. 7 is costed before the victim scan, and the ordered scan stops once
 // the running Eq. 6 sum exceeds it. Both sums add non-negative terms in the
@@ -60,15 +65,13 @@
 #ifndef VCDN_SRC_CORE_CAFE_CACHE_H_
 #define VCDN_SRC_CORE_CAFE_CACHE_H_
 
-#include <array>
 #include <cstdint>
 #include <string_view>
 #include <vector>
 
-#include "src/container/chunk_set_map.h"
-#include "src/container/flat_index.h"
-#include "src/container/flat_lru_map.h"
 #include "src/container/handle_heap.h"
+#include "src/container/recency_list.h"
+#include "src/container/video_table.h"
 #include "src/core/cache_algorithm.h"
 #include "src/core/chunk.h"
 
@@ -123,16 +126,14 @@ class CafeCache : public CacheAlgorithm {
   // Exposed for tests.
   double EstimateIat(const ChunkId& chunk, double now) const;
 
-  size_t tracked_history_chunks() const { return history_size_; }
+  size_t tracked_history_chunks() const { return history_.size(); }
+  // Videos on the seen list, and live video records: the seen ones plus the
+  // forgotten ones that still track chunks.
+  size_t tracked_videos() const { return videos_.listed(); }
+  size_t video_records() const { return videos_.size(); }
 
  protected:
   RequestOutcome HandleRequestImpl(const trace::Request& request) override;
-  // Software-pipelined batch admission: pre-hashes every chunk id in the
-  // batch and prefetches request i+k's index lines while request i runs
-  // the Eq. 6-7 cost model. Bit-identical to the base loop at any batch size
-  // -- prefetching and hash reuse are pure scheduling.
-  void HandleRequestBatchImpl(const trace::Request* requests, size_t count,
-                              RequestOutcome* outcomes) override;
   // Evicts least popular first; the victims' stats move to history, so a
   // cold restart loses the disk but keeps the popularity signal.
   uint64_t EvictDownTo(uint64_t max_chunks) override;
@@ -150,73 +151,58 @@ class CafeCache : public CacheAlgorithm {
     double t_last = 0.0;  // last access time
   };
 
-  // One tracked chunk. `heap_pos` is its position in cached_ while cached,
-  // or in candidates_ while in history with options.proactive set; `prev`
-  // and `next` are its history recency links (see kCachedMark).
+  // One tracked chunk of the video whose record is `record`. `heap_pos` is
+  // its position in cached_ while cached, or in candidates_ while in history
+  // with options.proactive set; `sibling` links its video's chain of cached
+  // chunks while cached; `prev` and `next` are its history recency links
+  // (see kCachedMark).
   struct Slot {
-    VideoId video = 0;
+    uint32_t record = 0;
+    uint32_t sibling = kNil;
     uint32_t index = 0;
     uint32_t heap_pos = 0;
     ChunkStat stat;
     uint32_t prev = kNil;
     uint32_t next = kNil;
-
-    ChunkId id() const { return ChunkId{video, index}; }
   };
   // Cafe's peak memory is its history: a tracked chunk must cost no more
   // than a FlatLruMap<ChunkId, ChunkStat> entry (id, stat, two links).
   static_assert(sizeof(Slot) == 40, "a tracked chunk must stay at 40 bytes");
 
   // HandleHeap's view of the slab: (virtual key, id) toward the top, min
-  // first for cached_, max first for candidates_.
+  // first for cached_, max first for candidates_. The id, read through the
+  // record, only breaks ties.
   struct HeapKey {
     double key;
-    ChunkId id;
+    uint32_t slot;
   };
   template <bool kMaxFirst>
   struct HeapOps {
     std::vector<Slot>* slots;
+    const container::VideoTable* videos;
     double gamma;
-    HeapKey KeyOf(uint32_t h) const {
+    HeapKey KeyOf(uint32_t h) const { return HeapKey{VirtualKeyOf((*slots)[h].stat, gamma), h}; }
+    ChunkId IdOf(uint32_t h) const {
       const Slot& s = (*slots)[h];
-      return HeapKey{VirtualKeyOf(s.stat, gamma), s.id()};
+      return ChunkId{videos->video(s.record), s.index};
     }
     bool Before(const HeapKey& a, const HeapKey& b) const {
       if constexpr (kMaxFirst) {
         if (a.key != b.key) {
           return b.key < a.key;
         }
-        return b.id < a.id;
+        return IdOf(b.slot) < IdOf(a.slot);
       } else {
         if (a.key != b.key) {
           return a.key < b.key;
         }
-        return a.id < b.id;
+        return IdOf(a.slot) < IdOf(b.slot);
       }
     }
     void SetPos(uint32_t h, uint32_t pos) const { (*slots)[h].heap_pos = pos; }
   };
-  HeapOps<false> CachedOps() { return {&slots_, options_.gamma}; }
-  HeapOps<true> CandidateOps() { return {&slots_, options_.gamma}; }
-
-  struct IdAtFn {
-    const std::vector<Slot>* slots;
-    ChunkId operator()(uint32_t h) const { return (*slots)[h].id(); }
-  };
-  IdAtFn IdAt() const { return IdAtFn{&slots_}; }
-
-  // How many requests ahead the batched path issues prefetches: far enough
-  // that the probe lines arrive before use (~1 request's work per step, a
-  // few hundred cycles), near enough that they are not evicted again and at
-  // most ~3 requests' worth of hints are in flight. See docs/PERFORMANCE.md.
-  static constexpr size_t kPrefetchDistance = 4;
-
-  // Pre-hashed probe targets of one request: the video hash shared by
-  // video_seen_ and video_chunks_, and one index_ hash per requested chunk.
-  struct RequestHashes {
-    uint32_t video_hash = 0;
-    std::vector<uint32_t> chunk_hashes;  // one per chunk of the range
-  };
+  HeapOps<false> CachedOps() { return {&slots_, &videos_, options_.gamma}; }
+  HeapOps<true> CandidateOps() { return {&slots_, &videos_, options_.gamma}; }
 
   // Theorem-1 virtual timestamp at T0 = 0.
   static double VirtualKeyOf(const ChunkStat& stat, double gamma) {
@@ -226,27 +212,21 @@ class CafeCache : public CacheAlgorithm {
   void UpdateStat(ChunkStat& stat, double now) const;
   bool IsCached(uint32_t h) const { return slots_[h].prev == kCachedMark; }
 
-  // The single-request admission path, shared by the unbatched and batched
-  // entry points; `hashes` must be ComputeHashes of `request`.
-  RequestOutcome HandleOne(const trace::Request& request, const RequestHashes& hashes);
-  void ComputeHashes(const trace::Request& request, RequestHashes& out) const;
-  // Issues the prefetch hints for a request about to be handled.
-  void PrefetchFor(const RequestHashes& hashes) const;
-
-  // Sec. 6: the largest IAT among `video`'s cached chunks, or +infinity
-  // (also when the optimization is disabled).
-  double EstimateIatFromVideo(VideoId video, uint32_t video_hash, double now) const;
+  // Sec. 6: the largest IAT among the cached chunks of the video whose
+  // record is `r` (kNil: none), or +infinity (also when the optimization is
+  // disabled).
+  double EstimateIatFromVideo(uint32_t r, double now) const;
   // The initial stat of a chunk seen for the first time.
-  ChunkStat FreshStat(VideoId video, uint32_t video_hash, double now) const;
+  ChunkStat FreshStat(uint32_t r, double now) const;
   void CleanupHistory(double now);
 
-  // Chunk-table slots: allocation and release, index entry included.
-  uint32_t NewSlot(const ChunkId& chunk, uint32_t chunk_hash, const ChunkStat& stat);
+  // Chunk-table slots: allocation and release, row entry included.
+  uint32_t NewSlot(uint32_t r, uint32_t chunk, const ChunkStat& stat);
   void FreeSlot(uint32_t h);
   // State transitions. A slot enters the cache from history or fresh from
   // NewSlot and leaves it only into history; it enters history fresh or by
   // eviction and leaves it by being cached or trimmed.
-  void CacheSlot(uint32_t h, uint32_t video_hash);
+  void CacheSlot(uint32_t h);
   void EvictSlot(uint32_t h);
   // History membership: the recency list plus, with options.proactive, the
   // candidate heap. HistoryTouch makes a slot the newest after its stat
@@ -254,30 +234,23 @@ class CafeCache : public CacheAlgorithm {
   void HistoryPush(uint32_t h);
   void HistoryRemove(uint32_t h);
   void HistoryTouch(uint32_t h);
-  void LinkFront(uint32_t h);
-  void Unlink(uint32_t h);
   // Off-peak prefetching; returns the number of chunks filled.
   uint32_t ProactiveFill(double now);
 
   CafeOptions options_;
 
-  // The chunk table: slot slab, free list, and chunk -> slot index.
+  // The chunk table: slot slab and free list, found through each video's
+  // record. The records' recency list is the seen-video list: a request for
+  // a video off it is always redirected, as in xLRU.
   std::vector<Slot> slots_;
   uint32_t free_ = kNil;
-  container::FlatIndex<ChunkId, ChunkIdHash> index_;
+  container::VideoTable videos_;
   // Cached slots by (virtual key, id), least popular on top.
   container::HandleHeap cached_;
   // History slots by recency (head = newest) and, with options.proactive,
   // by (virtual key, id), most popular on top.
-  uint32_t history_head_ = kNil;
-  uint32_t history_tail_ = kNil;
-  size_t history_size_ = 0;
+  container::RecencyList history_;
   container::HandleHeap candidates_;
-  // Slot handles of each video's cached chunks (the unseen-chunk estimate).
-  container::FlatChunkSetMap video_chunks_;
-  // Videos ever seen (recency-ordered, cleaned with the history); a request
-  // for a never-seen video is always redirected, as in xLRU.
-  container::FlatLruMap<VideoId, double> video_seen_;
   double first_request_time_ = -1.0;
 
   // Request-rate tracking for off-peak detection.
@@ -287,14 +260,7 @@ class CafeCache : public CacheAlgorithm {
 
   // Reused across requests so the serve path does not allocate in steady
   // state.
-  std::vector<ChunkId> chunks_scratch_;
-  std::vector<uint32_t> handles_scratch_;
   std::vector<uint32_t> victims_scratch_;
-  // Hash scratch: one slot for the unbatched path, a ring of
-  // kPrefetchDistance + 1 slots for the batched path (slot i + distance is
-  // being written while slot i is being consumed; they never overlap).
-  RequestHashes own_hashes_;
-  std::array<RequestHashes, kPrefetchDistance + 1> batch_hashes_;
 
   // Observability (no-ops until AttachMetrics): the admission-decision mix of
   // Eqs. (6)-(7) and the popularity-tracking queue depths.

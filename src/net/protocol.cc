@@ -7,6 +7,8 @@
 #include <cstring>
 #include <string>
 
+#include "src/trace/request.h"
+
 namespace vcdn::net {
 
 namespace {
@@ -137,6 +139,13 @@ util::Result<size_t> DecodeFrame(const uint8_t* data, size_t size, DecodedFrame*
           "request byte range is inverted (request id " + std::to_string(frame.request_id) +
           ": [" + std::to_string(frame.byte_begin) + ", " + std::to_string(frame.byte_end) +
           "])");
+    }
+    if (frame.byte_end >= trace::kMaxVideoBytes) {
+      // A cache holds a video's chunks by chunk number; a far offset would
+      // make it size a row for it.
+      return util::OutOfRangeError("request byte_end " + std::to_string(frame.byte_end) +
+                                   " is past the largest video (request id " +
+                                   std::to_string(frame.request_id) + ")");
     }
   } else {
     ResponseFrame& frame = out->response;

@@ -26,7 +26,8 @@
 // trace_corruption_test): the length prefix is validated against a hard cap
 // and the version/type/reserved fields are checked BEFORE any body is
 // touched, truncated frames simply wait for more bytes (streaming), and
-// every reject path returns a typed util::Status naming what was wrong.
+// every reject path returns a typed util::Status naming what was wrong. A
+// request's byte_end must be below trace::kMaxVideoBytes (64 GiB).
 // Decoding never allocates.
 
 #ifndef VCDN_SRC_NET_PROTOCOL_H_

@@ -39,8 +39,8 @@ struct ReplayOptions {
   // are cut at bucket flushes, fault boundaries and outage windows, so every
   // observable -- outcomes, collector totals, series, metrics snapshots,
   // on_outcome order, fleet digests -- is bit-identical at any batch size;
-  // larger batches only let the cache overlap independent memory accesses
-  // (see CafeCache::HandleRequestBatchImpl).
+  // an algorithm may override CacheAlgorithm::HandleRequestBatchImpl to
+  // work across a batch, and none in the library does today.
   size_t batch_size = 16;
 
   // --- observability (all optional) ---

@@ -30,7 +30,7 @@ bool Trace::IsWellFormed() const {
     if (r.arrival_time < prev || r.arrival_time < 0.0) {
       return false;
     }
-    if (r.byte_end < r.byte_begin) {
+    if (r.byte_end < r.byte_begin || r.byte_end >= kMaxVideoBytes) {
       return false;
     }
     prev = r.arrival_time;

@@ -17,6 +17,14 @@ namespace vcdn::trace {
 
 using VideoId = uint64_t;
 
+// The largest video a request may name: every byte offset is below 64 GiB,
+// so a video has at most 32,768 chunks of 2 MiB. xLRU and Cafe index a
+// video's chunks by chunk number, so this bounds what one request can make
+// them hold. The readers of outside input refuse a request that ends past
+// it: net::DecodeFrame, ReadCsv, TraceFileWriter and MmapTrace (Validate
+// and its streams), and the generator refuses a larger max_video_bytes.
+inline constexpr uint64_t kMaxVideoBytes = uint64_t{1} << 36;
+
 struct Request {
   double arrival_time = 0.0;  // seconds since trace origin
   VideoId video = 0;
@@ -47,7 +55,8 @@ struct Trace {
   // Number of distinct video IDs appearing in the trace.
   size_t DistinctVideos() const;
 
-  // Verifies arrival times are non-decreasing and ranges well-formed.
+  // Verifies arrival times are non-decreasing and ranges well-formed and
+  // below kMaxVideoBytes.
   bool IsWellFormed() const;
 };
 

@@ -49,7 +49,7 @@ struct ServerProfile {
   double size_lognormal_mu = 17.2;     // exp(17.2) ~ 29.5 MB median
   double size_lognormal_sigma = 0.85;  // long tail of bigger files
   uint64_t min_video_bytes = 2ull << 20;
-  uint64_t max_video_bytes = 512ull << 20;
+  uint64_t max_video_bytes = 512ull << 20;  // at most kMaxVideoBytes
 
   // Intra-file access pattern: probability a view starts at byte 0, and the
   // mean viewed fraction of the file for a view (exponentially distributed,

@@ -77,9 +77,10 @@ class MmapServerStream final : public RequestStream {
       const Request& r = records_[cursor_ + good];
       if (!std::isfinite(r.arrival_time) || r.arrival_time < 0.0 ||
           r.arrival_time < last_time_ || r.arrival_time > info_.duration ||
-          r.byte_end < r.byte_begin) {
+          r.byte_end < r.byte_begin || r.byte_end >= kMaxVideoBytes) {
         status_ = util::DataLossError("corrupt record " + std::to_string(cursor_ + good) +
-                                      ": non-finite/out-of-order time or inverted range");
+                                      ": non-finite/out-of-order time, or a range inverted or "
+                                      "past kMaxVideoBytes");
         break;
       }
       last_time_ = r.arrival_time;
@@ -170,6 +171,10 @@ util::Status TraceFileWriter::Append(const Request* records, size_t count) {
     if (r.byte_end < r.byte_begin) {
       return util::InvalidArgumentError("record " + std::to_string(info.record_count + i) +
                                         ": byte_end < byte_begin");
+    }
+    if (r.byte_end >= kMaxVideoBytes) {
+      return util::OutOfRangeError("record " + std::to_string(info.record_count + i) +
+                                   ": byte_end past the largest video (kMaxVideoBytes)");
     }
     last_time_ = r.arrival_time;
   }
@@ -386,9 +391,11 @@ util::Result<uint64_t> MmapTrace::Validate() const {
     for (uint64_t i = 0; i < info.record_count; ++i) {
       const Request& r = records[i];
       if (!std::isfinite(r.arrival_time) || r.arrival_time < 0.0 || r.arrival_time < last ||
-          r.arrival_time > info.duration || r.byte_end < r.byte_begin) {
+          r.arrival_time > info.duration || r.byte_end < r.byte_begin ||
+          r.byte_end >= kMaxVideoBytes) {
         return util::DataLossError("server " + std::to_string(s) + " record " + std::to_string(i) +
-                                   ": non-finite/out-of-order time or inverted range");
+                                   ": non-finite/out-of-order time, or a range inverted or past "
+                                   "kMaxVideoBytes");
       }
       last = r.arrival_time;
       digest.Fold(r);

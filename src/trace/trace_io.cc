@@ -90,6 +90,10 @@ util::Result<Trace> ReadCsv(std::istream& in) {
       return util::InvalidArgumentError("line " + std::to_string(line_number) +
                                         ": byte_end < byte_begin");
     }
+    if (r.byte_end >= kMaxVideoBytes) {
+      return util::OutOfRangeError("line " + std::to_string(line_number) +
+                                   ": byte_end past the largest video (kMaxVideoBytes)");
+    }
     trace.requests.push_back(r);
   }
   if (trace.duration == 0.0 && !trace.requests.empty()) {

@@ -59,6 +59,7 @@ void CheckConfig(const WorkloadConfig& config) {
   VCDN_CHECK(profile.base_request_rate > 0.0);
   VCDN_CHECK(profile.diurnal_amplitude >= 0.0 && profile.diurnal_amplitude < 1.0);
   VCDN_CHECK(0 < profile.min_video_bytes && profile.min_video_bytes <= profile.max_video_bytes);
+  VCDN_CHECK(profile.max_video_bytes <= kMaxVideoBytes);
   VCDN_CHECK(profile.mean_view_fraction > 0.0);
 }
 

@@ -238,5 +238,26 @@ TEST(BenchFlagsTest, MaxThreadsParsesOrExits) {
               "invalid value '0' for flag '--max-threads'");
 }
 
+TEST(BenchFlagsTest, BannerNamesOnlyTheVariablesTheBenchReads) {
+  BenchScale scale;
+  EXPECT_EQ(ScaleBanner(scale),
+            "Scale: workload x0.25, 30 days, 4096 chunks per paper-TB, seed 1\n"
+            "       (set VCDN_BENCH_SCALE / VCDN_BENCH_DAYS / VCDN_BENCH_DISK_SCALE /\n"
+            "        VCDN_BENCH_SEED to change)\n");
+  scale.fixed_scale = true;
+  EXPECT_EQ(ScaleBanner(scale),
+            "Scale: workload x0.25, 30 days, 4096 chunks per paper-TB, seed 1\n"
+            "       (set VCDN_BENCH_DISK_SCALE / VCDN_BENCH_SEED to change)\n");
+}
+
+TEST(BenchFlagsTest, FixedScaleRefusesTheScaleVariables) {
+  EXPECT_EXIT(
+      {
+        setenv("VCDN_BENCH_SCALE", "0.5", 1);
+        ScaleFromEnv(/*fixed_scale=*/true);
+      },
+      testing::ExitedWithCode(2), "error: 'VCDN_BENCH_SCALE' is set, but this bench runs at a fixed scale");
+}
+
 }  // namespace
 }  // namespace vcdn::bench

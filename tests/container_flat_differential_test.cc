@@ -5,9 +5,9 @@
 // RefScoreHeap are driven through ~1M mixed seeded operations asserting
 // identical observable state after every step, then CafeCache (chunk table)
 // is replayed against ReferenceCafeCache under the default, proactive and
-// no-unseen-estimate options with interleaved Resize/DropContents. xLRU,
-// whose only implementation is XlruCache, replays the same kind of stream
-// against a golden digest. Finally, the counting allocator (vcdn_alloc_hook,
+// no-unseen-estimate options with interleaved Resize/DropContents, and
+// XlruCache against ReferenceXlruCache at three disk sizes and against a
+// golden digest. Finally, the counting allocator (vcdn_alloc_hook,
 // linked into this test) asserts the flat containers and the xLRU and Cafe
 // request paths perform zero heap allocations in steady state.
 
@@ -15,7 +15,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <optional>
 #include <utility>
 #include <vector>
 
@@ -30,6 +29,7 @@
 #include "tests/oracles/lru_map.h"
 #include "tests/oracles/ref_score_heap.h"
 #include "tests/oracles/reference_cafe_cache.h"
+#include "tests/oracles/reference_xlru_cache.h"
 
 namespace vcdn {
 namespace {
@@ -59,17 +59,9 @@ TEST(FlatDifferentialTest, LruMapMatchesReferenceThroughMixedOps) {
   for (size_t i = 0; i < kOps; ++i) {
     uint64_t key = rng.Next64() % kKeyRange;
     uint32_t op = rng.NextBounded(100);
-    if (op < 35) {
+    if (op < 50) {
       uint64_t value = rng.Next64();
       ASSERT_EQ(flat.InsertOrTouch(key, value), ref.InsertOrTouch(key, value));
-    } else if (op < 50) {
-      // Exchange: the oracle reads the previous value, then records.
-      uint64_t value = rng.Next64();
-      const uint64_t* before = ref.Peek(key);
-      const std::optional<uint64_t> expected =
-          before != nullptr ? std::optional<uint64_t>(*before) : std::nullopt;
-      *ref.InsertOrTouch(key) = value;
-      ASSERT_EQ(flat.Exchange(key, value), expected);
     } else if (op < 68) {
       uint64_t* a = flat.GetAndTouch(key);
       uint64_t* b = ref.GetAndTouch(key);
@@ -241,11 +233,12 @@ core::CacheConfig DifferentialConfig() {
 
 constexpr size_t kReplayRequests = 60'000;
 
-// Structural events mid-replay, applied after request i: shrink (EvictDownTo
-// victim order matters), grow back, cold restart. Returns the chunks they
-// evicted (0 when no event is due).
-uint64_t StructuralEvent(core::CacheAlgorithm& cache, size_t i) {
-  const uint64_t capacity = DifferentialConfig().disk_capacity_chunks;
+// Structural events mid-replay, applied after request i to a cache built
+// with `capacity` chunks: shrink (EvictDownTo victim order matters), grow
+// back, cold restart. Returns the chunks they evicted (0 when no event is
+// due).
+uint64_t StructuralEvent(core::CacheAlgorithm& cache, size_t i,
+                         uint64_t capacity = DifferentialConfig().disk_capacity_chunks) {
   if (i == kReplayRequests / 4) {
     return cache.Resize(capacity * 3 / 4);
   }
@@ -314,6 +307,49 @@ TEST(FlatDifferentialTest, XlruReplayMatchesGoldenDigest) {
   EXPECT_EQ(cache.tracked_videos(), 2002u);
 }
 
+// XlruCache against Fig. 1 written literally on LruMaps, on the Cafe case's
+// busy/quiet stream with the same structural events, at a disk that churns
+// hard, the default one, and one that the stream barely fills.
+TEST(FlatDifferentialTest, XlruMatchesReferenceReplay) {
+  for (uint64_t capacity : {uint64_t{512}, uint64_t{4096}, uint64_t{32768}}) {
+    SCOPED_TRACE(capacity);
+    core::CacheConfig config = DifferentialConfig();
+    config.disk_capacity_chunks = capacity;
+    core::XlruCache flat(config);
+    core::ReferenceXlruCache ref(config);
+    util::Pcg32 rng(25);
+    double t = 0.0;
+    uint64_t served = 0;
+    for (size_t i = 1; i <= kReplayRequests; ++i) {
+      t += ArrivalGap(i);
+      const trace::Request r = SkewedRequest(rng, 4000, t);
+      const core::RequestOutcome a = flat.HandleRequest(r);
+      const core::RequestOutcome b = ref.HandleRequest(r);
+      ASSERT_EQ(a.decision, b.decision) << "request " << i;
+      ASSERT_EQ(a.hit_chunks, b.hit_chunks) << "request " << i;
+      ASSERT_EQ(a.filled_chunks, b.filled_chunks) << "request " << i;
+      ASSERT_EQ(a.evicted_chunks, b.evicted_chunks) << "request " << i;
+      served += a.decision == core::Decision::kServe ? 1 : 0;
+      ASSERT_EQ(flat.used_chunks(), ref.used_chunks()) << "request " << i;
+      ASSERT_EQ(flat.tracked_videos(), ref.tracked_videos()) << "request " << i;
+      ASSERT_EQ(flat.CacheAge(t), ref.CacheAge(t)) << "request " << i;
+      if (i % 997 == 0) {
+        const core::ChunkRange range = core::ToChunkRange(r, core::kDefaultChunkBytes);
+        for (uint32_t c = range.first; c <= range.last; ++c) {
+          ASSERT_EQ(flat.ContainsChunk({r.video, c}), ref.ContainsChunk({r.video, c}))
+              << "request " << i;
+        }
+      }
+      ASSERT_EQ(StructuralEvent(flat, i, capacity), StructuralEvent(ref, i, capacity))
+          << "request " << i;
+      ASSERT_EQ(flat.used_chunks(), ref.used_chunks()) << "request " << i;
+    }
+    // Both decisions must occur, or one of the paths went untested.
+    EXPECT_GT(served, 0u);
+    EXPECT_LT(served, kReplayRequests);
+  }
+}
+
 // Cafe option sets the chunk table must reproduce: the defaults, the
 // proactive candidate heap (Sec. 10), and the unseen-chunk estimate turned
 // off (never-seen chunks then cost nothing to redirect).
@@ -330,6 +366,33 @@ std::vector<CafeVariant> CafeVariants() {
   return {{"defaults", core::CafeOptions{}},
           {"proactive", proactive},
           {"no unseen estimate", no_unseen_estimate}};
+}
+
+// Cafe's video records over a long churning stream: a record lives exactly
+// while its video is on the seen list or still tracks a chunk, so the live
+// records equal the listed videos plus the forgotten videos that still track
+// chunks, counted on the oracle's separate maps. Some videos must be
+// forgotten while tracking chunks, or the record's second reason to live
+// went untested.
+TEST(FlatDifferentialTest, CafeVideoRecordsLiveWhileListedOrTrackingChunks) {
+  core::CacheConfig config = DifferentialConfig();
+  config.disk_capacity_chunks = 1024;
+  core::CafeCache flat(config);
+  core::ReferenceCafeCache ref(config);
+  util::Pcg32 rng(26);
+  double t = 0.0;
+  bool forgotten_tracking = false;
+  for (size_t i = 1; i <= 200'000; ++i) {
+    t += ArrivalGap(i);
+    const trace::Request r = SkewedRequest(rng, 8000, t);
+    ASSERT_EQ(flat.HandleRequest(r).decision, ref.HandleRequest(r).decision) << "request " << i;
+    if (i % 1000 == 0) {
+      ASSERT_EQ(flat.tracked_videos(), ref.tracked_videos()) << "request " << i;
+      ASSERT_EQ(flat.video_records(), ref.video_records()) << "request " << i;
+      forgotten_tracking = forgotten_tracking || flat.video_records() > flat.tracked_videos();
+    }
+  }
+  EXPECT_TRUE(forgotten_tracking);
 }
 
 TEST(FlatDifferentialTest, CafeFlatMatchesReferenceReplay) {
@@ -382,8 +445,8 @@ void RunBatchVsSingleDifferential(Cache& batched, Cache& single, uint32_t seed,
 }
 
 TEST(FlatDifferentialTest, CafeBatchedAdmissionMatchesSingleRequests) {
-  // The software-pipelined CafeCache::HandleRequestBatchImpl (hash + prefetch
-  // lookahead) must be outcome-identical to one-at-a-time admission.
+  // The batched entry point (the base class's loop) must be
+  // outcome-identical to one-at-a-time admission.
   for (size_t batch_size : {size_t{3}, size_t{16}, size_t{33}}) {
     core::CafeCache batched(DifferentialConfig());
     core::CafeCache single(DifferentialConfig());
@@ -504,7 +567,7 @@ double AllocationTestGap(size_t i) { return (i / 20'000) % 2 == 0 ? 0.01 : 0.05;
 
 TEST(FlatAllocationTest, CafeRequestPathSteadyStateIsAllocationFree) {
   // The Cafe request path -- chunk-table classification, EWMA updates,
-  // history transitions, victim scans, the video->slots map, periodic
+  // history transitions, victim scans, the video table's rows, periodic
   // CleanupHistory and, in the proactive variant, the candidate heap and
   // off-peak fills -- must reach a fixed working set: after warm-up,
   // single-request admission performs zero heap allocations.
@@ -537,8 +600,8 @@ TEST(FlatAllocationTest, CafeRequestPathSteadyStateIsAllocationFree) {
 }
 
 TEST(FlatAllocationTest, CafeBatchedRequestPathSteadyStateIsAllocationFree) {
-  // Same contract through the batched entry point: the hash ring, outcome
-  // buffer and per-batch scratch are all reused across calls.
+  // Same contract through the batched entry point: the outcome buffer and
+  // per-request scratch are reused across calls.
   for (bool proactive : {false, true}) {
     SCOPED_TRACE(proactive ? "proactive" : "defaults");
     core::CacheConfig config = DifferentialConfig();

@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -65,19 +64,6 @@ TEST(FlatLruMapTest, PopOldestEvictionOrder) {
   EXPECT_EQ(map.PopOldest().key, 2);
   EXPECT_EQ(map.size(), 3u);
   EXPECT_FALSE(map.Contains(1));
-}
-
-TEST(FlatLruMapTest, ExchangeReturnsPreviousValueAndTouches) {
-  FlatLruMap<int, double> map;
-  EXPECT_EQ(map.Exchange(7, 1.5), std::nullopt);
-  EXPECT_EQ(*map.Peek(7), 1.5);
-  map.InsertOrTouch(8, 2.5);
-  // Exchanging an existing key hands back its value and moves it to front.
-  EXPECT_EQ(map.Exchange(7, 3.5), std::optional<double>(1.5));
-  EXPECT_EQ(*map.Peek(7), 3.5);
-  EXPECT_EQ(map.Newest().key, 7);
-  EXPECT_EQ(map.Oldest().key, 8);
-  EXPECT_EQ(map.size(), 2u);
 }
 
 TEST(FlatLruMapTest, EraseUnlinksAndRecyclesSlot) {

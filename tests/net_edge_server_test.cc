@@ -62,6 +62,22 @@ EdgeServer::DigestSnapshot WaitForDigest(const EdgeServer& server, size_t shard,
   }
 }
 
+// Reads until the server drops the connection (true) or 10 s pass (false).
+// Fails the test if the server answers with data.
+bool WaitForDrop(Socket& sock) {
+  uint8_t buf[64];
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (std::chrono::steady_clock::now() < deadline) {
+    const ssize_t n = sock.ReadSome(buf, sizeof(buf));
+    if (n == -1 || n == -2) {
+      return true;
+    }
+    EXPECT_LE(n, 0) << "server answered a refused frame with data";
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  return false;
+}
+
 // The tentpole acceptance criterion: a seeded workload replayed over a real
 // loopback socket against a one-shard daemon produces a bit-identical
 // decision-stream digest to the offline replayer -- at multiple pool thread
@@ -212,22 +228,60 @@ TEST(NetEdgeServerTest, CorruptFrameClosesConnectionAndCountsProtocolError) {
   ASSERT_TRUE(sock.WriteFull(garbage, sizeof(garbage)).ok());
 
   // The server must drop us: the read eventually reports peer-close.
-  uint8_t buf[64];
-  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  bool dropped = false;
-  while (std::chrono::steady_clock::now() < deadline) {
-    const ssize_t n = sock.ReadSome(buf, sizeof(buf));
-    if (n == -1 || n == -2) {
-      dropped = true;
-      break;
-    }
-    ASSERT_LE(n, 0) << "server answered garbage with data";
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  EXPECT_TRUE(dropped);
+  EXPECT_TRUE(WaitForDrop(sock));
   EXPECT_EQ(registry.GetCounter("net.server.protocol_errors_total").value(), 1u);
   server.Stop();
   pool.Shutdown();
+}
+
+// xLRU and Cafe hold a video's chunks in a row indexed by chunk number, so a
+// request naming a far chunk would make them size a row for it (chunk
+// 2^31 - 1 of 2 MiB: an 8 GiB row; chunk 2^31: past the row limit). The
+// decoder refuses any request past trace::kMaxVideoBytes: each such
+// connection is dropped and counted, the cache never sees the request, and
+// the daemon keeps serving a well-formed trace on a new connection.
+TEST(NetEdgeServerTest, FarOffsetRequestIsRefusedAndTheDaemonKeepsServing) {
+  const trace::Trace trace = MakeTrace(5, 1800.0);
+  for (core::CacheKind kind : {core::CacheKind::kCafe, core::CacheKind::kXlru}) {
+    exec::ThreadPool pool(2);
+    obs::MetricsRegistry registry;
+    EdgeServerOptions options;
+    options.cache_kind = kind;
+    options.cache_config = SmallCacheConfig();
+    options.metrics = &registry;
+    EdgeServer server(pool, options);
+    ASSERT_TRUE(server.Start().ok());
+
+    const uint64_t chunk = options.cache_config.chunk_bytes;
+    const uint64_t far_begins[] = {((uint64_t{1} << 31) - 1) * chunk, (uint64_t{1} << 31) * chunk,
+                                   trace::kMaxVideoBytes};
+    for (uint64_t begin : far_begins) {
+      util::Result<Socket> connected = ConnectTcp("127.0.0.1", server.port());
+      ASSERT_TRUE(connected.ok());
+      Socket sock = std::move(connected).value();
+      // Twice: xLRU admits a video's chunks on its second request.
+      WireBuffer frames;
+      for (uint64_t id = 1; id <= 2; ++id) {
+        AppendRequest(frames, RequestFrame{id, 77, begin, begin + chunk - 1, 1.0});
+      }
+      ASSERT_TRUE(sock.WriteFull(frames.ReadPtr(), frames.ReadableBytes()).ok());
+      EXPECT_TRUE(WaitForDrop(sock)) << "begin=" << begin;
+    }
+    EXPECT_EQ(registry.GetCounter("net.server.protocol_errors_total").value(),
+              std::size(far_begins));
+    EXPECT_EQ(registry.GetCounter("net.server.requests_total").value(), 0u);
+
+    LoadGenOptions load;
+    load.port = server.port();
+    load.connections = 1;
+    load.pipeline_depth = 16;
+    util::Result<LoadGenResult> result = RunClosedLoop(trace, load);
+    ASSERT_TRUE(result.ok()) << result.status().message();
+    EXPECT_EQ(result.value().responses_received, trace.requests.size());
+    EXPECT_EQ(result.value().digest, sim::ReplayOutcomeDigest(kind, SmallCacheConfig(), trace));
+    server.Stop();
+    pool.Shutdown();
+  }
 }
 
 TEST(NetEdgeServerTest, IdleConnectionIsClosedByTheSweep) {

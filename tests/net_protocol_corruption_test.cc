@@ -16,6 +16,7 @@
 
 #include "src/net/protocol.h"
 #include "src/net/wire_buffer.h"
+#include "src/trace/request.h"
 #include "src/util/status.h"
 
 namespace vcdn::net {
@@ -141,6 +142,30 @@ TEST(NetProtocolCorruptionTest, InvertedByteRangeIsInvalidArgument) {
   util::Status status = DecodeStatus(frame);
   EXPECT_EQ(status.code(), util::StatusCode::kInvalidArgument);
   EXPECT_NE(status.message().find("inverted"), std::string::npos);
+}
+
+// A cache holds a video's chunks by chunk number, so a request must end
+// inside the largest video: chunk 2^31 - 1 or 2^31 of 2 MiB, the first byte
+// past trace::kMaxVideoBytes and the largest offset are all refused.
+TEST(NetProtocolCorruptionTest, ByteRangePastTheLargestVideoIsOutOfRange) {
+  constexpr uint64_t kChunk = 2ull << 20;
+  for (uint64_t end : {((uint64_t{1} << 31) - 1) * kChunk, (uint64_t{1} << 31) * kChunk,
+                       trace::kMaxVideoBytes, std::numeric_limits<uint64_t>::max()}) {
+    std::vector<uint8_t> frame = EncodedRequest();
+    std::memcpy(frame.data() + kFrameHeaderBytes + 24, &end, sizeof(end));
+    util::Status status = DecodeStatus(frame);
+    EXPECT_EQ(status.code(), util::StatusCode::kOutOfRange) << end;
+    EXPECT_NE(status.message().find("largest video"), std::string::npos);
+  }
+  // The last byte of the largest video is a valid request.
+  std::vector<uint8_t> frame = EncodedRequest();
+  const uint64_t last = trace::kMaxVideoBytes - 1;
+  std::memcpy(frame.data() + kFrameHeaderBytes + 16, &last, sizeof(last));
+  std::memcpy(frame.data() + kFrameHeaderBytes + 24, &last, sizeof(last));
+  DecodedFrame decoded;
+  util::Result<size_t> result = DecodeFrame(frame.data(), frame.size(), &decoded);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(decoded.request.byte_end, last);
 }
 
 TEST(NetProtocolCorruptionTest, BadResponseEnumsRejected) {

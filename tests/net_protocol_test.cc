@@ -14,6 +14,7 @@
 
 #include "src/net/protocol.h"
 #include "src/net/wire_buffer.h"
+#include "src/trace/request.h"
 
 namespace vcdn::net {
 namespace {
@@ -22,7 +23,8 @@ RequestFrame RandomRequest(std::mt19937_64& rng) {
   RequestFrame frame;
   frame.request_id = rng();
   frame.video = rng();
-  frame.byte_begin = rng() % (1ull << 40);
+  // Any range that ends inside the largest video.
+  frame.byte_begin = rng() % (trace::kMaxVideoBytes - (1ull << 30));
   frame.byte_end = frame.byte_begin + rng() % (1ull << 30);
   frame.arrival_time = static_cast<double>(rng() % 1000000) / 1000.0;
   return frame;

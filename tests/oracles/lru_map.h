@@ -65,21 +65,6 @@ class LruMap {
     return true;
   }
 
-  // Overload that avoids constructing a Value when the key is already
-  // present (the xLRU-tracker hot path): touches the entry if present,
-  // default-inserts otherwise, and returns the value for in-place
-  // assignment.
-  Value* InsertOrTouch(const Key& key) {
-    auto it = index_.find(key);
-    if (it != index_.end()) {
-      order_.splice(order_.begin(), order_, it->second);
-      return &it->second->value;
-    }
-    order_.push_front(Entry{key, Value()});
-    index_.emplace(key, order_.begin());
-    return &order_.begin()->value;
-  }
-
   // Returns the value without changing recency, or nullptr if absent.
   const Value* Peek(const Key& key) const {
     auto it = index_.find(key);

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <unordered_set>
 
 namespace vcdn::core {
 
@@ -39,6 +40,20 @@ double ReferenceCafeCache::CacheAge(double now) const {
   const ChunkStat* stat = cached_stats_.Peek(cached_.Top().second);
   VCDN_DCHECK(stat != nullptr);
   return std::max(0.0, IatOf(*stat, now));
+}
+
+size_t ReferenceCafeCache::video_records() const {
+  std::unordered_set<VideoId> videos;
+  for (const auto& entry : video_seen_) {
+    videos.insert(entry.key);
+  }
+  for (const auto& entry : history_) {
+    videos.insert(entry.key.video);
+  }
+  for (const auto& entry : cached_stats_) {
+    videos.insert(entry.key.video);
+  }
+  return videos.size();
 }
 
 double ReferenceCafeCache::EstimateIat(const ChunkId& chunk, double now) const {

@@ -34,7 +34,7 @@ namespace vcdn::core {
 
 // Video id -> the indices of its cached chunks: the seed's node-based shape
 // (unordered_map of unordered_sets) behind the unseen-chunk estimate, where
-// CafeCache uses container::FlatChunkSetMap over chunk-table slot handles.
+// CafeCache walks a chain of slot handles headed in the video's record.
 // Iteration order within a video is unspecified; the estimate only folds a
 // max() over the chunks' IATs.
 class ReferenceChunkSetMap {
@@ -77,6 +77,10 @@ class ReferenceCafeCache : public CacheAlgorithm {
   double CacheAge(double now) const;
 
   size_t tracked_history_chunks() const { return history_.size(); }
+  // As CafeCache's: the seen videos, and the seen videos plus those that
+  // still track a chunk (cached or in the history).
+  size_t tracked_videos() const { return video_seen_.size(); }
+  size_t video_records() const;
 
  protected:
   RequestOutcome HandleRequestImpl(const trace::Request& request) override;

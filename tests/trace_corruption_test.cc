@@ -62,6 +62,28 @@ TEST(TraceCorruptionCsvTest, RejectsNonFiniteDurationComment) {
   EXPECT_EQ(result.status().code(), util::StatusCode::kInvalidArgument);
 }
 
+TEST(TraceCorruptionCsvTest, RejectsRangePastTheLargestVideo) {
+  std::stringstream stream(
+      "arrival_time,video,byte_begin,byte_end\n"
+      "1.0,1,0,10\n"
+      "2.0,1,0," + std::to_string(kMaxVideoBytes) + "\n");
+  auto result = ReadCsv(stream);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), util::StatusCode::kOutOfRange);
+  EXPECT_NE(result.status().message().find("line 3"), std::string::npos)
+      << result.status().ToString();
+}
+
+TEST(TraceCorruptionWriterTest, RejectsRangePastTheLargestVideo) {
+  Trace t = SampleTrace();
+  t.requests[1].byte_end = kMaxVideoBytes;
+  EXPECT_FALSE(t.IsWellFormed());
+  const std::string path = testing::TempDir() + "past_largest_video.vtrs";
+  util::Status status = WriteTraceFile({&t}, path);
+  std::remove(path.c_str());
+  EXPECT_EQ(status.code(), util::StatusCode::kOutOfRange) << status.ToString();
+}
+
 // --- VCDNTRS2 packed-file corpus --------------------------------------------
 //
 // MmapTrace::Open takes a path, so each case writes the mutated image to a
@@ -311,6 +333,25 @@ TEST_F(PackedCorruptionTest, InvertedByteRangeFailsValidateAndEndsTheStream) {
   EXPECT_TRUE(stream->Next(16).empty());
   EXPECT_EQ(stream->status().code(), util::StatusCode::kDataLoss);
   EXPECT_TRUE(stream->Next(16).empty());
+}
+
+TEST_F(PackedCorruptionTest, RangePastTheLargestVideoFailsValidateAndEndsTheStream) {
+  // The 2nd record of server 0 ends at kMaxVideoBytes: the stream serves the
+  // record before it, then reports DataLoss; Validate() refuses the file.
+  std::string bytes = ValidImage();
+  const size_t payload = kIndexOffset + 2 * kIndexEntryBytes;
+  Patch<uint64_t>(bytes, payload + sizeof(Request) + offsetof(Request, byte_end), kMaxVideoBytes);
+  auto result = OpenImage(bytes);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+
+  auto scanned = result.value().Validate();
+  ASSERT_FALSE(scanned.ok());
+  EXPECT_EQ(scanned.status().code(), util::StatusCode::kDataLoss);
+
+  auto stream = result.value().ServerStream(0);
+  EXPECT_EQ(stream->Next(16).count, 1u);
+  EXPECT_TRUE(stream->Next(16).empty());
+  EXPECT_EQ(stream->status().code(), util::StatusCode::kDataLoss);
 }
 
 TEST_F(PackedCorruptionTest, OutOfOrderRecordEndsTheStreamMidway) {
